@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cvsym import runner
 from cvsym.cli import main
 from cvsym.config import ExperimentConfig, dump_config, load_config
 from cvsym.errors import ConfigError
@@ -99,6 +100,45 @@ def test_sweep_phase_diffusion_fallback_path():
         assert np.isfinite(row["tv_estimate"])
         assert np.isfinite(row["ks_max_corrected"])
         assert abs(row["skew_x"]) < 1.0
+
+
+def test_sweep_runs_one_moment_prepass(monkeypatch):
+    calls = []
+    real = runner.coordinate_triples
+
+    def spy(n, trials, *args):
+        calls.append((n, trials))
+        return real(n, trials, *args)
+
+    monkeypatch.setattr(runner, "coordinate_triples", spy)
+    cfg = ExperimentConfig(kind="convergence-sweep", seed=6, n_grid=[20, 50, 100],
+                           trials=[1500, 1500, 1500])
+    rows = run(cfg).metrics["grid"]
+    assert calls == [(1, runner.MOMENT_PREPASS_MODES)]
+    assert all(row["mode_moments"] == rows[0]["mode_moments"] for row in rows)
+
+
+def test_phase_diffusion_sweep_is_centred_on_exact_mean(monkeypatch):
+    # The diagnostics whiten z = (totals - mean) cov^(-1/2).  Centring on a
+    # Monte Carlo mode mean shifts z by sqrt(n) times that mean's error,
+    # several standard errors of a column mean at this n and trial count
+    # (7.7 in the first column at this seed).
+    trials = 4000
+    column_means = []
+    real = runner.empirical_tv_3d
+
+    def spy(samples, mean, cov, rng):
+        vals, vecs = np.linalg.eigh(cov)
+        z = (samples - mean) @ (vecs / np.sqrt(vals)) @ vecs.T
+        column_means.append(z.mean(axis=0))
+        return real(samples, mean, cov, rng)
+
+    monkeypatch.setattr(runner, "empirical_tv_3d", spy)
+    cfg = ExperimentConfig(kind="convergence-sweep", seed=6, n_grid=[1000], trials=[trials],
+                           perturbation="phase-diffusion", phase_sigma=0.3,
+                           modulation_variance=4.0, transmittance=0.7, excess_noise=0.02)
+    run(cfg)
+    assert np.all(np.abs(column_means[0]) < 5.0 / np.sqrt(trials))
 
 
 def test_invariant_audit_kind():

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import norm
+from scipy.stats import kstest, kstwo, kurtosis, norm, skew
 
 from cvsym.errors import DegenerateCovarianceError, PreconditionError
 from cvsym.samples import SampleBatch
 from cvsym.stats import (
+    KS_ASYMPTOTIC_MIN_N,
     DegenerateBivariate,
     GaussianBivariate,
     MomentSummary,
@@ -16,11 +17,16 @@ from cvsym.stats import (
     estimation_error_mc,
     gaussian_tv_1d,
     gaussian_tv_first_order,
+    ks_null_mean,
     mode_triple_moments,
     sigma_est,
     sigma_g,
     sigma_g_centered,
     triple_reduce,
+    _equal_mass_edges,
+    _ks_pvalues,
+    _ks_statistic_sorted,
+    _ks_steps,
 )
 
 
@@ -227,6 +233,46 @@ def test_empirical_tv_preconditions():
         empirical_tv_3d(rng.standard_normal((2000, 3)), np.zeros(3), np.zeros((3, 3)), rng)
 
 
+def test_ks_null_mean_matches_exact_law():
+    assert abs(ks_null_mean(1000) / kstwo(1000).mean() - 1.0) < 1e-4
+
+
+def test_sorted_ks_matches_kstest():
+    rng = np.random.default_rng(17)
+    for count in (1000, 5000, KS_ASYMPTOTIC_MIN_N, 20_000):
+        for shift in (0.0, 0.02, 0.05, 0.08):
+            values = rng.standard_normal(count) + shift
+            ref = kstest(values, "norm")
+            stat = _ks_statistic_sorted(np.sort(values), _ks_steps(count))
+            pvalue = _ks_pvalues([stat], count)[0]
+            assert abs(stat - ref.statistic) <= 1e-15
+            if count < KS_ASYMPTOTIC_MIN_N:
+                assert pvalue == ref.pvalue
+            elif ref.pvalue >= 1e-8:
+                assert abs(pvalue / ref.pvalue - 1.0) < 0.03
+
+
+def test_equal_mass_edges_match_np_quantile():
+    rng = np.random.default_rng(18)
+    for count in (1000, 1001, 12_345):
+        values = rng.standard_normal(count)
+        for bins in (4, 7, 8):
+            expected = np.quantile(values, np.linspace(0.0, 1.0, bins + 1)[1:-1])
+            np.testing.assert_array_equal(_equal_mass_edges(np.sort(values), bins), expected)
+
+
+def test_empirical_tv_draws_only_projection_directions():
+    # The reference law and the null floor are closed forms; the rng feeds
+    # nothing but the random projection directions.
+    samples = np.random.default_rng(19).standard_normal((5000, 3))
+    for projections in (0, 2, 6):
+        rng = np.random.default_rng(20)
+        empirical_tv_3d(samples, np.zeros(3), np.eye(3), rng, projections=projections)
+        expected = np.random.default_rng(20)
+        expected.standard_normal(3 * projections)
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+
 def test_estimation_error_centered_and_shrinking():
     model = GaussianBivariate(1.0, 1.0, 0.0)
     report = estimation_error_mc(model, 1000, 10_000, np.random.default_rng(13))
@@ -266,3 +312,12 @@ def test_columnwise_shape_stats_gaussian():
     skew, kurt, se_skew, se_kurt = columnwise_shape_stats(z)
     assert np.all(np.abs(skew) <= 4 * se_skew)
     assert np.all(np.abs(kurt) <= 4 * se_kurt)
+
+
+def test_shape_and_moment_stats_match_power_forms():
+    data = np.random.default_rng(21).chisquare(3.0, size=(20_000, 3))
+    col_skew, col_kurt, _, _ = columnwise_shape_stats(data)
+    np.testing.assert_allclose(col_skew, skew(data, axis=0), rtol=1e-12)
+    np.testing.assert_allclose(col_kurt, kurtosis(data, axis=0), rtol=1e-12)
+    third = MomentSummary.from_triples(data).third_abs
+    assert third == pytest.approx(np.mean(np.sum(data * data, axis=1) ** 1.5), rel=1e-13)
