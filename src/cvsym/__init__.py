@@ -6,11 +6,9 @@ from .config import ExperimentConfig, load_config, dump_config
 from .keyrate import ChannelEstimate, KeyRateResult, estimate_channel, gaussian_keyrate
 from .linalg import (
     ComplexUnitary,
-    OrderingPermutation,
     SymplecticOrthogonal,
     haar_orthogonal_symplectic,
     haar_unitary,
-    reorder,
     unitary_to_symplectic,
 )
 from .protocol import (

@@ -8,6 +8,7 @@ the experiment's provenance record.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -22,6 +23,31 @@ EXPERIMENT_KINDS = (
 )
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _list_of(check):
+    return lambda value: isinstance(value, list) and all(check(v) for v in value)
+
+
+# Declared field type -> (check, message).  Bools are not numbers here, and
+# floats must be finite.
+_TYPE_CHECKS = {
+    "int": (_is_int, "must be an integer"),
+    "float": (_is_real, "must be a finite number"),
+    "str": (lambda v: isinstance(v, str), "must be a string"),
+    "list[int]": (_list_of(_is_int), "must be a list of integers"),
+    "list[float]": (_list_of(_is_real), "must be a list of finite numbers"),
+    "int | list[int]": (lambda v: _is_int(v) or _list_of(_is_int)(v),
+                        "must be an integer or a list of integers"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -32,9 +58,9 @@ class ExperimentConfig:
     transmittance: float = 0.7
     excess_noise: float = 0.02
     perturbation: str = "none"  # none | gaussian-mixture | phase-diffusion
-    mixture_weights: list = field(default_factory=list)
-    mixture_transmittances: list = field(default_factory=list)
-    mixture_excess_noises: list = field(default_factory=list)
+    mixture_weights: list[float] = field(default_factory=list)
+    mixture_transmittances: list[float] = field(default_factory=list)
+    mixture_excess_noises: list[float] = field(default_factory=list)
     phase_sigma: float = 0.0
     postselection_rule: str = "none"  # none | amplitude-threshold | product-threshold
     postselection_threshold: float = 0.0
@@ -43,8 +69,8 @@ class ExperimentConfig:
     reconciliation_efficiency: float = 0.95
     estimation_fraction: float = 0.1
     # convergence-sweep
-    n_grid: list = field(default_factory=list)
-    trials: object = 10000  # int, or list matching n_grid
+    n_grid: list[int] = field(default_factory=list)
+    trials: int | list[int] = 10000  # a list matches n_grid
     # single-size kinds
     n: int = 0
     # invariant-audit ensembles: shared triple, opposite symplectic products
@@ -66,14 +92,22 @@ class ExperimentConfig:
         return list(self.trials)
 
     def validate(self):
-        problems = []
+        """Check every field against its declared type, then its value.
+
+        Raises one ConfigError naming every bad field; value checks run only
+        once every field has its declared type.
+        """
+        problems = [(f.name, _TYPE_CHECKS[f.type][1]) for f in fields(self)
+                    if not _TYPE_CHECKS[f.type][0](getattr(self, f.name))]
+        if problems:
+            raise ConfigError(problems)
 
         def bad(name, msg):
             problems.append((name, msg))
 
         if self.kind not in EXPERIMENT_KINDS:
             bad("kind", f"must be one of {', '.join(EXPERIMENT_KINDS)}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             bad("seed", "must be a nonnegative integer")
         if not self.modulation_variance > 0:
             bad("modulation_variance", "must be > 0")
@@ -108,23 +142,17 @@ class ExperimentConfig:
             bad("estimation_fraction", "must lie in (0, 1]")
 
         if self.kind == "convergence-sweep":
-            grid = list(self.n_grid)
-            if any(not isinstance(v, int) or v < 1 for v in grid):
+            grid = self.n_grid
+            if any(v < 1 for v in grid):
                 bad("n_grid", "entries must be positive integers")
             elif any(b <= a for a, b in zip(grid, grid[1:])):
                 bad("n_grid", "must be strictly increasing")
-            if isinstance(self.trials, int):
-                if self.trials < 1:
-                    bad("trials", "must be >= 1")
-            elif isinstance(self.trials, list):
-                if len(self.trials) != len(grid):
-                    bad("trials", "list length must match n_grid")
-                elif any(not isinstance(v, int) or v < 1 for v in self.trials):
-                    bad("trials", "entries must be positive integers")
-            else:
-                bad("trials", "must be an integer or a list of integers")
+            if isinstance(self.trials, list) and len(self.trials) != len(grid):
+                bad("trials", "list length must match n_grid")
+            elif any(v < 1 for v in self.trials_for_grid()):
+                bad("trials", "must be >= 1")
         else:
-            if not isinstance(self.n, int) or self.n < 1:
+            if self.n < 1:
                 bad("n", "must be a positive integer")
             if not isinstance(self.trials, int) or self.trials < 1:
                 bad("trials", "must be a positive integer")
@@ -132,7 +160,7 @@ class ExperimentConfig:
         if self.kind == "invariant-audit":
             if self.audit_norm_x_sq < 0 or self.audit_norm_y_sq < 0:
                 bad("audit_norm_x_sq", "squared norms must be >= 0")
-            cross = self.audit_dot_xy ** 2 + self.audit_symp_xy ** 2
+            cross = self.audit_dot_xy * self.audit_dot_xy + self.audit_symp_xy * self.audit_symp_xy
             if self.audit_norm_x_sq > 0 and cross > self.audit_norm_x_sq * self.audit_norm_y_sq:
                 bad("audit_dot_xy", "dot^2 + symp^2 exceeds the Cauchy-Schwarz budget")
         if self.kind == "design-compare":
@@ -146,8 +174,11 @@ class ExperimentConfig:
                 bad("design_degree", "must be >= 1")
             if self.design_samples < 1:
                 bad("design_samples", "must be >= 1")
-        if self.kind == "estimation-error" and self.est_m < 10:
-            bad("est_m", "must be >= 10")
+        if self.kind == "estimation-error":
+            if self.est_m < 10:
+                bad("est_m", "must be >= 10")
+            if self.perturbation == "phase-diffusion":
+                bad("perturbation", "estimation-error supports none and gaussian-mixture only")
 
         if problems:
             raise ConfigError(problems)

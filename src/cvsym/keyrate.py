@@ -120,16 +120,6 @@ class KeyRateResult:
     conditional_eigenvalue: float
     no_key: bool
 
-    def to_dict(self):
-        return {
-            "rate": self.rate,
-            "mutual_information": self.mutual_information,
-            "holevo_bound": self.holevo_bound,
-            "symplectic_eigenvalues": list(self.symplectic_eigenvalues),
-            "conditional_eigenvalue": self.conditional_eigenvalue,
-            "no_key": self.no_key,
-        }
-
 
 def gaussian_keyrate(estimate):
     """Reverse-reconciliation rate beta * I_AB - chi_BE in bits per symbol.

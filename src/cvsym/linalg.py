@@ -66,31 +66,6 @@ def interleave_modes(a):
 
 
 @dataclass(frozen=True)
-class OrderingPermutation:
-    """Reordering between interleaved and q-first vector conventions."""
-
-    n: int
-    to_qfirst: bool = True
-
-    def indices(self):
-        perm = qfirst_indices(self.n)
-        return perm if self.to_qfirst else np.argsort(perm)
-
-    def inverse(self):
-        return OrderingPermutation(self.n, not self.to_qfirst)
-
-
-def reorder(v, perm):
-    """Apply an :class:`OrderingPermutation` to a real 2n-vector."""
-    v = np.asarray(v)
-    if v.shape[-1] % 2:
-        raise InvalidDimensionError(f"vector length must be even, got {v.shape[-1]}")
-    if v.shape[-1] != 2 * perm.n:
-        raise InvalidDimensionError(f"vector length {v.shape[-1]} does not match 2n={2 * perm.n}")
-    return v[..., perm.indices()]
-
-
-@dataclass(frozen=True)
 class ComplexUnitary:
     """An n x n unitary matrix together with its mode count."""
 

@@ -92,21 +92,26 @@ class ChannelModel:
                 self.perturbation, (GaussianMixture, PhaseDiffusion)):
             raise ValueError("perturbation must be None, GaussianMixture or PhaseDiffusion")
 
-    def coordinate_moments(self, modulation):
-        """Population (⟨x²⟩, ⟨y²⟩, ⟨xy⟩) per coordinate under this channel."""
+    def _gaussian_components(self, modulation):
         a = modulation.variance_a / 2.0
         if isinstance(self.perturbation, GaussianMixture):
             mix = self.perturbation
-            b = sum(w * (t * a + 1.0 + t * xi / 2.0)
-                    for w, t, xi in zip(mix.weights, mix.transmittances, mix.excess_noises))
-            c = sum(w * np.sqrt(t) * a for w, t in zip(mix.weights, mix.transmittances))
-            return a, float(b), float(c)
-        t, xi = self.transmittance, self.excess_noise
-        b = t * a + 1.0 + t * xi / 2.0
-        c = np.sqrt(t) * a
+            weights, channels = list(mix.weights), zip(mix.transmittances, mix.excess_noises)
+        else:
+            weights, channels = [1.0], [(self.transmittance, self.excess_noise)]
+        return weights, [(a, t * a + 1.0 + t * xi / 2.0, float(np.sqrt(t)) * a) for t, xi in channels]
+
+    def coordinate_moments(self, modulation):
+        """Population (⟨x²⟩, ⟨y²⟩, ⟨xy⟩) per coordinate: the weighted sum over components.
+
+        Phase diffusion damps ⟨xy⟩ of the Gaussian core by E cos(phi).
+        """
+        weights, comps = self._gaussian_components(modulation)
+        b = sum(w * comp[1] for w, comp in zip(weights, comps))
+        c = sum(w * comp[2] for w, comp in zip(weights, comps))
         if isinstance(self.perturbation, PhaseDiffusion):
             c *= np.exp(-self.perturbation.sigma ** 2 / 2.0)
-        return a, float(b), float(c)
+        return modulation.variance_a / 2.0, float(b), float(c)
 
     def mixture_components(self, modulation):
         """Per-mode Gaussian components as (weights, [(a, b, c), ...]), or None.
@@ -115,21 +120,18 @@ class ChannelModel:
         bivariate normal; phase diffusion has no such finite decomposition,
         so it returns None and callers fall back to sampling.
         """
-        a = modulation.variance_a / 2.0
         if isinstance(self.perturbation, PhaseDiffusion):
             return None
-        if isinstance(self.perturbation, GaussianMixture):
-            mix = self.perturbation
-            comps = [(a, t * a + 1.0 + t * xi / 2.0, float(np.sqrt(t)) * a)
-                     for t, xi in zip(mix.transmittances, mix.excess_noises)]
-            return list(mix.weights), comps
-        t, xi = self.transmittance, self.excess_noise
-        return [1.0], [(a, t * a + 1.0 + t * xi / 2.0, float(np.sqrt(t)) * a)]
+        return self._gaussian_components(modulation)
 
 
-def alice_modulate(params, rng):
-    """Draw Alice's interleaved 2n-vector of i.i.d. centered Gaussian coordinates."""
-    return rng.normal(0.0, np.sqrt(params.variance_a / 2.0), size=2 * params.n)
+def alice_modulate(params, rng, trials=None):
+    """Draw Alice's interleaved 2n-vector of i.i.d. centered Gaussian coordinates.
+
+    With ``trials`` the draw is a (trials, 2n) stack of such vectors.
+    """
+    size = 2 * params.n if trials is None else (trials, 2 * params.n)
+    return rng.normal(0.0, np.sqrt(params.variance_a / 2.0), size=size)
 
 
 def _stacked(x):
@@ -151,27 +153,19 @@ def channel_and_heterodyne(x, model, rng):
     x, squeeze = _stacked(x)
     trials, two_n = x.shape
     n = two_n // 2
+    t, xi, signal = model.transmittance, model.excess_noise, x
     if isinstance(model.perturbation, GaussianMixture):
         mix = model.perturbation
         comp = rng.choice(len(mix.weights), size=(trials, n), p=np.array(mix.weights))
-        t_mode = np.array(mix.transmittances)[comp]
-        xi_mode = np.array(mix.excess_noises)[comp]
-        t = np.repeat(t_mode, 2, axis=1)
-        xi = np.repeat(xi_mode, 2, axis=1)
-        signal = np.sqrt(t) * x
+        t = np.repeat(np.array(mix.transmittances)[comp], 2, axis=1)
+        xi = np.repeat(np.array(mix.excess_noises)[comp], 2, axis=1)
     elif isinstance(model.perturbation, PhaseDiffusion):
-        t = model.transmittance
-        xi = model.excess_noise
         phi = rng.normal(0.0, model.perturbation.sigma, size=(trials, n))
         cos, sin = np.cos(phi), np.sin(phi)
-        rotated = np.empty_like(x)
-        rotated[:, 0::2] = cos * x[:, 0::2] - sin * x[:, 1::2]
-        rotated[:, 1::2] = sin * x[:, 0::2] + cos * x[:, 1::2]
-        signal = np.sqrt(t) * rotated
-    else:
-        t = model.transmittance
-        xi = model.excess_noise
-        signal = np.sqrt(t) * x
+        signal = np.empty_like(x)
+        signal[:, 0::2] = cos * x[:, 0::2] - sin * x[:, 1::2]
+        signal[:, 1::2] = sin * x[:, 0::2] + cos * x[:, 1::2]
+    signal = np.sqrt(t) * signal
     noise_sd = np.sqrt(1.0 + t * xi / 2.0)
     y = signal + noise_sd * rng.standard_normal(x.shape)
     return y[0] if squeeze else y

@@ -14,10 +14,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-from scipy import stats as sps
 
 from . import __version__
-from .errors import ConfigError
 from .keyrate import estimate_channel, gaussian_keyrate
 from .linalg import (
     haar_orthogonal_symplectic_stack,
@@ -30,15 +28,17 @@ from .protocol import (
     ModulationParams,
     PhaseDiffusion,
     PostselectionRegion,
+    alice_modulate,
     channel_and_heterodyne,
     postselect,
 )
 from .report import ExperimentReport
 from .samples import SampleBatch, mode_symplectic_products, mode_triples
 from .stats import (
-    GaussianBivariate,
+    BivariateMixture,
     MomentSummary,
     berry_esseen_bound,
+    cholesky_2x2,
     columnwise_shape_stats,
     empirical_tv_3d,
     mode_triple_moments,
@@ -48,6 +48,7 @@ from .stats import (
     summarize_scaled_errors,
 )
 from .symmetrize import (
+    InvariantAuditReport,
     batch_with_invariants,
     collect_audit_samples,
     finite_design_average,
@@ -84,14 +85,9 @@ def _map_blocks(fn, args_list, workers):
 
 
 def _blocks(total, block_size):
-    out = []
-    start = 0
-    index = 0
-    while start < total:
-        out.append((index, min(block_size, total - start)))
-        start += block_size
-        index += 1
-    return out
+    """(block index, block length) pairs covering ``total`` items in order."""
+    return [(index, min(block_size, total - start))
+            for index, start in enumerate(range(0, total, block_size))]
 
 
 def _channel_from_config(config):
@@ -132,9 +128,7 @@ def wishart_triples(n, trials, weights, components, rng):
     for j, (a, b, c) in enumerate(components):
         m = counts[:, j].astype(float)
         nu = 2.0 * m
-        l11 = np.sqrt(a)
-        l21 = c / l11
-        l22 = np.sqrt(max(b - c * c / a, 0.0))
+        l11, l21, l22 = cholesky_2x2(a, b, c)
         nonzero = m > 0
         c11 = 2.0 * rng.standard_gamma(nu / 2.0)
         c22 = 2.0 * rng.standard_gamma(np.clip((nu - 1.0) / 2.0, 0.0, None)) * nonzero
@@ -150,9 +144,8 @@ def wishart_triples(n, trials, weights, components, rng):
 
 
 def coordinate_triples(n, trials, model, modulation, rng):
-    """Per-trial totals (X^n, Y^n, Z^n) by simulating every coordinate."""
-    sd = np.sqrt(modulation.variance_a / 2.0)
-    x = sd * rng.standard_normal((trials, 2 * n))
+    """Per-trial totals (X^n, Y^n, Z^n) by simulating every coordinate; ``modulation.n`` is n."""
+    x = alice_modulate(modulation, rng, trials)
     y = channel_and_heterodyne(x, model, rng)
     return np.stack([
         np.einsum("ij,ij->i", x, x),
@@ -189,8 +182,7 @@ def _sweep_acceptance(config, model):
     if region.rule == "none":
         return 1.0
     rng = _stream_rng(config.seed, _S_DIAG, 0, 1)
-    sd = np.sqrt(config.modulation_variance / 2.0)
-    px = sd * rng.standard_normal((MOMENT_PREPASS_MODES, 2))
+    px = alice_modulate(ModulationParams(1, config.modulation_variance), rng, MOMENT_PREPASS_MODES)
     py = channel_and_heterodyne(px, model, rng)
     _, acceptance = postselect(px.ravel(), py.ravel(), region)
     return acceptance
@@ -288,24 +280,14 @@ def _run_invariant_audit(config, workers):
     invariants = _audit_defaults(config)
     args = [(config.seed, bi, bt, config.n, invariants)
             for bi, bt in _blocks(config.trials, 512)]
-    merged = {}
-    for part in _map_blocks(_audit_block, args, workers):
-        for name, (va, vb) in part.items():
-            acc = merged.setdefault(name, ([], []))
-            acc[0].append(va)
-            acc[1].append(vb)
-    results = {}
-    for name, (va, vb) in merged.items():
-        ks = sps.ks_2samp(np.concatenate(va), np.concatenate(vb))
-        results[name] = {"ks_statistic": float(ks.statistic), "pvalue": float(ks.pvalue)}
+    parts = _map_blocks(_audit_block, args, workers)
+    samples = {name: tuple(np.concatenate([part[name][side] for part in parts]) for side in (0, 1))
+               for name in parts[0]}
+    out = InvariantAuditReport.from_samples(samples, config.trials).to_dict()
     nx, ny, dot, symp = invariants
-    return {
-        "trials": config.trials,
-        "underpowered": config.trials < 100,
-        "invariants_a": {"norm_x_sq": nx, "norm_y_sq": ny, "dot_xy": dot, "symp_xy": symp},
-        "invariants_b": {"norm_x_sq": nx, "norm_y_sq": ny, "dot_xy": dot, "symp_xy": -symp},
-        "results": results,
-    }
+    out["invariants_a"] = {"norm_x_sq": nx, "norm_y_sq": ny, "dot_xy": dot, "symp_xy": symp}
+    out["invariants_b"] = {"norm_x_sq": nx, "norm_y_sq": ny, "dot_xy": dot, "symp_xy": -symp}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +305,7 @@ def _run_design_compare(config, workers):
         design = haar_design(config.n, config.design_size, design_rng)
 
     def sampler(rng):
-        sd = np.sqrt(modulation.variance_a / 2.0)
-        x = sd * rng.standard_normal(2 * modulation.n)
+        x = alice_modulate(modulation, rng)
         y = channel_and_heterodyne(x, model, rng)
         return SampleBatch(x, y)
 
@@ -341,15 +322,14 @@ def _run_design_compare(config, workers):
 def _keyrate_block(args):
     seed, block_index, modes, model, modulation = args
     rng = _stream_rng(seed, _S_KEYRATE, block_index)
-    sd = np.sqrt(modulation.variance_a / 2.0)
-    x = sd * rng.standard_normal((modes, 2))
+    x = alice_modulate(modulation, rng, modes)
     y = channel_and_heterodyne(x, model, rng)
     return np.concatenate([x, y], axis=1)
 
 
 def _run_keyrate_report(config, workers):
     model = _channel_from_config(config)
-    modulation = ModulationParams(config.n, config.modulation_variance)
+    modulation = ModulationParams(1, config.modulation_variance)
     args = [(config.seed, bi, bm, model, modulation)
             for bi, bm in _blocks(config.n, 500_000)]
     data = np.concatenate(_map_blocks(_keyrate_block, args, workers), axis=0)
@@ -403,67 +383,26 @@ def _run_keyrate_report(config, workers):
 
 
 def _estimation_block(args):
-    seed, block_index, trials, m, a, b, c = args
+    seed, block_index, trials, m, law = args
     rng = _stream_rng(seed, _S_ESTIMATION, block_index)
-    return scaled_estimation_errors(GaussianBivariate(a, b, c), m, trials, rng)
+    return scaled_estimation_errors(law, m, trials, rng)
 
 
 def _run_estimation_error(config, workers):
     model = _channel_from_config(config)
-    if isinstance(model.perturbation, PhaseDiffusion):
-        raise ConfigError([("perturbation",
-                            "estimation-error supports none and gaussian-mixture only")])
-    modulation = ModulationParams(config.n, config.modulation_variance)
-    a, b, c = model.coordinate_moments(modulation)
-    if isinstance(model.perturbation, GaussianMixture):
-        # Coordinate pairs of a mixture channel follow a mixture of bivariate
-        # normals; its fourth-moment truth is the weighted component sum.
-        weights, comps = model.mixture_components(modulation)
-        truth = sum(w * sigma_g(*comp) for w, comp in zip(weights, comps))
-        model_obj = _MixtureBivariate(tuple(weights), tuple(comps), truth)
-    else:
-        model_obj = GaussianBivariate(a, b, c)
-
+    # Conditioned on its channel component every coordinate pair is
+    # bivariate normal; the fourth-moment truth is the weighted component sum.
+    weights, comps = model.mixture_components(ModulationParams(config.n, config.modulation_variance))
+    law = BivariateMixture(tuple(weights), tuple(comps))
     m = config.est_m
-    block_size = max(1, 2_000_000 // m)
-    if isinstance(model_obj, GaussianBivariate):
-        args = [(config.seed, bi, bt, m, a, b, c) for bi, bt in _blocks(config.trials, block_size)]
-        errors = np.concatenate(_map_blocks(_estimation_block, args, workers), axis=0)
-    else:
-        errors = []
-        for bi, bt in _blocks(config.trials, block_size):
-            rng = _stream_rng(config.seed, _S_ESTIMATION, bi)
-            errors.append(scaled_estimation_errors(model_obj, m, bt, rng))
-        errors = np.concatenate(errors, axis=0)
-    report = summarize_scaled_errors(errors)
+    args = [(config.seed, bi, bt, m, law) for bi, bt in _blocks(config.trials, max(1, 2_000_000 // m))]
+    errors = np.concatenate(_map_blocks(_estimation_block, args, workers), axis=0)
+    report = summarize_scaled_errors(errors, m)
     out = report.to_dict()
-    out["m"] = m
     with np.errstate(divide="ignore", invalid="ignore"):
         pull = np.where(report.se_mean > 0, np.abs(report.mean) / report.se_mean, 0.0)
     out["max_mean_pull"] = float(pull.max())
     return out
-
-
-class _MixtureBivariate:
-    """Coordinate-pair mixture model for the estimation-error study."""
-
-    def __init__(self, weights, components, truth):
-        self.weights = weights
-        self.components = components
-        self._truth = truth
-
-    def draw(self, m, rng):
-        comp = rng.choice(len(self.weights), size=m, p=np.asarray(self.weights))
-        g = rng.standard_normal((m, 2))
-        out = np.empty((m, 2))
-        for j, (a, b, c) in enumerate(self.components):
-            sel = comp == j
-            out[sel, 0] = np.sqrt(a) * g[sel, 0]
-            out[sel, 1] = (c / np.sqrt(a)) * g[sel, 0] + np.sqrt(b - c * c / a) * g[sel, 1]
-        return out
-
-    def fourth_moment_matrix(self):
-        return self._truth
 
 
 # ---------------------------------------------------------------------------

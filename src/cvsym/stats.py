@@ -15,7 +15,7 @@ quantitative bound is computed separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import stats as sps
@@ -57,16 +57,6 @@ def sigma_g_centered(a, b, c):
     ])
 
 
-def coordinate_fourth_matrix(x, y):
-    """Single-sample fourth-moment matrix [[x^4, x^2y^2, x^3y], ...] for scalars."""
-    x2, y2, xy = x * x, y * y, x * y
-    return np.array([
-        [x2 * x2, x2 * y2, x2 * xy],
-        [x2 * y2, y2 * y2, y2 * xy],
-        [x2 * xy, y2 * xy, x2 * y2],
-    ])
-
-
 @dataclass(frozen=True)
 class SigmaEstimate:
     matrix: np.ndarray
@@ -105,11 +95,6 @@ def sigma_est(samples, indices=None):
     return SigmaEstimate(terms.mean(axis=0), terms.std(axis=0, ddof=1) / np.sqrt(m), m)
 
 
-def coordinate_triple_moments(a, b, c):
-    """Mean and covariance of (x^2, y^2, xy) for one Gaussian coordinate pair."""
-    return np.array([a, b, c]), sigma_g_centered(a, b, c)
-
-
 def mode_triple_moments(weights, components):
     """Mean and covariance of a mode's (X, Y, Z) for a per-mode Gaussian mixture.
 
@@ -120,9 +105,8 @@ def mode_triple_moments(weights, components):
     weights = np.asarray(weights, dtype=float)
     mus, seconds = [], []
     for (a, b, c) in components:
-        mu_c, cov_c = coordinate_triple_moments(a, b, c)
-        mu_k = 2.0 * mu_c
-        cov_k = 2.0 * cov_c
+        mu_k = 2.0 * np.array([a, b, c])
+        cov_k = 2.0 * sigma_g_centered(a, b, c)
         mus.append(mu_k)
         seconds.append(cov_k + np.outer(mu_k, mu_k))
     mus = np.array(mus)
@@ -234,18 +218,7 @@ class TvDiagnostics:
     ks_max_corrected: float
 
     def to_dict(self):
-        return {
-            "tv_estimate": self.tv_estimate,
-            "tv_bias_bound": self.tv_bias_bound,
-            "bins_per_axis": self.bins_per_axis,
-            "sample_count": self.sample_count,
-            "ks_raw": dict(self.ks_raw),
-            "ks_pvalues": dict(self.ks_pvalues),
-            "ks_corrected": dict(self.ks_corrected),
-            "ks_floor": self.ks_floor,
-            "ks_max": self.ks_max,
-            "ks_max_corrected": self.ks_max_corrected,
-        }
+        return asdict(self)
 
 
 # From this sample size on, KS p-values come from the Kolmogorov limit law;
@@ -385,42 +358,54 @@ def columnwise_shape_stats(z):
     return skew, kurt, float(np.sqrt(6.0 / count)), float(np.sqrt(24.0 / count))
 
 
-@dataclass(frozen=True)
-class GaussianBivariate:
-    """Centered bivariate normal coordinate model with moments (a, b, c)."""
+def cholesky_2x2(a, b, c):
+    """Lower Cholesky factor (l11, l21, l22) of [[a, c], [c, b]].
 
-    a: float
-    b: float
-    c: float
+    l22 is clamped at 0, so a pair at Cauchy-Schwarz equality (c^2 = a b,
+    up to rounding) gets a finite, degenerate factor.
+    """
+    l11 = np.sqrt(a)
+    return l11, c / l11, np.sqrt(max(b - c * c / a, 0.0))
+
+
+@dataclass(frozen=True)
+class BivariateMixture:
+    """Centered coordinate-pair law: a mixture of bivariate normals with moments (a, b, c).
+
+    Under a Gaussian-mixture channel each coordinate pair follows one
+    component; a single component is the Gaussian case.
+    """
+
+    weights: tuple
+    components: tuple
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError("variances must be positive")
-        if self.c ** 2 > self.a * self.b:
-            raise ValueError("correlation violates Cauchy-Schwarz")
+        for a, b, c in self.components:
+            if not (a > 0 and b > 0):
+                raise ValueError("variances must be positive")
+            if c * c > a * b:
+                raise ValueError("correlation violates Cauchy-Schwarz")
 
     def draw(self, m, rng):
+        """(m, 2) pairs; one component draws no component labels."""
+        k = len(self.weights)
+        labels = rng.choice(k, size=m, p=np.asarray(self.weights)) if k > 1 else None
         g = rng.standard_normal((m, 2))
-        x = np.sqrt(self.a) * g[:, 0]
-        y = (self.c / np.sqrt(self.a)) * g[:, 0] + np.sqrt(self.b - self.c ** 2 / self.a) * g[:, 1]
-        return np.column_stack([x, y])
+        out = np.empty((m, 2))
+        for j, comp in enumerate(self.components):
+            l11, l21, l22 = cholesky_2x2(*comp)
+            sel = slice(None) if labels is None else labels == j
+            out[sel, 0] = l11 * g[sel, 0]
+            out[sel, 1] = l21 * g[sel, 0] + l22 * g[sel, 1]
+        return out
 
     def fourth_moment_matrix(self):
-        return sigma_g(self.a, self.b, self.c)
+        return sum(w * sigma_g(*comp) for w, comp in zip(self.weights, self.components))
 
 
-@dataclass(frozen=True)
-class DegenerateBivariate:
-    """Point-mass coordinate model; its estimator has exactly zero error."""
-
-    x0: float
-    y0: float
-
-    def draw(self, m, rng):
-        return np.tile([self.x0, self.y0], (m, 1))
-
-    def fourth_moment_matrix(self):
-        return coordinate_fourth_matrix(self.x0, self.y0)
+def GaussianBivariate(a, b, c):
+    """Centered bivariate normal coordinate model: the one-component :class:`BivariateMixture`."""
+    return BivariateMixture((1.0,), ((a, b, c),))
 
 
 @dataclass(frozen=True)
@@ -436,15 +421,8 @@ class EstimationErrorReport:
     excess_kurtosis: np.ndarray
 
     def to_dict(self):
-        return {
-            "trials": self.trials,
-            "m": self.m,
-            "mean": self.mean.tolist(),
-            "std": self.std.tolist(),
-            "se_mean": self.se_mean.tolist(),
-            "skew": self.skew.tolist(),
-            "excess_kurtosis": self.excess_kurtosis.tolist(),
-        }
+        return {name: value.tolist() if isinstance(value, np.ndarray) else value
+                for name, value in vars(self).items()}
 
 
 def scaled_estimation_errors(model, m, trials, rng):
@@ -457,7 +435,8 @@ def scaled_estimation_errors(model, m, trials, rng):
     return np.sqrt(m) * (est - truth)
 
 
-def summarize_scaled_errors(errors):
+def summarize_scaled_errors(errors, m):
+    """Distribution summary of scaled errors from :func:`scaled_estimation_errors` at sample size m."""
     errors = np.asarray(errors, dtype=float)
     trials = errors.shape[0]
     mean = errors.mean(axis=0)
@@ -468,7 +447,7 @@ def summarize_scaled_errors(errors):
     skew = np.where(var > 0, (centered ** 3).mean(axis=0) / safe ** 1.5, 0.0)
     kurt = np.where(var > 0, (centered ** 4).mean(axis=0) / safe ** 2 - 3.0, 0.0)
     return EstimationErrorReport(
-        trials=trials, m=0, mean=mean, std=std,
+        trials=trials, m=m, mean=mean, std=std,
         se_mean=std / np.sqrt(trials), skew=skew, excess_kurtosis=kurt)
 
 
@@ -481,8 +460,4 @@ def estimation_error_mc(model, m, trials, rng):
     """
     if m < 10:
         raise PreconditionError("m must be >= 10")
-    errors = scaled_estimation_errors(model, m, trials, rng)
-    report = summarize_scaled_errors(errors)
-    return EstimationErrorReport(
-        trials=report.trials, m=m, mean=report.mean, std=report.std,
-        se_mean=report.se_mean, skew=report.skew, excess_kurtosis=report.excess_kurtosis)
+    return summarize_scaled_errors(scaled_estimation_errors(model, m, trials, rng), m)

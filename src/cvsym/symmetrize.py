@@ -241,6 +241,18 @@ class InvariantAuditReport:
     underpowered: bool
     results: dict = field(default_factory=dict)
 
+    @classmethod
+    def from_samples(cls, samples, trials):
+        """Two-sample KS test per statistic of ``{name: (samples_a, samples_b)}``.
+
+        Fewer than 100 trials sets the ``underpowered`` flag.
+        """
+        results = {}
+        for name, (va, vb) in samples.items():
+            ks = sps.ks_2samp(va, vb)
+            results[name] = AuditResult(float(ks.statistic), float(ks.pvalue))
+        return cls(trials=trials, underpowered=trials < 100, results=results)
+
     def to_dict(self):
         return {
             "trials": self.trials,
@@ -255,15 +267,10 @@ def invariant_audit(pair_generator, trials, rng, statistics=None):
 
     The generator controls what the two ensembles share (typically the
     three norm/dot invariants) and where they differ (typically the sign
-    of the symplectic product).  Fewer than 100 trials sets the
-    ``underpowered`` flag.
+    of the symplectic product).
     """
-    samples = collect_audit_samples(pair_generator, trials, rng, statistics)
-    results = {}
-    for name, (va, vb) in samples.items():
-        ks = sps.ks_2samp(va, vb)
-        results[name] = AuditResult(float(ks.statistic), float(ks.pvalue))
-    return InvariantAuditReport(trials=trials, underpowered=trials < 100, results=results)
+    return InvariantAuditReport.from_samples(
+        collect_audit_samples(pair_generator, trials, rng, statistics), trials)
 
 
 def roots_of_unity_design(count):

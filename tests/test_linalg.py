@@ -5,7 +5,6 @@ from scipy import stats as sps
 from cvsym.errors import InvalidDimensionError, PreconditionError
 from cvsym.linalg import (
     ComplexUnitary,
-    OrderingPermutation,
     complex_modes,
     haar_orthogonal_symplectic,
     haar_orthogonal_symplectic_stack,
@@ -13,7 +12,6 @@ from cvsym.linalg import (
     haar_unitary_stack,
     interleave_modes,
     orthogonality_residual,
-    reorder,
     symplectic_form,
     symplecticity_residual,
     unitary_to_symplectic,
@@ -134,27 +132,6 @@ def test_group_closure_of_products():
         assert prod.orthogonality_residual() <= 1e-11
         assert prod.symplecticity_residual() <= 1e-11
         np.testing.assert_allclose(prod.matrix, r2.matrix @ r1.matrix, atol=1e-13)
-
-
-def test_reorder_interleaved_to_qfirst():
-    perm = OrderingPermutation(2)
-    np.testing.assert_array_equal(reorder(np.array([1.0, 2.0, 3.0, 4.0]), perm), [1.0, 3.0, 2.0, 4.0])
-
-
-def test_reorder_roundtrip():
-    perm = OrderingPermutation(2)
-    v = np.array([5.0, 6.0, 7.0, 8.0])
-    np.testing.assert_array_equal(reorder(reorder(v, perm), perm.inverse()), v)
-
-
-def test_reorder_single_mode_unchanged():
-    perm = OrderingPermutation(1)
-    np.testing.assert_array_equal(reorder(np.array([3.5, -1.0]), perm), [3.5, -1.0])
-
-
-def test_reorder_rejects_odd_length():
-    with pytest.raises(InvalidDimensionError):
-        reorder(np.array([1.0, 2.0, 3.0]), OrderingPermutation(1))
 
 
 def test_residual_helpers_match_definitions():

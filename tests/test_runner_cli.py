@@ -54,11 +54,26 @@ def test_run_is_deterministic():
     assert rep1.metrics == rep2.metrics
 
 
+_MIXTURE = dict(perturbation="gaussian-mixture", mixture_weights=[0.8, 0.2],
+                mixture_transmittances=[0.9, 0.3], mixture_excess_noises=[0.01, 1.0])
+
+
 def test_run_is_worker_count_independent():
-    cfg = _small_sweep()
-    rep1 = run(cfg, workers=1)
-    rep2 = run(cfg, workers=2)
-    assert json.dumps(rep1.metrics, sort_keys=True) == json.dumps(rep2.metrics, sort_keys=True)
+    # Each config but design-compare (which runs in-process) splits into
+    # at least two blocks, so two workers really share the work.
+    configs = [
+        ExperimentConfig(kind="convergence-sweep", seed=5, n_grid=[50], trials=[270_000]),
+        ExperimentConfig(kind="convergence-sweep", seed=5, n_grid=[1000], trials=[4000],
+                         perturbation="phase-diffusion", phase_sigma=0.3),
+        ExperimentConfig(kind="invariant-audit", seed=5, n=3, trials=600),
+        ExperimentConfig(kind="design-compare", seed=5, n=1, trials=1, design_samples=64),
+        ExperimentConfig(kind="keyrate-report", seed=5, n=600_000),
+        ExperimentConfig(kind="estimation-error", seed=5, n=10, trials=2100, est_m=1000, **_MIXTURE),
+    ]
+    for cfg in configs:
+        rep1 = run(cfg, workers=1)
+        rep2 = run(cfg, workers=2)
+        assert json.dumps(rep1.metrics, sort_keys=True) == json.dumps(rep2.metrics, sort_keys=True), cfg.kind
 
 
 def test_report_roundtrip(tmp_path):
@@ -180,9 +195,7 @@ def test_estimation_error_kind():
 
 
 def test_estimation_error_mixture_channel():
-    cfg = ExperimentConfig(kind="estimation-error", seed=8, n=10, trials=1500, est_m=200,
-                           perturbation="gaussian-mixture", mixture_weights=[0.8, 0.2],
-                           mixture_transmittances=[0.9, 0.3], mixture_excess_noises=[0.01, 1.0])
+    cfg = ExperimentConfig(kind="estimation-error", seed=8, n=10, trials=1500, est_m=200, **_MIXTURE)
     rep = run(cfg)
     assert rep.metrics["max_mean_pull"] <= 4.0
 
@@ -212,6 +225,32 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
     code = main(["convergence-sweep", "--config", str(path)])
     assert code == 2
     assert "excess_noise" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field_name, value", [
+    ("transmittance", "0.7"),
+    ("excess_noise", float("nan")),
+    ("seed", True),
+    ("mixture_weights", [0.5, float("nan")]),
+])
+def test_cli_rejects_mistyped_field(tmp_path, capsys, field_name, value):
+    config = {"kind": "estimation-error", "seed": 1, "n": 1, "trials": 20, "est_m": 10,
+              "out_dir": str(tmp_path / "out"), **_MIXTURE, field_name: value}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = main(["estimation-error", "--config", str(path)])
+    errors = capsys.readouterr().err
+    assert code == 2
+    assert field_name in errors
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_estimation_error_under_phase_diffusion(tmp_path, capsys):
+    cfg = ExperimentConfig(kind="estimation-error", seed=1, n=1, trials=20, est_m=10,
+                           perturbation="phase-diffusion", phase_sigma=0.3)
+    path = dump_config(cfg, tmp_path / "config.json")
+    assert main(["estimation-error", "--config", str(path)]) == 2
+    assert "perturbation" in capsys.readouterr().err
 
 
 def test_cli_kind_mismatch(tmp_path, capsys):

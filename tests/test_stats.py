@@ -7,12 +7,12 @@ from cvsym.errors import DegenerateCovarianceError, PreconditionError
 from cvsym.samples import SampleBatch
 from cvsym.stats import (
     KS_ASYMPTOTIC_MIN_N,
-    DegenerateBivariate,
+    BivariateMixture,
     GaussianBivariate,
     MomentSummary,
     berry_esseen_bound,
+    cholesky_2x2,
     columnwise_shape_stats,
-    coordinate_fourth_matrix,
     empirical_tv_3d,
     estimation_error_mc,
     gaussian_tv_1d,
@@ -22,6 +22,7 @@ from cvsym.stats import (
     sigma_est,
     sigma_g,
     sigma_g_centered,
+    summarize_scaled_errors,
     triple_reduce,
     _equal_mass_edges,
     _ks_pvalues,
@@ -82,8 +83,9 @@ def test_sigma_g_rejects_cauchy_schwarz_violation():
 
 
 def test_single_sample_fourth_matrix():
-    np.testing.assert_array_equal(
-        coordinate_fourth_matrix(1.0, 2.0), [[1, 4, 2], [4, 16, 8], [2, 8, 4]])
+    est = sigma_est(np.array([[1.0, 2.0], [1.0, 2.0]]))
+    np.testing.assert_array_equal(est.matrix, [[1, 4, 2], [4, 16, 8], [2, 8, 4]])
+    np.testing.assert_array_equal(est.stderr, np.zeros((3, 3)))
 
 
 def test_sigma_est_needs_two_samples():
@@ -280,9 +282,41 @@ def test_estimation_error_centered_and_shrinking():
 
 
 def test_estimation_error_degenerate_data_is_exactly_zero():
-    report = estimation_error_mc(DegenerateBivariate(1.0, 2.0), 50, 100, np.random.default_rng(14))
-    assert np.all(report.mean == 0.0)
-    assert np.all(report.std == 0.0)
+    # A point mass has exactly zero estimator error; the summary must not
+    # divide by its zero spread.
+    report = summarize_scaled_errors(np.zeros((100, 3, 3)), 50)
+    assert report.m == 50 and report.trials == 100
+    for values in (report.mean, report.std, report.se_mean, report.skew, report.excess_kurtosis):
+        assert np.all(values == 0.0)
+
+
+def test_gaussian_draw_at_cauchy_schwarz_equality_is_finite():
+    # c^2 = a b up to rounding: b - c^2 / a is -4.4e-16 here, so an
+    # unclamped Cholesky factor makes every y NaN.
+    a, b, c = 9.341094724402934, 3.5843740151236116, 5.786361309403184
+    pairs = GaussianBivariate(a, b, c).draw(1000, np.random.default_rng(22))
+    assert np.all(np.isfinite(pairs))
+    np.testing.assert_allclose(pairs[:, 1], (c / a) * pairs[:, 0], rtol=1e-12)
+    assert cholesky_2x2(a, b, c)[2] == 0.0
+
+
+def test_gaussian_draw_consumes_only_normals():
+    # One component draws no component labels: 2 m standard normals, the
+    # draw order of the Gaussian estimation-error path.
+    rng = np.random.default_rng(23)
+    pairs = GaussianBivariate(2.0, 3.0, 1.0).draw(500, rng)
+    expected = np.random.default_rng(23)
+    g = expected.standard_normal((500, 2))
+    assert rng.bit_generator.state == expected.bit_generator.state
+    np.testing.assert_array_equal(pairs[:, 0], np.sqrt(2.0) * g[:, 0])
+
+
+def test_mixture_fourth_moment_matrix_matches_draws():
+    law = BivariateMixture((0.7, 0.3), ((1.0, 2.0, 0.5), (1.0, 4.0, -1.0)))
+    np.testing.assert_allclose(law.fourth_moment_matrix(),
+                               0.7 * sigma_g(1.0, 2.0, 0.5) + 0.3 * sigma_g(1.0, 4.0, -1.0))
+    est = sigma_est(law.draw(200_000, np.random.default_rng(24)))
+    assert np.all(np.abs(est.matrix - law.fourth_moment_matrix()) <= 4 * est.stderr)
 
 
 def test_mode_triple_moments_match_monte_carlo():
