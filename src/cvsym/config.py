@@ -8,7 +8,7 @@ the experiment's provenance record.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -28,7 +28,8 @@ def _is_int(value):
 
 
 def _is_real(value):
-    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+    # Integers beyond the float range would overflow in float arithmetic.
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
 def _list_of(check):
@@ -142,6 +143,8 @@ class ExperimentConfig:
             bad("estimation_fraction", "must lie in (0, 1]")
 
         if self.kind == "convergence-sweep":
+            if self.postselection_rule != "none":
+                bad("postselection_rule", "convergence sweeps are never postselected; must be none")
             grid = self.n_grid
             if any(v < 1 for v in grid):
                 bad("n_grid", "entries must be positive integers")
@@ -189,6 +192,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data):
+        if not isinstance(data, dict):
+            raise ConfigError([("config", "must be a JSON object")])
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:

@@ -141,21 +141,32 @@ def symplecticity_residual(r):
     return np.max(np.abs(g), axis=(-2, -1))
 
 
+def phase_fixed_qr(z):
+    """Complete unitary Q of ``z = Q R`` (..., m, k) with R's diagonal real and >= 0.
+
+    The first min(m, k) columns of LAPACK's Q are multiplied by the phases
+    of R's diagonal (phase 1 where an entry is zero), which makes the
+    factorization unique wherever R's diagonal is nonzero (Mezzadri,
+    arXiv:math-ph/0609050).  Works on stacks.
+    """
+    q, r = np.linalg.qr(z, mode="complete")
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    mag = np.abs(d)
+    phases = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
+    q[..., :d.shape[-1]] *= phases[..., None, :]
+    return q
+
+
 def haar_unitary_stack(n, size, rng):
     """Sample ``size`` independent Haar unitaries as an array (size, n, n).
 
-    Uses QR of a complex Ginibre matrix with the triangular factor's
-    diagonal normalized to positive reals; without that phase correction
-    the QR output is not Haar-distributed.
+    Uses the phase-fixed QR of a complex Ginibre matrix; without the phase
+    fix the QR output is not Haar-distributed.
     """
     if n < 1:
         raise InvalidDimensionError(f"mode count must be >= 1, got {n}")
     z = rng.standard_normal((size, n, n)) + 1j * rng.standard_normal((size, n, n))
-    q, r = np.linalg.qr(z / np.sqrt(2.0))
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    mag = np.abs(d)
-    phases = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
-    return q * phases[..., None, :]
+    return phase_fixed_qr(z / np.sqrt(2.0))
 
 
 def haar_unitary(n, rng):

@@ -176,18 +176,6 @@ def _loglog_slope(ns, values):
     return float(np.polyfit(xs, ys, 1)[0]), len(points)
 
 
-def _sweep_acceptance(config, model):
-    """Postselection acceptance of single modes; sweep triples are never postselected."""
-    region = _region_from_config(config)
-    if region.rule == "none":
-        return 1.0
-    rng = _stream_rng(config.seed, _S_DIAG, 0, 1)
-    px = alice_modulate(ModulationParams(1, config.modulation_variance), rng, MOMENT_PREPASS_MODES)
-    py = channel_and_heterodyne(px, model, rng)
-    _, acceptance = postselect(px.ravel(), py.ravel(), region)
-    return acceptance
-
-
 def _run_convergence_sweep(config, workers):
     model = _channel_from_config(config)
     # Per-mode moments do not depend on n: one pre-pass and one
@@ -205,7 +193,6 @@ def _run_convergence_sweep(config, workers):
         # would shift z by sqrt(n) times that mean's Monte Carlo error.
         mu_mode = 2.0 * np.array(model.coordinate_moments(single_mode))
         cov_mode = mode_summary.covariance
-    acceptance = _sweep_acceptance(config, model)
 
     grid_rows = []
     for grid_index, (n, trials) in enumerate(zip(config.n_grid, config.trials_for_grid())):
@@ -236,7 +223,7 @@ def _run_convergence_sweep(config, workers):
             "skew_x": float(skew[0]), "skew_y": float(skew[1]), "skew_z": float(skew[2]),
             "kurt_x": float(kurt[0]), "kurt_y": float(kurt[1]), "kurt_z": float(kurt[2]),
             "se_skew": se_skew, "se_kurt": se_kurt,
-            "acceptance_fraction": acceptance,
+            "acceptance_fraction": 1.0,
             "mode_moments": _summary_dict(mode_summary),
             "ks_detail": diag.to_dict(),
         }
@@ -350,8 +337,12 @@ def _run_keyrate_report(config, workers):
 
     coord_idx = np.sort(np.concatenate([2 * picked, 2 * picked + 1]))
     est = sigma_est(np.column_stack([x, y]), indices=coord_idx)
-    a, b, c = model.coordinate_moments(modulation)
-    gap = np.abs(est.matrix - sigma_g(a, b, c))
+    comps = model.mixture_components(modulation)
+    if comps is None:
+        truth = sigma_g(*model.coordinate_moments(modulation))
+    else:
+        truth = BivariateMixture(tuple(comps[0]), tuple(comps[1])).fourth_moment_matrix()
+    gap = np.abs(est.matrix - truth)
     with np.errstate(divide="ignore", invalid="ignore"):
         gap_in_se = np.where(est.stderr > 0, gap / est.stderr, 0.0)
 

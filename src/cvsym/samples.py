@@ -93,8 +93,3 @@ class InvariantTriple:
             diff = abs(getattr(self, name) - getattr(other, name))
             out[name] = 0.0 if scale == 0.0 else diff / scale
         return out
-
-    def max_relative_deviation(self, other):
-        devs = self.relative_deviations(other)
-        name = max(devs, key=devs.get)
-        return name, devs[name]

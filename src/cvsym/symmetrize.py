@@ -19,15 +19,12 @@ from .linalg import (
     complex_modes,
     haar_orthogonal_symplectic,
     haar_unitary_stack,
+    phase_fixed_qr,
     unitary_to_symplectic,
 )
 from .samples import SampleBatch
 
 WITNESS_TOL = 1e-8
-# Cauchy-Schwarz equality detection: |<a|b>|^2 >= (1 - COLINEAR_TOL) |a|^2 |b|^2
-COLINEAR_TOL = 1e-12
-# Gram-Schmidt completion drops candidate vectors whose residual is below this.
-COMPLETION_RESIDUAL_TOL = 1e-10
 
 
 def apply_symmetrization(batch, transform):
@@ -38,71 +35,6 @@ def apply_symmetrization(batch, transform):
     return SampleBatch(transform.apply(batch.x), transform.apply(batch.y))
 
 
-def _phase_align_unitary(v, vp, n):
-    """A unitary mapping v to vp for equal-norm complex vectors.
-
-    Composes a phase rotation in the complex line of v (making <vp|v> real
-    and nonnegative) with the Householder reflection across the mediator
-    hyperplane of the rotated vector and vp.  The plain reflection alone
-    maps v to vp only when <vp|v> is already real.
-    """
-    eye = np.eye(n, dtype=complex)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return eye
-    u = eye
-    c = np.vdot(vp, v)
-    if abs(c.imag) > 0.0 and abs(c) > 0.0:
-        phase = (c / abs(c)).conjugate()
-        vhat = v / nv
-        u = eye + (phase - 1.0) * np.outer(vhat, vhat.conj())
-        v = phase * v
-    w = v - vp
-    w_norm_sq = np.vdot(w, w).real
-    if w_norm_sq > (np.finfo(float).eps * nv) ** 2:
-        reflection = eye - 2.0 * np.outer(w, w.conj()) / w_norm_sq
-        u = reflection @ u
-    return u
-
-
-def _orthonormal_extension(vectors, n):
-    """Orthonormal basis of C^n whose first columns span ``vectors`` in order.
-
-    Modified Gram-Schmidt with one re-orthogonalization pass; the basis is
-    completed with standard basis vectors, skipping candidates whose
-    residual after projection falls below COMPLETION_RESIDUAL_TOL.
-    """
-    basis = []
-
-    def _orthogonalize(vec):
-        w = vec.astype(complex)
-        for _ in range(2):
-            for e in basis:
-                w = w - np.vdot(e, w) * e
-        return w
-
-    for vec in vectors:
-        w = _orthogonalize(vec)
-        norm = np.linalg.norm(w)
-        if norm <= COMPLETION_RESIDUAL_TOL * max(np.linalg.norm(vec), 1.0):
-            raise PreconditionError("input vectors are numerically dependent")
-        basis.append(w / norm)
-
-    for j in range(n):
-        if len(basis) == n:
-            break
-        cand = np.zeros(n, dtype=complex)
-        cand[j] = 1.0
-        w = _orthogonalize(cand)
-        norm = np.linalg.norm(w)
-        if norm < COMPLETION_RESIDUAL_TOL:
-            continue
-        basis.append(w / norm)
-    if len(basis) != n:
-        raise RuntimeError("basis completion failed")
-    return np.column_stack(basis)
-
-
 def witness_transform(source, target, tol=WITNESS_TOL):
     """An element of O(2n,R) ∩ Sp(2n,R) mapping source to target.
 
@@ -111,9 +43,13 @@ def witness_transform(source, target, tol=WITNESS_TOL):
     product is required because the construction matches the full complex
     inner product of the mode amplitudes, whose imaginary part it is.
 
-    Construction: complexify both pairs, then either reflect across the
-    mediator hyperplane (colinear pairs, with a phase pre-rotation) or map
-    Gram-Schmidt orthonormal bases built from each pair onto one another.
+    Construction: U = Q(a', b') Q(a, b)^H from the phase-fixed complete QR
+    of each complex amplitude pair.  With R's diagonal real and >= 0,
+    R = [[|a|, <a|b>/|a|], [0, (|b|^2 - |<a|b>|^2/|a|^2)^(1/2)]] depends on
+    the invariants alone, so U [a b] = Q(a', b') R = [a' b'] for every pair,
+    colinear, zero or single-mode included.  The longer source vector goes
+    first (in both pairs): LAPACK leaves q_1 = e_1 for a zero first column,
+    which would make r_12 = b[0] instead of an invariant.
     """
     inv_s = source.invariant_triple()
     inv_t = target.invariant_triple()
@@ -127,27 +63,13 @@ def witness_transform(source, target, tol=WITNESS_TOL):
             f"invariant mismatch: {worst} differs by relative {bad[worst]:.3e} (> {tol:.1e}); "
             f"all mismatches: {sorted(bad)}")
 
-    n = source.n
-    a, b = complex_modes(source.x), complex_modes(source.y)
-    ap, bp = complex_modes(target.x), complex_modes(target.y)
-    norm_a_sq = np.vdot(a, a).real
-    norm_b_sq = np.vdot(b, b).real
-    inner_ab = np.vdot(a, b)
+    src = np.column_stack([complex_modes(source.x), complex_modes(source.y)])
+    tgt = np.column_stack([complex_modes(target.x), complex_modes(target.y)])
+    if np.linalg.norm(source.y) > np.linalg.norm(source.x):
+        src, tgt = src[:, ::-1], tgt[:, ::-1]
+    u = phase_fixed_qr(tgt) @ phase_fixed_qr(src).conj().T
 
-    colinear = abs(inner_ab) ** 2 >= (1.0 - COLINEAR_TOL) * norm_a_sq * norm_b_sq
-    if colinear or n == 1:
-        # The pair lies on one complex line (possibly degenerate); mapping the
-        # longer vector carries the other along with the shared coefficient.
-        if norm_a_sq >= norm_b_sq:
-            u = _phase_align_unitary(a, ap, n)
-        else:
-            u = _phase_align_unitary(b, bp, n)
-    else:
-        basis_src = _orthonormal_extension([a, b], n)
-        basis_tgt = _orthonormal_extension([ap, bp], n)
-        u = basis_tgt @ basis_src.conj().T
-
-    transform = unitary_to_symplectic(ComplexUnitary(n, u))
+    transform = unitary_to_symplectic(ComplexUnitary(source.n, u))
     scale = max(np.linalg.norm(source.x), np.linalg.norm(source.y), 1e-300)
     resid = max(np.max(np.abs(transform.apply(source.x) - target.x)),
                 np.max(np.abs(transform.apply(source.y) - target.y))) / scale

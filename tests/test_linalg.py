@@ -12,6 +12,7 @@ from cvsym.linalg import (
     haar_unitary_stack,
     interleave_modes,
     orthogonality_residual,
+    phase_fixed_qr,
     symplectic_form,
     symplecticity_residual,
     unitary_to_symplectic,
@@ -23,6 +24,20 @@ def test_haar_unitary_single_mode_is_phase():
     for _ in range(20):
         u = haar_unitary(1, rng)
         assert abs(abs(u.entries[0, 0]) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("m, k", [(5, 2), (1, 2), (3, 3)])
+def test_phase_fixed_qr_gives_nonnegative_real_r_diagonal(m, k):
+    rng = np.random.default_rng(m * 10 + k)
+    z = rng.standard_normal((4, m, k)) + 1j * rng.standard_normal((4, m, k))
+    z[0, :, 0] = 0.0  # a zero column keeps phase 1
+    q = phase_fixed_qr(z)
+    assert q.shape == (4, m, m)
+    assert np.max(np.abs(q.conj().swapaxes(-1, -2) @ q - np.eye(m))) < 1e-14
+    r = q.conj().swapaxes(-1, -2) @ z
+    assert np.max(np.abs(np.tril(r, -1))) < 1e-14
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    assert np.max(np.abs(d.imag)) < 1e-14 and np.min(d.real) > -1e-14
 
 
 def test_haar_unitary_deterministic_given_seed():

@@ -187,6 +187,15 @@ def test_keyrate_report_kind():
     assert m["be_bound_over_c"] > 0.0
 
 
+def test_keyrate_sigma_gap_under_mixture_channel():
+    # The truth is the mixture's fourth-moment matrix, not sigma_g of the
+    # averaged moments (6.8 % off in its largest entry, 10.3 SE at this n).
+    cfg = ExperimentConfig(kind="keyrate-report", seed=10, n=1_000_000, modulation_variance=20.0,
+                           perturbation="gaussian-mixture", mixture_weights=[0.85, 0.15],
+                           mixture_transmittances=[0.9, 0.15], mixture_excess_noises=[0.01, 3.0])
+    assert run(cfg).metrics["sigma_gap_max_se_units"] <= 5.0
+
+
 def test_estimation_error_kind():
     cfg = ExperimentConfig(kind="estimation-error", seed=7, n=10, trials=2000, est_m=200)
     rep = run(cfg)
@@ -251,6 +260,22 @@ def test_cli_rejects_estimation_error_under_phase_diffusion(tmp_path, capsys):
     path = dump_config(cfg, tmp_path / "config.json")
     assert main(["estimation-error", "--config", str(path)]) == 2
     assert "perturbation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("top_level", [5, None, [[1]]])
+def test_cli_rejects_non_object_config(tmp_path, capsys, top_level):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(top_level))
+    assert main(["keyrate-report", "--config", str(path)]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
+def test_cli_rejects_postselected_sweep(tmp_path, capsys):
+    cfg = ExperimentConfig(kind="convergence-sweep", seed=1, n_grid=[10], trials=10,
+                           postselection_rule="amplitude-threshold", postselection_threshold=1.0)
+    path = dump_config(cfg, tmp_path / "config.json")
+    assert main(["convergence-sweep", "--config", str(path)]) == 2
+    assert "postselection_rule" in capsys.readouterr().err
 
 
 def test_cli_kind_mismatch(tmp_path, capsys):

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from cvsym.errors import InvalidDimensionError, PreconditionError
-from cvsym.linalg import ComplexUnitary, haar_orthogonal_symplectic, unitary_to_symplectic
+from cvsym.linalg import (
+    ComplexUnitary,
+    haar_orthogonal_symplectic,
+    interleave_modes,
+    unitary_to_symplectic,
+)
 from cvsym.samples import InvariantTriple, SampleBatch
 from cvsym.symmetrize import (
     apply_symmetrization,
@@ -42,8 +47,7 @@ def test_all_four_invariants_preserved_at_n100():
     batch = _random_batch(100, rng)
     before = batch.invariant_triple()
     out = apply_symmetrization(batch, haar_orthogonal_symplectic(100, rng))
-    _, worst = before.max_relative_deviation(out.invariant_triple())
-    assert worst <= 1e-10
+    assert max(before.relative_deviations(out.invariant_triple()).values()) <= 1e-10
 
 
 def test_dimension_mismatch_rejected():
@@ -119,10 +123,34 @@ def test_witness_requires_matching_symplectic_product():
 
 def test_witness_zero_vector_degenerate_case():
     rng = np.random.default_rng(8)
-    source = SampleBatch(np.zeros(6), rng.standard_normal(6))
-    target = apply_symmetrization(source, haar_orthogonal_symplectic(3, rng))
-    witness = witness_transform(source, target)
-    assert np.max(np.abs(witness.apply(source.y) - target.y)) <= 1e-8 * np.linalg.norm(source.y)
+    cases = [(3, True, False), (3, False, True), (3, True, True), (1, True, False), (1, False, False)]
+    for n, zero_x, zero_y in cases * 20:
+        x, y = rng.standard_normal(2 * n), rng.standard_normal(2 * n)
+        source = SampleBatch(0.0 * x if zero_x else x, 0.0 * y if zero_y else y)
+        target = apply_symmetrization(source, haar_orthogonal_symplectic(n, rng))
+        witness = witness_transform(source, target)
+        scale = max(np.linalg.norm(x), np.linalg.norm(y))
+        assert np.max(np.abs(witness.apply(source.x) - target.x)) <= 1e-8 * scale
+        assert np.max(np.abs(witness.apply(source.y) - target.y)) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("n", [2, 5, 20])
+@pytest.mark.parametrize("k", [12, 13, 14])
+def test_witness_near_colinear_pair(n, k):
+    # b = coef * |a| (sqrt(1 - eps) u + sqrt(eps) w) with u = a/|a| and w a
+    # unit vector orthogonal to it, so 1 - |cos(a, b)|^2 = eps = 10^-k.
+    rng = np.random.default_rng(100 * n + k)
+    eps = 10.0 ** -k
+    for _ in range(5):
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        u = a / np.linalg.norm(a)
+        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        w -= np.vdot(u, w) * u
+        coef = complex(rng.standard_normal(), rng.standard_normal())
+        b = coef * np.linalg.norm(a) * (np.sqrt(1.0 - eps) * u + np.sqrt(eps) * w / np.linalg.norm(w))
+        source = SampleBatch(interleave_modes(a), interleave_modes(b))
+        target = apply_symmetrization(source, haar_orthogonal_symplectic(n, rng))
+        assert _mapping_residual(witness_transform(source, target), source, target) <= 1e-8
 
 
 def test_batch_with_invariants_hits_requested_values():
