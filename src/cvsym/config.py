@@ -13,6 +13,10 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .keyrate import MIN_ESTIMATION_COORDS, ChannelEstimate
+from .protocol import ChannelModel, GaussianMixture, ModulationParams, PhaseDiffusion, PostselectionRegion
+from .stats import MIN_TV_SAMPLES
+from .symmetrize import batch_with_invariants
 
 EXPERIMENT_KINDS = (
     "convergence-sweep",
@@ -46,6 +50,23 @@ _TYPE_CHECKS = {
     "list[float]": (_list_of(_is_real), "must be a list of finite numbers"),
     "int | list[int]": (lambda v: _is_int(v) or _list_of(_is_int)(v),
                         "must be an integer or a list of integers"),
+}
+
+
+# Parameter names of the objects validate() builds -> the config fields they come from.
+_FIELD_OF = {
+    "variance_a": "modulation_variance",
+    "v_variance": "modulation_variance",
+    "beta": "reconciliation_efficiency",
+    "weights": "mixture_weights",
+    "transmittances": "mixture_transmittances",
+    "excess_noises": "mixture_excess_noises",
+    "sigma": "phase_sigma",
+    "rule": "postselection_rule",
+    "threshold": "postselection_threshold",
+    "norm_x_sq": "audit_norm_x_sq",
+    "norm_y_sq": "audit_norm_y_sq",
+    "dot_xy": "audit_dot_xy",
 }
 
 
@@ -92,53 +113,50 @@ class ExperimentConfig:
             return [self.trials] * len(self.n_grid)
         return list(self.trials)
 
+    def _perturbation(self):
+        if self.perturbation == "gaussian-mixture":
+            return GaussianMixture(tuple(self.mixture_weights), tuple(self.mixture_transmittances),
+                                   tuple(self.mixture_excess_noises))
+        if self.perturbation == "phase-diffusion":
+            return PhaseDiffusion(self.phase_sigma)
+        return None
+
+    def channel(self):
+        return ChannelModel(self.transmittance, self.excess_noise, self._perturbation())
+
+    def region(self):
+        return PostselectionRegion(self.postselection_rule, self.postselection_threshold)
+
+    def audit_invariants(self):
+        """(|x|^2, |y|^2, x.y, omega(x, y)) of the audit ensembles; a 0 field selects its n-scaled default."""
+        n = self.n
+        return (self.audit_norm_x_sq or 2.0 * n, self.audit_norm_y_sq or 4.0 * n,
+                self.audit_dot_xy or 0.8 * n, self.audit_symp_xy or 0.5 * n)
+
     def validate(self):
         """Check every field against its declared type, then its value.
 
-        Raises one ConfigError naming every bad field; value checks run only
-        once every field has its declared type.
+        Value rules live in the objects a run builds: this builds them and
+        reports their failures under the config's field names, and adds only
+        the rules of kinds and sizes.  Raises one ConfigError naming every bad
+        field; value checks run only once every field has its declared type.
         """
         problems = [(f.name, _TYPE_CHECKS[f.type][1]) for f in fields(self)
                     if not _TYPE_CHECKS[f.type][0](getattr(self, f.name))]
         if problems:
             raise ConfigError(problems)
 
-        def bad(name, msg):
-            problems.append((name, msg))
+        problems = {}
+        bad = problems.setdefault  # the first message for a field wins
 
         if self.kind not in EXPERIMENT_KINDS:
             bad("kind", f"must be one of {', '.join(EXPERIMENT_KINDS)}")
         if self.seed < 0:
             bad("seed", "must be a nonnegative integer")
-        if not self.modulation_variance > 0:
-            bad("modulation_variance", "must be > 0")
-        if not 0.0 <= self.transmittance <= 1.0:
-            bad("transmittance", "must lie in [0, 1]")
-        if self.excess_noise < 0:
-            bad("excess_noise", "must be >= 0")
         if self.perturbation not in ("none", "gaussian-mixture", "phase-diffusion"):
             bad("perturbation", "must be none, gaussian-mixture or phase-diffusion")
-        if self.perturbation == "gaussian-mixture":
-            k = len(self.mixture_weights)
-            if k == 0 or len(self.mixture_transmittances) != k or len(self.mixture_excess_noises) != k:
-                bad("mixture_weights", "mixture components must have matching non-zero lengths")
-            else:
-                if any(w < 0 for w in self.mixture_weights) or abs(sum(self.mixture_weights) - 1.0) > 1e-9:
-                    bad("mixture_weights", "must be nonnegative and sum to 1")
-                if any(not 0.0 <= t <= 1.0 for t in self.mixture_transmittances):
-                    bad("mixture_transmittances", "must lie in [0, 1]")
-                if any(v < 0 for v in self.mixture_excess_noises):
-                    bad("mixture_excess_noises", "must be >= 0")
-        if self.perturbation == "phase-diffusion" and self.phase_sigma < 0:
-            bad("phase_sigma", "must be >= 0")
-        if self.postselection_rule not in ("none", "amplitude-threshold", "product-threshold"):
-            bad("postselection_rule", "unknown rule")
-        if self.postselection_threshold < 0:
-            bad("postselection_threshold", "must be >= 0")
         if self.be_constant < 0:
             bad("be_constant", "must be >= 0")
-        if not 0.0 < self.reconciliation_efficiency <= 1.0:
-            bad("reconciliation_efficiency", "must lie in (0, 1]")
         if not 0.0 < self.estimation_fraction <= 1.0:
             bad("estimation_fraction", "must lie in (0, 1]")
 
@@ -152,20 +170,18 @@ class ExperimentConfig:
                 bad("n_grid", "must be strictly increasing")
             if isinstance(self.trials, list) and len(self.trials) != len(grid):
                 bad("trials", "list length must match n_grid")
-            elif any(v < 1 for v in self.trials_for_grid()):
-                bad("trials", "must be >= 1")
+            elif any(v < MIN_TV_SAMPLES for v in self.trials_for_grid()):
+                bad("trials", f"must be >= {MIN_TV_SAMPLES}, the fewest the diagnostics accept")
         else:
-            if self.n < 1:
-                bad("n", "must be a positive integer")
+            # n enters float arithmetic (audit defaults, estimation modes).
+            if not 1 <= self.n <= sys.float_info.max:
+                bad("n", "must be a positive integer in the float range")
             if not isinstance(self.trials, int) or self.trials < 1:
                 bad("trials", "must be a positive integer")
 
-        if self.kind == "invariant-audit":
-            if self.audit_norm_x_sq < 0 or self.audit_norm_y_sq < 0:
-                bad("audit_norm_x_sq", "squared norms must be >= 0")
-            cross = self.audit_dot_xy * self.audit_dot_xy + self.audit_symp_xy * self.audit_symp_xy
-            if self.audit_norm_x_sq > 0 and cross > self.audit_norm_x_sq * self.audit_norm_y_sq:
-                bad("audit_dot_xy", "dot^2 + symp^2 exceeds the Cauchy-Schwarz budget")
+        if self.kind == "keyrate-report" and 2 * self.n < MIN_ESTIMATION_COORDS:
+            bad("n", f"must be >= {MIN_ESTIMATION_COORDS // 2}: the channel estimate needs "
+                     f"{MIN_ESTIMATION_COORDS} coordinates, two per mode")
         if self.kind == "design-compare":
             if self.design_kind not in ("roots-of-unity", "haar-sample"):
                 bad("design_kind", "must be roots-of-unity or haar-sample")
@@ -183,8 +199,28 @@ class ExperimentConfig:
             if self.perturbation == "phase-diffusion":
                 bad("perturbation", "estimation-error supports none and gaussian-mixture only")
 
+        constructors = [
+            lambda: ModulationParams(1, self.modulation_variance),
+            self._perturbation,
+            lambda: ChannelModel(self.transmittance, self.excess_noise),
+            self.region,
+            # The key rate's estimate holds the rule for beta.
+            lambda: ChannelEstimate(self.transmittance, self.excess_noise,
+                                    self.modulation_variance + 1.0, self.reconciliation_efficiency),
+        ]
+        if self.kind == "invariant-audit" and "n" not in problems:
+            # The rules see n only through n >= 2, so two modes stand in for n
+            # without allocating 2n coordinates.
+            constructors.append(lambda: batch_with_invariants(min(self.n, 2), *self.audit_invariants()))
+        for construct in constructors:
+            try:
+                construct()
+            except ConfigError as exc:
+                for name, msg in exc.problems:
+                    bad(_FIELD_OF.get(name, name), msg)
+
         if problems:
-            raise ConfigError(problems)
+            raise ConfigError(problems.items())
         return self
 
     def to_dict(self):

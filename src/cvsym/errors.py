@@ -15,7 +15,8 @@ class DegenerateCovarianceError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Experiment configuration failed validation.
+    """An experiment configuration, or the parameters of an object built
+    from one, failed validation.
 
     Carries the list of offending field names so callers can report
     every problem at once.
@@ -27,3 +28,13 @@ class ConfigError(ValueError):
         self.fields = [name for name, _ in self.problems]
         detail = "; ".join(f"{name}: {msg}" for name, msg in self.problems)
         super().__init__(f"invalid configuration: {detail}")
+
+
+def require(*rules):
+    """Raise one ConfigError naming every ``(name, ok, message)`` rule whose ``ok`` is false.
+
+    Write each ``ok`` as the condition that must hold, so that NaN fails it.
+    """
+    problems = [(name, message) for name, ok, message in rules if not ok]
+    if problems:
+        raise ConfigError(problems)

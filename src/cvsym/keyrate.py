@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCovarianceError, PreconditionError
+from .errors import DegenerateCovarianceError, PreconditionError, require
 
 MIN_ESTIMATION_COORDS = 2000  # 10^3 modes
 
@@ -36,18 +36,11 @@ class ChannelEstimate:
     se_excess_noise: float = 0.0
     samples: int = 0
 
-    def validate(self):
-        problems = []
-        if not 0.0 <= self.transmittance <= 1.0:
-            problems.append("transmittance outside [0, 1]")
-        if self.excess_noise < 0:
-            problems.append("excess_noise < 0")
-        if self.v_variance < 1.0:
-            problems.append("v_variance < 1")
-        if not 0.0 < self.beta <= 1.0:
-            problems.append("beta outside (0, 1]")
-        if problems:
-            raise ValueError("invalid channel estimate: " + "; ".join(problems))
+    def __post_init__(self):
+        require(("transmittance", 0.0 <= self.transmittance <= 1.0, "must lie in [0, 1]"),
+                ("excess_noise", self.excess_noise >= 0, "must be >= 0"),
+                ("v_variance", self.v_variance >= 1.0, "must be >= 1"),
+                ("beta", 0.0 < self.beta <= 1.0, "must lie in (0, 1]"))
 
 
 def estimate_channel(x, y, modulation_variance, beta=0.95):
@@ -130,7 +123,6 @@ def gaussian_keyrate(estimate):
     :func:`entropy_g` on symplectic eigenvalues.  Negative rates are
     clamped to zero and flagged.
     """
-    estimate.validate()
     t = estimate.transmittance
     xi = estimate.excess_noise
     v = estimate.v_variance

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensionError
+from .errors import InvalidDimensionError, require
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,8 @@ class ModulationParams:
     variance_a: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidDimensionError("mode count must be >= 1")
-        if not self.variance_a > 0:
-            raise ValueError("variance_a must be positive")
+        require(("n", self.n >= 1, "must be >= 1"),
+                ("variance_a", self.variance_a > 0, "must be > 0"))
 
 
 @dataclass(frozen=True)
@@ -51,14 +49,12 @@ class GaussianMixture:
         w = tuple(float(v) for v in self.weights)
         t = tuple(float(v) for v in self.transmittances)
         x = tuple(float(v) for v in self.excess_noises)
-        if not (len(w) == len(t) == len(x)) or not w:
-            raise ValueError("mixture components must have matching non-zero lengths")
-        if any(v < 0 for v in w) or abs(sum(w) - 1.0) > 1e-9:
-            raise ValueError("mixture weights must be nonnegative and sum to 1")
-        if any(not 0.0 <= v <= 1.0 for v in t):
-            raise ValueError("component transmittances must lie in [0, 1]")
-        if any(v < 0 for v in x):
-            raise ValueError("component excess noises must be >= 0")
+        require(("weights", 0 < len(w) == len(t) == len(x),
+                 "mixture components must have matching non-zero lengths"),
+                ("weights", all(v >= 0 for v in w) and abs(sum(w) - 1.0) <= 1e-9,
+                 "must be nonnegative and sum to 1"),
+                ("transmittances", all(0.0 <= v <= 1.0 for v in t), "must lie in [0, 1]"),
+                ("excess_noises", all(v >= 0 for v in x), "must be >= 0"))
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "transmittances", t)
         object.__setattr__(self, "excess_noises", x)
@@ -71,8 +67,7 @@ class PhaseDiffusion:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        require(("sigma", self.sigma >= 0, "must be >= 0"))
 
 
 @dataclass(frozen=True)
@@ -84,13 +79,11 @@ class ChannelModel:
     perturbation: object = None
 
     def __post_init__(self):
-        if not 0.0 <= self.transmittance <= 1.0:
-            raise ValueError("transmittance must lie in [0, 1]")
-        if self.excess_noise < 0:
-            raise ValueError("excess_noise must be >= 0")
-        if self.perturbation is not None and not isinstance(
-                self.perturbation, (GaussianMixture, PhaseDiffusion)):
-            raise ValueError("perturbation must be None, GaussianMixture or PhaseDiffusion")
+        require(("transmittance", 0.0 <= self.transmittance <= 1.0, "must lie in [0, 1]"),
+                ("excess_noise", self.excess_noise >= 0, "must be >= 0"),
+                ("perturbation", self.perturbation is None
+                 or isinstance(self.perturbation, (GaussianMixture, PhaseDiffusion)),
+                 "must be None, GaussianMixture or PhaseDiffusion"))
 
     def _gaussian_components(self, modulation):
         a = modulation.variance_a / 2.0
@@ -220,10 +213,9 @@ class PostselectionRegion:
     threshold: float = 0.0
 
     def __post_init__(self):
-        if self.rule not in ("none", "amplitude-threshold", "product-threshold"):
-            raise ValueError(f"unknown postselection rule {self.rule!r}")
-        if self.threshold < 0:
-            raise ValueError("threshold must be >= 0")
+        require(("rule", self.rule in ("none", "amplitude-threshold", "product-threshold"),
+                 "must be none, amplitude-threshold or product-threshold"),
+                ("threshold", self.threshold >= 0, "must be >= 0"))
 
 
 def postselect(x, y, region):

@@ -22,18 +22,9 @@ from .linalg import (
     orthogonality_residual,
     symplecticity_residual,
 )
-from .protocol import (
-    ChannelModel,
-    GaussianMixture,
-    ModulationParams,
-    PhaseDiffusion,
-    PostselectionRegion,
-    alice_modulate,
-    channel_and_heterodyne,
-    postselect,
-)
+from .protocol import ModulationParams, alice_modulate, channel_and_heterodyne, postselect
 from .report import ExperimentReport
-from .samples import SampleBatch, mode_symplectic_products, mode_triples
+from .samples import SampleBatch, mode_triples
 from .stats import (
     BivariateMixture,
     MomentSummary,
@@ -88,22 +79,6 @@ def _blocks(total, block_size):
     """(block index, block length) pairs covering ``total`` items in order."""
     return [(index, min(block_size, total - start))
             for index, start in enumerate(range(0, total, block_size))]
-
-
-def _channel_from_config(config):
-    if config.perturbation == "gaussian-mixture":
-        pert = GaussianMixture(tuple(config.mixture_weights),
-                               tuple(config.mixture_transmittances),
-                               tuple(config.mixture_excess_noises))
-    elif config.perturbation == "phase-diffusion":
-        pert = PhaseDiffusion(config.phase_sigma)
-    else:
-        pert = None
-    return ChannelModel(config.transmittance, config.excess_noise, pert)
-
-
-def _region_from_config(config):
-    return PostselectionRegion(config.postselection_rule, config.postselection_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +152,7 @@ def _loglog_slope(ns, values):
 
 
 def _run_convergence_sweep(config, workers):
-    model = _channel_from_config(config)
+    model = config.channel()
     # Per-mode moments do not depend on n: one pre-pass and one
     # standardization serve every grid point.
     single_mode = ModulationParams(1, config.modulation_variance)
@@ -245,15 +220,6 @@ def _run_convergence_sweep(config, workers):
 # invariant audit
 
 
-def _audit_defaults(config):
-    n = config.n
-    nx = config.audit_norm_x_sq or 2.0 * n
-    ny = config.audit_norm_y_sq or 4.0 * n
-    dot = config.audit_dot_xy or 0.8 * n
-    symp = config.audit_symp_xy or 0.5 * n
-    return nx, ny, dot, symp
-
-
 def _audit_block(args):
     seed, block_index, trials, n, invariants = args
     nx, ny, dot, symp = invariants
@@ -264,7 +230,7 @@ def _audit_block(args):
 
 
 def _run_invariant_audit(config, workers):
-    invariants = _audit_defaults(config)
+    invariants = config.audit_invariants()
     args = [(config.seed, bi, bt, config.n, invariants)
             for bi, bt in _blocks(config.trials, 512)]
     parts = _map_blocks(_audit_block, args, workers)
@@ -283,7 +249,7 @@ def _run_invariant_audit(config, workers):
 
 def _run_design_compare(config, workers):
     del workers  # cheap enough to run in-process
-    model = _channel_from_config(config)
+    model = config.channel()
     modulation = ModulationParams(config.n, config.modulation_variance)
     design_rng = _stream_rng(config.seed, _S_DESIGN, 0)
     if config.design_kind == "roots-of-unity":
@@ -315,7 +281,7 @@ def _keyrate_block(args):
 
 
 def _run_keyrate_report(config, workers):
-    model = _channel_from_config(config)
+    model = config.channel()
     modulation = ModulationParams(1, config.modulation_variance)
     args = [(config.seed, bi, bm, model, modulation)
             for bi, bm in _blocks(config.n, 500_000)]
@@ -326,10 +292,11 @@ def _run_keyrate_report(config, workers):
     estimate = estimate_channel(x, y, config.modulation_variance,
                                 beta=config.reconciliation_efficiency)
     rate = gaussian_keyrate(estimate)
-    _, acceptance = postselect(x, y, _region_from_config(config))
+    _, acceptance = postselect(x, y, config.region())
 
     analysis_rng = _stream_rng(config.seed, _S_KEYRATE_ANALYSIS, 0)
-    m_modes = max(2, int(np.ceil(config.estimation_fraction * config.n)))
+    # Four modes at least: the covariance of fewer 3-d triples is singular.
+    m_modes = max(4, int(np.ceil(config.estimation_fraction * config.n)))
     picked = analysis_rng.choice(config.n, size=m_modes, replace=False)
     triples = mode_triples(x, y)[picked]
     summary = MomentSummary.from_triples(triples)
@@ -380,7 +347,7 @@ def _estimation_block(args):
 
 
 def _run_estimation_error(config, workers):
-    model = _channel_from_config(config)
+    model = config.channel()
     # Conditioned on its channel component every coordinate pair is
     # bivariate normal; the fourth-moment truth is the weighted component sum.
     weights, comps = model.mixture_components(ModulationParams(config.n, config.modulation_variance))
@@ -409,17 +376,11 @@ def _invariant_selfcheck(seed, n=8, samples=16):
 
     x = rng.standard_normal(2 * n)
     y = rng.standard_normal(2 * n)
-    t_before = mode_triples(x, y).sum(axis=0)
-    w_before = mode_symplectic_products(x, y).sum()
+    before = SampleBatch(x, y).invariant_triple()
     worst = 0.0
     for r in stack:
-        xr, yr = x @ r.T, y @ r.T
-        t_after = mode_triples(xr, yr).sum(axis=0)
-        w_after = mode_symplectic_products(xr, yr).sum()
-        scale = np.array([t_before[0], t_before[1],
-                          np.sqrt(t_before[0] * t_before[1]), np.sqrt(t_before[0] * t_before[1])])
-        dev = np.abs(np.concatenate([t_after - t_before, [w_after - w_before]])) / scale
-        worst = max(worst, float(dev.max()))
+        after = SampleBatch(x @ r.T, y @ r.T).invariant_triple()
+        worst = max(worst, *before.relative_deviations(after).values())
 
     witness_resid = 0.0
     for r in stack[:4]:
@@ -433,7 +394,7 @@ def _invariant_selfcheck(seed, n=8, samples=16):
     return {
         "group_orthogonality_residual": orth,
         "group_symplecticity_residual": symp,
-        "invariant_relative_deviation": worst,
+        "invariant_relative_deviation": float(worst),
         "witness_mapping_residual": witness_resid,
     }
 

@@ -226,6 +226,9 @@ class TvDiagnostics:
 # [1e-8, 0.5], and the exact law costs O(N) per small p-value.
 KS_ASYMPTOTIC_MIN_N = 10_000
 
+# Fewest samples :func:`empirical_tv_3d` accepts.
+MIN_TV_SAMPLES = 1000
+
 
 def ks_null_mean(count):
     """Mean of the one-sample two-sided KS statistic under the null hypothesis.
@@ -301,8 +304,8 @@ def empirical_tv_3d(samples, mean, cov, rng, bins_per_axis=None, projections=6):
     if samples.ndim != 2 or samples.shape[1] != 3:
         raise InvalidDimensionError(f"expected (N, 3) samples, got {samples.shape}")
     count = samples.shape[0]
-    if count < 1000:
-        raise PreconditionError(f"need >= 1000 samples, got {count}")
+    if count < MIN_TV_SAMPLES:
+        raise PreconditionError(f"need >= {MIN_TV_SAMPLES} samples, got {count}")
     whiten = _inverse_sqrt(np.asarray(cov, dtype=float))
     z = (samples - np.asarray(mean, dtype=float)) @ whiten
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as sps
 
-from .errors import InvalidDimensionError, PreconditionError
+from .errors import InvalidDimensionError, PreconditionError, require
 from .linalg import (
     ComplexUnitary,
     complex_modes,
@@ -56,7 +56,8 @@ def witness_transform(source, target, tol=WITNESS_TOL):
     if source.x.size != target.x.size:
         raise InvalidDimensionError("source and target dimensions differ")
     devs = inv_s.relative_deviations(inv_t)
-    bad = {name: dev for name, dev in devs.items() if dev > tol}
+    # "not <=" so that a NaN deviation (overflowed squared norms) fails closed.
+    bad = {name: dev for name, dev in devs.items() if not dev <= tol}
     if bad:
         worst = max(bad, key=bad.get)
         raise PreconditionError(
@@ -73,7 +74,7 @@ def witness_transform(source, target, tol=WITNESS_TOL):
     scale = max(np.linalg.norm(source.x), np.linalg.norm(source.y), 1e-300)
     resid = max(np.max(np.abs(transform.apply(source.x) - target.x)),
                 np.max(np.abs(transform.apply(source.y) - target.y))) / scale
-    if resid > tol:
+    if not resid <= tol:
         raise RuntimeError(f"witness construction failed: mapping residual {resid:.3e} > {tol:.1e}")
     return transform
 
@@ -85,28 +86,23 @@ def batch_with_invariants(n, norm_x_sq, norm_y_sq, dot_xy, symp_xy, rng=None):
     element of the group, randomizing its orientation without touching the
     invariants.  Requires dot_xy^2 + symp_xy^2 <= norm_x_sq * norm_y_sq.
     """
-    if n < 1:
-        raise InvalidDimensionError("n must be >= 1")
-    if norm_x_sq < 0 or norm_y_sq < 0:
-        raise ValueError("squared norms must be nonnegative")
-    cross = dot_xy ** 2 + symp_xy ** 2
-    budget = norm_x_sq * norm_y_sq
-    if cross > budget * (1.0 + 1e-12):
-        raise ValueError("dot_xy^2 + symp_xy^2 exceeds the Cauchy-Schwarz budget")
+    cross = dot_xy * dot_xy + symp_xy * symp_xy
+    # |y|^2 left for the second mode once the first carries dot and symp.
+    residual = max(norm_y_sq - cross / norm_x_sq, 0.0) if norm_x_sq > 0 else 0.0
+    require(("n", n >= 1, "must be >= 1"),
+            ("norm_x_sq", norm_x_sq >= 0, "must be >= 0"),
+            ("norm_y_sq", norm_y_sq >= 0, "must be >= 0"),
+            ("dot_xy", cross <= norm_x_sq * norm_y_sq * (1.0 + 1e-12) and np.isfinite(cross),
+             "dot_xy^2 + symp_xy^2 exceeds the Cauchy-Schwarz budget or the float range"),
+            ("n", n >= 2 or residual == 0.0, "must be >= 2 unless the pair is colinear"))
     a = np.zeros(n, dtype=complex)
     b = np.zeros(n, dtype=complex)
     if norm_x_sq == 0.0:
-        if cross != 0.0:
-            raise ValueError("zero x-vector forces zero cross products")
         b[0] = np.sqrt(norm_y_sq)
     else:
         a[0] = np.sqrt(norm_x_sq)
         b[0] = (dot_xy + 1j * symp_xy) / a[0]
-        residual = norm_y_sq - cross / norm_x_sq
-        residual = max(residual, 0.0)
         if residual > 0.0:
-            if n < 2:
-                raise InvalidDimensionError("n must be >= 2 unless the pair is colinear")
             b[1] = np.sqrt(residual)
     x = np.empty(2 * n)
     y = np.empty(2 * n)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cvsym.errors import ConfigError
 from cvsym.protocol import (
     ChannelModel,
     GaussianMixture,
@@ -110,6 +111,9 @@ def test_mixture_validation():
         ChannelModel(1.5, 0.0)
     with pytest.raises(ValueError):
         ChannelModel(0.5, -0.1)
+    with pytest.raises(ConfigError) as err:
+        ChannelModel(1.5, -0.1)
+    assert err.value.fields == ["transmittance", "excess_noise"]
 
 
 def test_gamma_factor_values():

@@ -33,6 +33,21 @@ def test_config_validation_lists_every_problem():
     assert {"excess_noise", "transmittance", "n_grid"} <= set(err.value.fields)
 
 
+def test_config_validation_names_every_object_rule():
+    # Each rule lives in the object a run builds; validate() names the field.
+    cfg = ExperimentConfig(kind="keyrate-report", seed=1, n=2000, modulation_variance=0.0,
+                           transmittance=1.5, excess_noise=-0.1, perturbation="gaussian-mixture",
+                           mixture_weights=[0.5, 0.6], mixture_transmittances=[0.9, 1.2],
+                           mixture_excess_noises=[0.0, -1.0], postselection_rule="banana",
+                           postselection_threshold=-1.0)
+    with pytest.raises(ConfigError) as err:
+        cfg.validate()
+    assert sorted(err.value.fields) == sorted([
+        "modulation_variance", "transmittance", "excess_noise", "mixture_weights",
+        "mixture_transmittances", "mixture_excess_noises", "postselection_rule",
+        "postselection_threshold"])
+
+
 def test_config_roundtrip(tmp_path):
     cfg = _small_sweep()
     path = dump_config(cfg, tmp_path / "config.json")
@@ -251,6 +266,20 @@ def test_cli_rejects_mistyped_field(tmp_path, capsys, field_name, value):
     errors = capsys.readouterr().err
     assert code == 2
     assert field_name in errors
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config, field_name", [
+    ({"kind": "invariant-audit", "n": 1}, "n"),  # the default pair needs two modes
+    ({"kind": "invariant-audit", "n": 2, "audit_dot_xy": 100}, "audit_dot_xy"),
+    ({"kind": "keyrate-report", "n": 10}, "n"),
+    ({"kind": "convergence-sweep", "n_grid": [10], "trials": 50}, "trials"),
+])
+def test_cli_rejects_config_that_cannot_run(tmp_path, capsys, config, field_name):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 1, "out_dir": str(tmp_path / "out"), **config}))
+    assert main([config["kind"], "--config", str(path)]) == 2
+    assert f"{field_name}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -112,6 +112,16 @@ def test_witness_names_offending_invariant():
         witness_transform(source, target)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+def test_witness_rejects_unrelated_pair_with_overflowing_norms(scale):
+    # The squared norms overflow, so every invariant deviation is NaN.
+    rng = np.random.default_rng(11)
+    source = SampleBatch(scale * rng.standard_normal(8), scale * rng.standard_normal(8))
+    target = SampleBatch(scale * rng.standard_normal(8), scale * rng.standard_normal(8))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(PreconditionError):
+        witness_transform(source, target)
+
+
 def test_witness_requires_matching_symplectic_product():
     # Matching the three norm/dot quantities is not enough for the
     # constructive witness; opposite symplectic products must be rejected.
@@ -166,6 +176,8 @@ def test_batch_with_invariants_hits_requested_values():
 def test_batch_with_invariants_rejects_cauchy_schwarz_violation():
     with pytest.raises(ValueError):
         batch_with_invariants(3, 1.0, 1.0, 0.9, 0.9)
+    with pytest.raises(ValueError):  # dot^2 overflows, and so does the budget
+        batch_with_invariants(3, 1e200, 1e200, 1e300, 0.0)
 
 
 def test_audit_identical_ensembles_consistent_with_null():
