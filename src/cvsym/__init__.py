@@ -4,13 +4,7 @@ __version__ = "0.1.0"
 
 from .config import ExperimentConfig, load_config, dump_config
 from .keyrate import ChannelEstimate, KeyRateResult, estimate_channel, gaussian_keyrate
-from .linalg import (
-    ComplexUnitary,
-    SymplecticOrthogonal,
-    haar_orthogonal_symplectic,
-    haar_unitary,
-    unitary_to_symplectic,
-)
+from .linalg import SymplecticOrthogonal, haar_orthogonal_symplectic, unitary_to_symplectic
 from .protocol import (
     ChannelModel,
     GaussianMixture,
@@ -35,13 +29,11 @@ from .stats import (
     gaussian_tv_first_order,
     sigma_est,
     sigma_g,
-    triple_reduce,
 )
 from .symmetrize import (
     apply_symmetrization,
     batch_with_invariants,
     finite_design_average,
-    invariant_audit,
     roots_of_unity_design,
     witness_transform,
 )

@@ -12,11 +12,14 @@ import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
 from .keyrate import MIN_ESTIMATION_COORDS, ChannelEstimate
 from .protocol import ChannelModel, GaussianMixture, ModulationParams, PhaseDiffusion, PostselectionRegion
-from .stats import MIN_TV_SAMPLES
-from .symmetrize import batch_with_invariants
+from .samples import SampleBatch
+from .stats import MIN_ESTIMATION_SAMPLES, MIN_TV_SAMPLES, GaussianBivariate, scaled_estimation_errors
+from .symmetrize import batch_with_invariants, finite_design_average
 
 EXPERIMENT_KINDS = (
     "convergence-sweep",
@@ -67,6 +70,9 @@ _FIELD_OF = {
     "norm_x_sq": "audit_norm_x_sq",
     "norm_y_sq": "audit_norm_y_sq",
     "dot_xy": "audit_dot_xy",
+    "design": "design_size",
+    "degree": "design_degree",
+    "m": "est_m",
 }
 
 
@@ -187,17 +193,10 @@ class ExperimentConfig:
                 bad("design_kind", "must be roots-of-unity or haar-sample")
             if self.design_kind == "roots-of-unity" and self.n != 1:
                 bad("n", "roots-of-unity designs are single-mode (n must be 1)")
-            if self.design_size < 1:
-                bad("design_size", "must be >= 1")
-            if self.design_degree < 1:
-                bad("design_degree", "must be >= 1")
             if self.design_samples < 1:
                 bad("design_samples", "must be >= 1")
-        if self.kind == "estimation-error":
-            if self.est_m < 10:
-                bad("est_m", "must be >= 10")
-            if self.perturbation == "phase-diffusion":
-                bad("perturbation", "estimation-error supports none and gaussian-mixture only")
+        if self.kind == "estimation-error" and self.perturbation == "phase-diffusion":
+            bad("perturbation", "estimation-error supports none and gaussian-mixture only")
 
         constructors = [
             lambda: ModulationParams(1, self.modulation_variance),
@@ -212,6 +211,17 @@ class ExperimentConfig:
             # The rules see n only through n >= 2, so two modes stand in for n
             # without allocating 2n coordinates.
             constructors.append(lambda: batch_with_invariants(min(self.n, 2), *self.audit_invariants()))
+        # Single-mode stand-ins at the smallest sizes the rules accept keep
+        # these calls cheap: the first design_size elements of a one-element
+        # design, averaged over one sample, and one trial of the estimator.
+        if self.kind == "design-compare":
+            constructors.append(lambda: finite_design_average(
+                lambda _: SampleBatch(np.ones(2), np.ones(2)), np.ones((1, 1, 1))[:self.design_size],
+                min(self.design_degree, 1), np.random.default_rng(0), samples=1))
+        if self.kind == "estimation-error":
+            constructors.append(lambda: scaled_estimation_errors(
+                GaussianBivariate(1.0, 1.0, 0.0), min(self.est_m, MIN_ESTIMATION_SAMPLES), 1,
+                np.random.default_rng(0)))
         for construct in constructors:
             try:
                 construct()

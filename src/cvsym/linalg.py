@@ -1,9 +1,8 @@
 """Haar-random unitaries and their phase-space image in O(2n,R) ∩ Sp(2n,R).
 
 Vectors of quadrature data use the *interleaved* ordering
-``(q_1, p_1, q_2, p_2, ..., q_n, p_n)`` everywhere in this package; the
-q-first ordering ``(q_1..q_n, p_1..p_n)`` appears only inside
-:func:`unitary_to_symplectic`, which is the single conversion site.
+``(q_1, p_1, q_2, p_2, ..., q_n, p_n)`` everywhere in this package, and
+elements of U(n) are plain unitary arrays (n, n) or stacks (size, n, n).
 
 Mode ``k`` of an interleaved vector ``v`` carries the complex amplitude
 ``a_k = v[2k] + 1j * v[2k+1]``.  A unitary ``U`` acting on the amplitude
@@ -43,11 +42,6 @@ def omega_apply(m):
     return out
 
 
-def qfirst_indices(n):
-    """Gather indices mapping an interleaved vector to q-first ordering."""
-    return np.concatenate([np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)])
-
-
 def complex_modes(v):
     """Pack an interleaved real 2n-vector into its n complex mode amplitudes."""
     v = np.asarray(v)
@@ -66,59 +60,17 @@ def interleave_modes(a):
 
 
 @dataclass(frozen=True)
-class ComplexUnitary:
-    """An n x n unitary matrix together with its mode count."""
-
-    n: int
-    entries: np.ndarray
-
-    def unitarity_residual(self):
-        u = self.entries
-        return float(np.max(np.abs(u.conj().T @ u - np.eye(self.n))))
-
-    @classmethod
-    def from_matrix(cls, entries, tol=UNITARITY_TOL):
-        entries = np.asarray(entries, dtype=complex)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] == 0:
-            raise InvalidDimensionError(f"expected a square non-empty matrix, got shape {entries.shape}")
-        u = cls(entries.shape[0], entries)
-        res = u.unitarity_residual()
-        if res > tol:
-            raise PreconditionError(f"matrix is not unitary: residual {res:.3e} > {tol:.1e}")
-        return u
-
-
-@dataclass(frozen=True)
 class SymplecticOrthogonal:
-    """A 2n x 2n matrix in O(2n,R) ∩ Sp(2n,R), interleaved ordering.
-
-    ``generator`` is the unitary U with U = X - iY whose real image this
-    matrix is; in q-first ordering the matrix has block form
-    [[X, Y], [-Y, X]].
-    """
+    """A 2n x 2n matrix in O(2n,R) ∩ Sp(2n,R), interleaved ordering."""
 
     n: int
     matrix: np.ndarray
-    generator: ComplexUnitary
-
-    def orthogonality_residual(self):
-        return float(orthogonality_residual(self.matrix))
-
-    def symplecticity_residual(self):
-        return float(symplecticity_residual(self.matrix))
 
     def apply(self, v):
         v = np.asarray(v)
         if v.shape[-1] != 2 * self.n:
             raise InvalidDimensionError(f"vector length {v.shape[-1]} does not match 2n={2 * self.n}")
         return v @ self.matrix.T
-
-    def compose(self, other):
-        """Return the transformation 'self after other'."""
-        if other.n != self.n:
-            raise InvalidDimensionError("mode counts differ")
-        gen = ComplexUnitary(self.n, self.generator.entries @ other.generator.entries)
-        return SymplecticOrthogonal(self.n, self.matrix @ other.matrix, gen)
 
 
 def orthogonality_residual(r):
@@ -169,52 +121,42 @@ def haar_unitary_stack(n, size, rng):
     return phase_fixed_qr(z / np.sqrt(2.0))
 
 
-def haar_unitary(n, rng):
-    """Draw one Haar-distributed element of U(n). Deterministic given ``rng``."""
-    return ComplexUnitary(n, haar_unitary_stack(n, 1, rng)[0])
-
-
 def realify_stack(u_stack):
-    """Real interleaved-ordering image of a stack of unitaries (size, n, n) -> (size, 2n, 2n).
+    """Real interleaved-ordering image of unitaries (..., n, n) -> (..., 2n, 2n).
 
+    Entry u = U[j, k] becomes the 2x2 block [[Re u, -Im u], [Im u, Re u]].
     No unitarity validation; callers that accept untrusted input should go
     through :func:`unitary_to_symplectic`.
     """
     u_stack = np.asarray(u_stack)
     n = u_stack.shape[-1]
-    x = u_stack.real
-    y = -u_stack.imag
-    # q-first block form [[X, Y], [-Y, X]], then relabel rows/columns to interleaved.
-    r_qf = np.empty(u_stack.shape[:-2] + (2 * n, 2 * n))
-    r_qf[..., :n, :n] = x
-    r_qf[..., :n, n:] = y
-    r_qf[..., n:, :n] = -y
-    r_qf[..., n:, n:] = x
-    perm = qfirst_indices(n)
-    out = np.empty_like(r_qf)
-    out[..., perm[:, None], perm[None, :]] = r_qf
+    out = np.empty(u_stack.shape[:-2] + (2 * n, 2 * n))
+    out[..., 0::2, 0::2] = u_stack.real
+    out[..., 0::2, 1::2] = -u_stack.imag
+    out[..., 1::2, 0::2] = u_stack.imag
+    out[..., 1::2, 1::2] = u_stack.real
     return out
 
 
 def unitary_to_symplectic(u, tol=UNITARITY_TOL):
-    """Map U = X - iY in U(n) to its matrix in O(2n,R) ∩ Sp(2n,R).
+    """Map a unitary array U (n, n) to its matrix in O(2n,R) ∩ Sp(2n,R).
 
     The returned matrix acts on interleaved vectors so that the image of
     mode amplitudes ``a`` under U matches the matrix action on the real
     vector: ``complex_modes(R @ v) == U @ complex_modes(v)``.
     """
-    if not isinstance(u, ComplexUnitary):
-        u = ComplexUnitary.from_matrix(u, tol=tol)
-    else:
-        res = u.unitarity_residual()
-        if res > tol:
-            raise PreconditionError(f"matrix is not unitary: residual {res:.3e} > {tol:.1e}")
-    return SymplecticOrthogonal(u.n, realify_stack(u.entries[None])[0], u)
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] == 0:
+        raise InvalidDimensionError(f"expected a square non-empty matrix, got shape {u.shape}")
+    res = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+    if res > tol:
+        raise PreconditionError(f"matrix is not unitary: residual {res:.3e} > {tol:.1e}")
+    return SymplecticOrthogonal(u.shape[0], realify_stack(u))
 
 
 def haar_orthogonal_symplectic(n, rng):
     """Draw a Haar-distributed element of O(2n,R) ∩ Sp(2n,R) (isomorphic to U(n))."""
-    return unitary_to_symplectic(haar_unitary(n, rng))
+    return unitary_to_symplectic(haar_unitary_stack(n, 1, rng)[0])
 
 
 def haar_orthogonal_symplectic_stack(n, size, rng):

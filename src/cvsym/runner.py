@@ -226,7 +226,7 @@ def _audit_block(args):
     batch_a = batch_with_invariants(n, nx, ny, dot, symp)
     batch_b = batch_with_invariants(n, nx, ny, dot, -symp)
     rng = _stream_rng(seed, _S_AUDIT, block_index)
-    return collect_audit_samples(lambda _rng: (batch_a, batch_b), trials, rng)
+    return collect_audit_samples((batch_a, batch_b), trials, rng)
 
 
 def _run_invariant_audit(config, workers):

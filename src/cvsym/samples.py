@@ -69,8 +69,8 @@ class InvariantTriple:
 
     @classmethod
     def from_batch(cls, batch):
-        # Summed through the same per-mode reduction used by triple_reduce,
-        # so mode sums reproduce these values with zero tolerance.
+        # Summed from mode_triples, so sums of its rows reproduce these
+        # values with zero tolerance.
         t = mode_triples(batch.x, batch.y)
         w = mode_symplectic_products(batch.x, batch.y)
         return cls(float(np.sum(t[:, 0])), float(np.sum(t[:, 1])),

@@ -21,13 +21,7 @@ import numpy as np
 from scipy import stats as sps
 from scipy.special import erf, ndtr
 
-from .errors import DegenerateCovarianceError, InvalidDimensionError, PreconditionError
-from .samples import mode_triples
-
-
-def triple_reduce(batch):
-    """Per-mode (X, Y, Z) rows of a batch, shape (n, 3); sums reproduce the invariants exactly."""
-    return mode_triples(batch.x, batch.y)
+from .errors import DegenerateCovarianceError, InvalidDimensionError, PreconditionError, require
 
 
 def sigma_g(a, b, c):
@@ -428,10 +422,13 @@ class EstimationErrorReport:
                 for name, value in vars(self).items()}
 
 
+# Fewest samples per estimate in the estimation-error study.
+MIN_ESTIMATION_SAMPLES = 10
+
+
 def scaled_estimation_errors(model, m, trials, rng):
     """Per-trial scaled errors sqrt(m) (Sigma_est - E Sigma_est), shape (trials, 3, 3)."""
-    if m < 1:
-        raise PreconditionError("m must be >= 1")
+    require(("m", m >= MIN_ESTIMATION_SAMPLES, f"must be >= {MIN_ESTIMATION_SAMPLES}"))
     truth = model.fourth_moment_matrix()
     draws = model.draw(trials * m, rng).reshape(trials, m, 2)
     est = _fourth_moment_terms(draws[..., 0], draws[..., 1]).mean(axis=1)
@@ -461,6 +458,4 @@ def estimation_error_mc(model, m, trials, rng):
     centered normal entry-wise; the report carries the empirical mean (with
     standard errors), spread, and shape diagnostics.
     """
-    if m < 10:
-        raise PreconditionError("m must be >= 10")
     return summarize_scaled_errors(scaled_estimation_errors(model, m, trials, rng), m)

@@ -15,10 +15,10 @@ from scipy import stats as sps
 
 from .errors import InvalidDimensionError, PreconditionError, require
 from .linalg import (
-    ComplexUnitary,
     complex_modes,
     haar_orthogonal_symplectic,
     haar_unitary_stack,
+    interleave_modes,
     phase_fixed_qr,
     unitary_to_symplectic,
 )
@@ -50,13 +50,19 @@ def witness_transform(source, target, tol=WITNESS_TOL):
     colinear, zero or single-mode included.  The longer source vector goes
     first (in both pairs): LAPACK leaves q_1 = e_1 for a zero first column,
     which would make r_12 = b[0] instead of an invariant.
+
+    The checks and the QR see both pairs scaled by the power of two that
+    brings the source's largest |entry| into [1/2, 1), so squared norms
+    neither underflow nor overflow.  The scaling is exact and U is linear,
+    so U maps the given pair as it maps the scaled one.
     """
-    inv_s = source.invariant_triple()
-    inv_t = target.invariant_triple()
     if source.x.size != target.x.size:
         raise InvalidDimensionError("source and target dimensions differ")
-    devs = inv_s.relative_deviations(inv_t)
-    # "not <=" so that a NaN deviation (overflowed squared norms) fails closed.
+    _, exp = np.frexp(max(np.max(np.abs(source.x)), np.max(np.abs(source.y))))
+    source = SampleBatch(np.ldexp(source.x, -exp), np.ldexp(source.y, -exp))
+    target = SampleBatch(np.ldexp(target.x, -exp), np.ldexp(target.y, -exp))
+    devs = source.invariant_triple().relative_deviations(target.invariant_triple())
+    # "not <=" so that a NaN deviation (an overflowed target) fails closed.
     bad = {name: dev for name, dev in devs.items() if not dev <= tol}
     if bad:
         worst = max(bad, key=bad.get)
@@ -70,7 +76,7 @@ def witness_transform(source, target, tol=WITNESS_TOL):
         src, tgt = src[:, ::-1], tgt[:, ::-1]
     u = phase_fixed_qr(tgt) @ phase_fixed_qr(src).conj().T
 
-    transform = unitary_to_symplectic(ComplexUnitary(source.n, u))
+    transform = unitary_to_symplectic(u)
     scale = max(np.linalg.norm(source.x), np.linalg.norm(source.y), 1e-300)
     resid = max(np.max(np.abs(transform.apply(source.x) - target.x)),
                 np.max(np.abs(transform.apply(source.y) - target.y))) / scale
@@ -104,21 +110,18 @@ def batch_with_invariants(n, norm_x_sq, norm_y_sq, dot_xy, symp_xy, rng=None):
         b[0] = (dot_xy + 1j * symp_xy) / a[0]
         if residual > 0.0:
             b[1] = np.sqrt(residual)
-    x = np.empty(2 * n)
-    y = np.empty(2 * n)
-    x[0::2], x[1::2] = a.real, a.imag
-    y[0::2], y[1::2] = b.real, b.imag
-    batch = SampleBatch(x, y)
+    batch = SampleBatch(interleave_modes(a), interleave_modes(b))
     if rng is not None:
         batch = apply_symmetrization(batch, haar_orthogonal_symplectic(n, rng))
     return batch
 
 
 def default_audit_statistics():
-    """Named scalar statistics evaluated on a symmetrized batch.
+    """Named scalar statistics of mode 0 of a symmetrized batch.
 
-    Each callable takes stacked (x, y) arrays of shape (trials, 2n) and
-    returns one value per trial.
+    Each callable takes the mode-0 coordinates (q_0, p_0) of Alice's and of
+    Bob's data as real arrays x and y of shape (trials, 2) and returns one
+    value per trial.
     """
     return {
         "y_first_coord": lambda x, y: y[:, 0],
@@ -128,23 +131,23 @@ def default_audit_statistics():
     }
 
 
-def collect_audit_samples(pair_generator, trials, rng, statistics=None):
-    """Symmetrize generator output and evaluate the audit statistics.
+def collect_audit_samples(pair, trials, rng):
+    """Audit statistics of the two batches of ``pair``, each symmetrized ``trials`` times.
 
-    Returns ``{name: (samples_a, samples_b)}``: for every trial the
-    generator yields one batch per ensemble and each is randomized by an
-    independent Haar-random transformation.
+    Returns ``{name: (samples_a, samples_b)}``; every trial rotates each
+    batch by an independent Haar element U.  The statistics read mode 0
+    only, which U maps to u . a for its first row u, and that row is
+    uniform on the unit sphere of C^n (Mezzadri, arXiv:math-ph/0609050).
+    So a trial draws one normalized complex Gaussian row per batch instead
+    of a whole U.
     """
-    statistics = statistics or default_audit_statistics()
-    rows = {name: ([], []) for name in statistics}
-    for _ in range(trials):
-        batch_a, batch_b = pair_generator(rng)
-        sym_a = apply_symmetrization(batch_a, haar_orthogonal_symplectic(batch_a.n, rng))
-        sym_b = apply_symmetrization(batch_b, haar_orthogonal_symplectic(batch_b.n, rng))
-        for name, fn in statistics.items():
-            rows[name][0].append(float(fn(sym_a.x[None], sym_a.y[None])[0]))
-            rows[name][1].append(float(fn(sym_b.x[None], sym_b.y[None])[0]))
-    return {name: (np.array(va), np.array(vb)) for name, (va, vb) in rows.items()}
+    amps = np.array([[complex_modes(batch.x), complex_modes(batch.y)] for batch in pair])
+    shape = (2, trials, amps.shape[-1])
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rows = z / np.linalg.norm(z, axis=-1, keepdims=True)
+    # (batch, side, trials, 2): the mode-0 coordinates of every symmetrized batch.
+    mode0 = interleave_modes((amps @ rows.swapaxes(-1, -2))[..., None])
+    return {name: (fn(*mode0[0]), fn(*mode0[1])) for name, fn in default_audit_statistics().items()}
 
 
 @dataclass(frozen=True)
@@ -180,27 +183,17 @@ class InvariantAuditReport:
         }
 
 
-def invariant_audit(pair_generator, trials, rng, statistics=None):
-    """Two-sample KS comparison of symmetrized ensembles.
-
-    The generator controls what the two ensembles share (typically the
-    three norm/dot invariants) and where they differ (typically the sign
-    of the symplectic product).
-    """
-    return InvariantAuditReport.from_samples(
-        collect_audit_samples(pair_generator, trials, rng, statistics), trials)
-
-
 def roots_of_unity_design(count):
-    """The single-mode design {e^{2 pi i j / count}}, exact for phase moments of order < count."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return [ComplexUnitary(1, np.array([[np.exp(2j * np.pi * j / count)]])) for j in range(count)]
+    """The single-mode design {e^{2 pi i j / count}} as a stack (count, 1, 1).
+
+    Exact for phase moments of order < count.
+    """
+    return np.exp(1j * (2 * np.pi * np.arange(count) / count)).reshape(-1, 1, 1)
 
 
 def haar_design(n, size, rng):
-    """A finite design made of Haar samples (an approximate design of any degree)."""
-    return [ComplexUnitary(n, u) for u in haar_unitary_stack(n, size, rng)]
+    """A finite design of ``size`` Haar samples, a stack (size, n, n); approximate at any degree."""
+    return haar_unitary_stack(n, size, rng)
 
 
 @dataclass(frozen=True)
@@ -239,59 +232,49 @@ def _monomial_exponents(degree):
 def finite_design_average(sampler, design, degree, rng, samples=200):
     """Moments of symmetrized data: finite-design average vs Haar Monte Carlo.
 
-    For every mode amplitude on each side, monomials a^p conj(a)^q with
+    ``design`` is a stack of unitaries (size, n, n).  For every mode
+    amplitude on each side, monomials a^p conj(a)^q with
     1 <= p+q <= 2*degree are averaged (i) over the design elements and
     (ii) over fresh Haar draws matched to the same sample count, and the
     worst absolute difference per total degree is reported.
     """
-    if not design:
-        raise ValueError("design must be non-empty")
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    n = design[0].n
-    if any(u.n != n for u in design):
-        raise InvalidDimensionError("design elements have mixed mode counts")
+    design = np.asarray(design, dtype=complex)
+    require(("design", len(design) >= 1, "must have at least one element"),
+            ("degree", degree >= 1, "must be >= 1"))
+    n = design.shape[-1]
     batches = [sampler(rng) for _ in range(samples)]
     if any(batch.n != n for batch in batches):
         raise InvalidDimensionError("sampler output does not match the design's mode count")
-    amps = {
-        "x": np.array([complex_modes(batch.x) for batch in batches]),
-        "y": np.array([complex_modes(batch.y) for batch in batches]),
-    }
     replicates = len(design)
-    design_stack = np.array([u.entries for u in design])
-    haar_stack = haar_unitary_stack(n, samples * replicates, rng).reshape(samples, replicates, n, n)
+    count = samples * replicates
+    haar_stack = haar_unitary_stack(n, count, rng).reshape(samples, replicates, n, n)
 
     exponents = _monomial_exponents(degree)
-    moments_design, moments_haar, stderr_haar = {}, {}, {}
-    for side, base in amps.items():
+    # (side, exponent, mode) arrays of the two averages and the Haar standard error.
+    shape = (2, len(exponents), n)
+    mean_d, mean_h, se = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex), np.empty(shape)
+    for s, side in enumerate("xy"):
+        base = np.array([complex_modes(getattr(batch, side)) for batch in batches])
         # (samples, replicates, n): each batch pushed through every element.
-        sym_design = np.einsum("rij,sj->sri", design_stack, base)
+        sym_design = np.einsum("rij,sj->sri", design, base)
         sym_haar = np.einsum("srij,sj->sri", haar_stack, base)
-        for p, q in exponents:
+        for e, (p, q) in enumerate(exponents):
             term_d = sym_design ** p * np.conj(sym_design) ** q
             term_h = sym_haar ** p * np.conj(sym_haar) ** q
-            mean_d = term_d.mean(axis=(0, 1))
-            mean_h = term_h.mean(axis=(0, 1))
-            count = samples * replicates
-            se = np.sqrt((term_h.real.var(axis=(0, 1)) + term_h.imag.var(axis=(0, 1))) / count)
-            for mode in range(n):
-                key = f"{side}:{mode}:{p}:{q}"
-                moments_design[key] = complex(mean_d[mode])
-                moments_haar[key] = complex(mean_h[mode])
-                stderr_haar[key] = float(se[mode])
+            mean_d[s, e] = term_d.mean(axis=(0, 1))
+            mean_h[s, e] = term_h.mean(axis=(0, 1))
+            se[s, e] = np.sqrt((term_h.real.var(axis=(0, 1)) + term_h.imag.var(axis=(0, 1))) / count)
 
-    max_disc, max_se = {}, {}
-    for (p, q) in exponents:
-        d = p + q
-        for side in amps:
-            for mode in range(n):
-                key = f"{side}:{mode}:{p}:{q}"
-                disc = abs(moments_design[key] - moments_haar[key])
-                max_disc[d] = max(max_disc.get(d, 0.0), disc)
-                max_se[d] = max(max_se.get(d, 0.0), stderr_haar[key])
+    keys = [f"{side}:{mode}:{p}:{q}" for side in "xy" for p, q in exponents for mode in range(n)]
+    totals = np.array([p + q for p, q in exponents])
+    diff = mean_d - mean_h
+    # hypot, as Python's abs(complex), so each maximum is exactly |design - haar| of
+    # a reported key; np.abs can differ in the last bit.
+    disc = np.hypot(diff.real, diff.imag).max(axis=(0, 2))
+    se_max = se.max(axis=(0, 2))
     return DesignCompareReport(
-        n=n, degree=degree, design_size=len(design), samples=samples,
-        matched_count=samples * replicates,
-        moments_design=moments_design, moments_haar=moments_haar,
-        max_discrepancy_by_degree=max_disc, stderr_by_degree=max_se)
+        n=n, degree=degree, design_size=replicates, samples=samples, matched_count=count,
+        moments_design=dict(zip(keys, mean_d.ravel().tolist())),
+        moments_haar=dict(zip(keys, mean_h.ravel().tolist())),
+        max_discrepancy_by_degree={d: float(disc[totals == d].max()) for d in range(1, 2 * degree + 1)},
+        stderr_by_degree={d: float(se_max[totals == d].max()) for d in range(1, 2 * degree + 1)})

@@ -4,11 +4,9 @@ from scipy import stats as sps
 
 from cvsym.errors import InvalidDimensionError, PreconditionError
 from cvsym.linalg import (
-    ComplexUnitary,
     complex_modes,
     haar_orthogonal_symplectic,
     haar_orthogonal_symplectic_stack,
-    haar_unitary,
     haar_unitary_stack,
     interleave_modes,
     orthogonality_residual,
@@ -20,10 +18,8 @@ from cvsym.linalg import (
 
 
 def test_haar_unitary_single_mode_is_phase():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        u = haar_unitary(1, rng)
-        assert abs(abs(u.entries[0, 0]) - 1.0) < 1e-14
+    u = haar_unitary_stack(1, 20, np.random.default_rng(0))
+    assert np.max(np.abs(np.abs(u[:, 0, 0]) - 1.0)) < 1e-14
 
 
 @pytest.mark.parametrize("m, k", [(5, 2), (1, 2), (3, 3)])
@@ -41,14 +37,14 @@ def test_phase_fixed_qr_gives_nonnegative_real_r_diagonal(m, k):
 
 
 def test_haar_unitary_deterministic_given_seed():
-    u1 = haar_unitary(1, np.random.default_rng(123))
-    u2 = haar_unitary(1, np.random.default_rng(123))
-    np.testing.assert_array_equal(u1.entries, u2.entries)
+    u1 = haar_unitary_stack(3, 2, np.random.default_rng(123))
+    u2 = haar_unitary_stack(3, 2, np.random.default_rng(123))
+    np.testing.assert_array_equal(u1, u2)
 
 
 def test_haar_unitary_rejects_zero_modes():
     with pytest.raises(InvalidDimensionError):
-        haar_unitary(0, np.random.default_rng(0))
+        haar_unitary_stack(0, 1, np.random.default_rng(0))
 
 
 def test_haar_unitary_second_moment_is_one_over_n():
@@ -65,7 +61,7 @@ def test_haar_left_invariance_of_moments():
     # The law of V0 @ U matches the law of U: compare first two moments.
     rng = np.random.default_rng(7)
     n, size = 3, 4000
-    v0 = haar_unitary(n, rng).entries
+    v0 = haar_unitary_stack(n, 1, rng)[0]
     base = haar_unitary_stack(n, size, rng)
     rotated = v0 @ haar_unitary_stack(n, size, rng)
     for moment in (lambda s: np.abs(s) ** 2, lambda s: s.real, lambda s: s.imag):
@@ -75,22 +71,22 @@ def test_haar_left_invariance_of_moments():
 
 
 def test_unitary_to_symplectic_identity():
-    r = unitary_to_symplectic(ComplexUnitary(1, np.eye(1, dtype=complex)))
+    r = unitary_to_symplectic(np.eye(1, dtype=complex))
     np.testing.assert_allclose(r.matrix, np.eye(2), atol=1e-15)
 
 
 def test_unitary_to_symplectic_phase_rotation():
     # U = i is a 90 degree phase rotation: (q, p) -> (-p, q).
-    r = unitary_to_symplectic(ComplexUnitary(1, np.array([[1j]])))
+    r = unitary_to_symplectic(np.array([[1j]]))
     np.testing.assert_allclose(r.apply(np.array([1.0, 0.0])), [0.0, 1.0], atol=1e-15)
     np.testing.assert_allclose(r.apply(np.array([0.0, 1.0])), [-1.0, 0.0], atol=1e-15)
 
 
 def test_unitary_to_symplectic_residuals():
     rng = np.random.default_rng(3)
-    r = unitary_to_symplectic(haar_unitary(2, rng))
-    assert r.orthogonality_residual() <= 1e-12
-    assert r.symplecticity_residual() <= 1e-12
+    r = unitary_to_symplectic(haar_unitary_stack(2, 1, rng)[0])
+    assert orthogonality_residual(r.matrix) <= 1e-12
+    assert symplecticity_residual(r.matrix) <= 1e-12
 
 
 def test_unitary_to_symplectic_rejects_non_unitary():
@@ -99,13 +95,19 @@ def test_unitary_to_symplectic_rejects_non_unitary():
         unitary_to_symplectic(bad)
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (0, 0), (2,), (1, 2, 2)])
+def test_unitary_to_symplectic_rejects_non_square(shape):
+    with pytest.raises(InvalidDimensionError):
+        unitary_to_symplectic(np.ones(shape, dtype=complex))
+
+
 def test_complex_real_consistency():
     rng = np.random.default_rng(11)
     for n in (1, 2, 5):
-        u = haar_unitary(n, rng)
+        u = haar_unitary_stack(n, 1, rng)[0]
         r = unitary_to_symplectic(u)
         x = rng.standard_normal(2 * n)
-        direct = interleave_modes(u.entries @ complex_modes(x))
+        direct = interleave_modes(u @ complex_modes(x))
         assert np.max(np.abs(direct - r.apply(x))) <= 1e-12
 
 
@@ -141,12 +143,14 @@ def test_rotated_vector_is_uniform_on_sphere():
 def test_group_closure_of_products():
     rng = np.random.default_rng(9)
     for n in (2, 6):
-        r1 = haar_orthogonal_symplectic(n, rng)
-        r2 = haar_orthogonal_symplectic(n, rng)
-        prod = r2.compose(r1)
-        assert prod.orthogonality_residual() <= 1e-11
-        assert prod.symplecticity_residual() <= 1e-11
-        np.testing.assert_allclose(prod.matrix, r2.matrix @ r1.matrix, atol=1e-13)
+        u1, u2 = haar_unitary_stack(n, 2, rng)
+        prod = haar_orthogonal_symplectic(n, rng).matrix @ haar_orthogonal_symplectic(n, rng).matrix
+        assert orthogonality_residual(prod) <= 1e-11
+        assert symplecticity_residual(prod) <= 1e-11
+        # The real image is a homomorphism: the image of U2 U1 is the product of the images.
+        np.testing.assert_allclose(unitary_to_symplectic(u2 @ u1).matrix,
+                                   unitary_to_symplectic(u2).matrix @ unitary_to_symplectic(u1).matrix,
+                                   atol=1e-13)
 
 
 def test_residual_helpers_match_definitions():

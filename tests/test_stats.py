@@ -4,7 +4,7 @@ from scipy.integrate import quad
 from scipy.stats import kstest, kstwo, kurtosis, norm, skew
 
 from cvsym.errors import DegenerateCovarianceError, PreconditionError
-from cvsym.samples import SampleBatch
+from cvsym.samples import SampleBatch, mode_triples
 from cvsym.stats import (
     KS_ASYMPTOTIC_MIN_N,
     BivariateMixture,
@@ -23,7 +23,6 @@ from cvsym.stats import (
     sigma_g,
     sigma_g_centered,
     summarize_scaled_errors,
-    triple_reduce,
     _equal_mass_edges,
     _ks_pvalues,
     _ks_statistic_sorted,
@@ -33,13 +32,13 @@ from cvsym.stats import (
 
 def test_triple_reduce_single_mode():
     batch = SampleBatch(np.array([1.0, 0.0]), np.array([0.0, 2.0]))
-    np.testing.assert_array_equal(triple_reduce(batch), [[1.0, 4.0, 0.0]])
+    np.testing.assert_array_equal(mode_triples(batch.x, batch.y), [[1.0, 4.0, 0.0]])
 
 
 def test_triple_reduce_sums_are_exact():
     rng = np.random.default_rng(0)
     batch = SampleBatch(rng.standard_normal(40), rng.standard_normal(40))
-    triples = triple_reduce(batch)
+    triples = mode_triples(batch.x, batch.y)
     inv = batch.invariant_triple()
     # Same arithmetic path: exact equality, no tolerance.
     assert triples[:, 0].sum() == inv.norm_x_sq
@@ -49,14 +48,14 @@ def test_triple_reduce_sums_are_exact():
 
 def test_triple_reduce_two_modes():
     batch = SampleBatch(np.array([1.0, 1.0, 1.0, 1.0]), np.array([1.0, 0.0, 0.0, 1.0]))
-    np.testing.assert_array_equal(triple_reduce(batch), [[2.0, 1.0, 1.0], [2.0, 1.0, 1.0]])
+    np.testing.assert_array_equal(mode_triples(batch.x, batch.y), [[2.0, 1.0, 1.0], [2.0, 1.0, 1.0]])
 
 
 def test_triples_satisfy_per_mode_cauchy_schwarz():
     rng = np.random.default_rng(40)
     for _ in range(50):
         batch = SampleBatch(rng.standard_normal(60), rng.standard_normal(60))
-        t = triple_reduce(batch)
+        t = mode_triples(batch.x, batch.y)
         assert np.all(t[:, 0] >= 0.0)
         assert np.all(t[:, 1] >= 0.0)
         assert np.all(t[:, 2] ** 2 <= t[:, 0] * t[:, 1] * (1.0 + 1e-12))

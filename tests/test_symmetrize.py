@@ -1,20 +1,26 @@
 import numpy as np
 import pytest
+from scipy import stats as sps
 
-from cvsym.errors import InvalidDimensionError, PreconditionError
+from cvsym.errors import ConfigError, InvalidDimensionError, PreconditionError
 from cvsym.linalg import (
-    ComplexUnitary,
     haar_orthogonal_symplectic,
+    haar_orthogonal_symplectic_stack,
+    haar_unitary_stack,
     interleave_modes,
+    orthogonality_residual,
+    symplecticity_residual,
     unitary_to_symplectic,
 )
 from cvsym.samples import InvariantTriple, SampleBatch
 from cvsym.symmetrize import (
+    InvariantAuditReport,
     apply_symmetrization,
     batch_with_invariants,
+    collect_audit_samples,
+    default_audit_statistics,
     finite_design_average,
     haar_design,
-    invariant_audit,
     roots_of_unity_design,
     witness_transform,
 )
@@ -27,14 +33,14 @@ def _random_batch(n, rng):
 def test_identity_leaves_batch_unchanged():
     rng = np.random.default_rng(0)
     batch = _random_batch(3, rng)
-    identity = unitary_to_symplectic(ComplexUnitary(3, np.eye(3, dtype=complex)))
+    identity = unitary_to_symplectic(np.eye(3, dtype=complex))
     out = apply_symmetrization(batch, identity)
     np.testing.assert_allclose(out.x, batch.x, atol=1e-15)
     np.testing.assert_allclose(out.y, batch.y, atol=1e-15)
 
 
 def test_quarter_rotation_single_mode():
-    rotation = unitary_to_symplectic(ComplexUnitary(1, np.array([[1j]])))
+    rotation = unitary_to_symplectic(np.array([[1j]]))
     batch = SampleBatch(np.array([1.0, 0.0]), np.array([0.0, 2.0]))
     out = apply_symmetrization(batch, rotation)
     np.testing.assert_allclose(out.x, [0.0, 1.0], atol=1e-15)
@@ -59,10 +65,10 @@ def test_dimension_mismatch_rejected():
 def test_composition_matches_product():
     rng = np.random.default_rng(3)
     batch = _random_batch(4, rng)
-    r1 = haar_orthogonal_symplectic(4, rng)
-    r2 = haar_orthogonal_symplectic(4, rng)
-    twice = apply_symmetrization(apply_symmetrization(batch, r1), r2)
-    once = apply_symmetrization(batch, r2.compose(r1))
+    u1, u2 = haar_unitary_stack(4, 2, rng)
+    twice = apply_symmetrization(apply_symmetrization(batch, unitary_to_symplectic(u1)),
+                                 unitary_to_symplectic(u2))
+    once = apply_symmetrization(batch, unitary_to_symplectic(u2 @ u1))
     assert np.max(np.abs(twice.x - once.x)) <= 1e-10 * max(1.0, np.max(np.abs(once.x)))
     assert np.max(np.abs(twice.y - once.y)) <= 1e-10 * max(1.0, np.max(np.abs(once.y)))
 
@@ -78,7 +84,7 @@ def test_witness_accepts_identical_batches():
     batch = _random_batch(4, rng)
     witness = witness_transform(batch, batch)
     assert _mapping_residual(witness, batch, batch) <= 1e-8
-    assert witness.orthogonality_residual() <= 1e-12
+    assert orthogonality_residual(witness.matrix) <= 1e-12
 
 
 def test_witness_colinear_pair():
@@ -99,8 +105,8 @@ def test_witness_sampled_oracle_general_case():
         target = apply_symmetrization(source, haar_orthogonal_symplectic(5, rng))
         witness = witness_transform(source, target)
         worst = max(worst, _mapping_residual(witness, source, target))
-        assert witness.orthogonality_residual() <= 1e-12
-        assert witness.symplecticity_residual() <= 1e-12
+        assert orthogonality_residual(witness.matrix) <= 1e-12
+        assert symplecticity_residual(witness.matrix) <= 1e-12
     assert worst <= 1e-8
 
 
@@ -110,6 +116,18 @@ def test_witness_names_offending_invariant():
     target = SampleBatch(source.x, 1.5 * source.y)
     with pytest.raises(PreconditionError, match="norm_y_sq"):
         witness_transform(source, target)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+def test_witness_maps_related_pair_at_extreme_scales(scale):
+    # Squared norms underflow or overflow at these scales; the pair is related,
+    # so the witness must still be found and map it.
+    rng = np.random.default_rng(12)
+    source = SampleBatch(scale * rng.standard_normal(8), scale * rng.standard_normal(8))
+    target = apply_symmetrization(source, haar_orthogonal_symplectic(4, rng))
+    witness = witness_transform(source, target)
+    assert np.max(np.abs(witness.apply(source.x) - target.x)) <= 1e-8 * scale
+    assert np.max(np.abs(witness.apply(source.y) - target.y)) <= 1e-8 * scale
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e200])
@@ -180,9 +198,14 @@ def test_batch_with_invariants_rejects_cauchy_schwarz_violation():
         batch_with_invariants(3, 1e200, 1e200, 1e300, 0.0)
 
 
+def _audit(pair, trials, seed):
+    samples = collect_audit_samples(pair, trials, np.random.default_rng(seed))
+    return InvariantAuditReport.from_samples(samples, trials)
+
+
 def test_audit_identical_ensembles_consistent_with_null():
     batch = batch_with_invariants(4, 8.0, 16.0, 3.0, 2.0)
-    report = invariant_audit(lambda rng: (batch, batch), 600, np.random.default_rng(10))
+    report = _audit((batch, batch), 600, 10)
     assert not report.underpowered
     for result in report.results.values():
         assert result.pvalue > 0.01
@@ -192,7 +215,7 @@ def test_audit_fixed_rotation_related_ensembles_consistent_with_null():
     rng = np.random.default_rng(11)
     batch = batch_with_invariants(4, 8.0, 16.0, 3.0, 2.0)
     rotated = apply_symmetrization(batch, haar_orthogonal_symplectic(4, rng))
-    report = invariant_audit(lambda r: (batch, rotated), 600, np.random.default_rng(12))
+    report = _audit((batch, rotated), 600, 12)
     for result in report.results.values():
         assert result.pvalue > 0.01
 
@@ -202,7 +225,7 @@ def test_audit_opposite_symplectic_products_reports_measurement():
     # product; the report carries the KS statistics without a verdict.
     plus = batch_with_invariants(4, 8.0, 16.0, 3.0, 2.0)
     minus = batch_with_invariants(4, 8.0, 16.0, 3.0, -2.0)
-    report = invariant_audit(lambda rng: (plus, minus), 400, np.random.default_rng(13))
+    report = _audit((plus, minus), 400, 13)
     assert set(report.results) == {"y_first_coord", "mode0_dot", "mode0_symplectic", "mode0_x_power"}
     for result in report.results.values():
         assert 0.0 <= result.statistic <= 1.0
@@ -211,8 +234,31 @@ def test_audit_opposite_symplectic_products_reports_measurement():
 
 def test_audit_underpowered_flag():
     batch = batch_with_invariants(2, 1.0, 1.0, 0.0, 0.0)
-    report = invariant_audit(lambda rng: (batch, batch), 50, np.random.default_rng(14))
+    report = _audit((batch, batch), 50, 14)
     assert report.underpowered
+
+
+def _full_haar_mode0(batch, trials, rng, chunk=500):
+    """Mode-0 coordinates of ``batch`` under ``trials`` whole Haar elements, (trials, 2) per side."""
+    rows = np.concatenate([haar_orthogonal_symplectic_stack(batch.n, chunk, rng)[:, :2].copy()
+                           for _ in range(trials // chunk)])
+    return rows @ batch.x, rows @ batch.y
+
+
+@pytest.mark.parametrize("n", [2, 40])
+def test_audit_row_sampler_matches_full_haar_path(n):
+    # The audit draws one row per Haar element; rotating by whole elements
+    # and reading mode 0 must give every statistic the same law.
+    rng = np.random.default_rng(40 + n)
+    pair = (batch_with_invariants(n, 2.0 * n, 4.0 * n, 0.8 * n, 0.5 * n, rng=rng),
+            batch_with_invariants(n, 2.0 * n, 4.0 * n, 0.8 * n, -0.5 * n, rng=rng))
+    trials = 2000
+    sampled = collect_audit_samples(pair, trials, rng)
+    for side, batch in enumerate(pair):
+        x, y = _full_haar_mode0(batch, trials, rng)
+        for name, fn in default_audit_statistics().items():
+            pvalue = sps.ks_2samp(sampled[name][side], fn(x, y)).pvalue
+            assert pvalue > 0.01, (side, name, pvalue)
 
 
 def test_symmetrized_statistics_well_defined():
@@ -222,14 +268,14 @@ def test_symmetrized_statistics_well_defined():
     batch_a = batch_with_invariants(5, 6.0, 14.0, 2.5, -1.5, rng=rng)
     batch_b = batch_with_invariants(5, 6.0, 14.0, 2.5, -1.5, rng=rng)
     assert np.max(np.abs(batch_a.x - batch_b.x)) > 0.1  # genuinely different vectors
-    report = invariant_audit(lambda r: (batch_a, batch_b), 1000, np.random.default_rng(31))
+    report = _audit((batch_a, batch_b), 1000, 31)
     for name, result in report.results.items():
         assert result.pvalue > 0.01, (name, result)
 
 
 def test_identity_design_reproduces_raw_moments():
     batch = SampleBatch(np.array([0.3, -0.4, 1.1, 0.2]), np.array([0.5, 0.1, -0.2, 0.9]))
-    design = [ComplexUnitary(2, np.eye(2, dtype=complex))]
+    design = np.eye(2, dtype=complex)[None]
     report = finite_design_average(lambda rng: batch, design, 1, np.random.default_rng(15), samples=8)
     amps = {"x": batch.x[0::2] + 1j * batch.x[1::2], "y": batch.y[0::2] + 1j * batch.y[1::2]}
     for side, amp in amps.items():
@@ -272,14 +318,24 @@ def test_haar_sample_design_self_consistency():
     for degree, disc in report.max_discrepancy_by_degree.items():
         scale = report.stderr_by_degree[degree]
         assert disc <= 8 * scale + 1e-12
+    # The per-degree maxima are exactly those of the per-key moments.
+    worst = {}
+    for key, value in report.moments_design.items():
+        p, q = map(int, key.split(":")[2:])
+        worst[p + q] = max(worst.get(p + q, 0.0), abs(value - report.moments_haar[key]))
+    assert worst == report.max_discrepancy_by_degree
 
 
 def test_design_validation():
+    # The average holds the rules for the design's size and the degree.
     batch = SampleBatch(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        finite_design_average(lambda rng: batch, [], 1, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        roots_of_unity_design(0)
+    for design in ([], roots_of_unity_design(0)):
+        with pytest.raises(ConfigError) as exc:
+            finite_design_average(lambda rng: batch, design, 1, np.random.default_rng(0))
+        assert exc.value.fields == ["design"]
+    with pytest.raises(ConfigError) as exc:
+        finite_design_average(lambda rng: batch, roots_of_unity_design(2), 0, np.random.default_rng(0))
+    assert exc.value.fields == ["degree"]
 
 
 def test_invariant_triple_relative_scales():
