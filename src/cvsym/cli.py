@@ -42,6 +42,8 @@ def main(argv=None):
             raise ConfigError([("kind", f"config is {config.kind!r} but the "
                                         f"{args.command!r} subcommand was invoked")])
         config.validate()
+        if args.workers < 1:
+            raise ConfigError([("workers", "must be >= 1")])
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -62,18 +62,20 @@ def estimate_channel(x, y, modulation_variance, beta=0.95):
         raise DegenerateCovarianceError("<x^2> vanishes; transmittance is unidentifiable")
     sxy = float(np.mean(x * y))
     ratio = sxy / sxx
-    influence = (x * y - ratio * x * x) / sxx
-    se_ratio = float(np.std(influence) / np.sqrt(count))
+    # The delta-method influence of each coordinate on the ratio.
+    se_ratio = float(np.std((x * y - ratio * x * x) / sxx) / np.sqrt(count))
     t_raw = ratio * ratio
     se_t = 2.0 * abs(ratio) * se_ratio
 
-    residual = y - ratio * x
-    var_res = float(np.mean(residual * residual))
-    se_var = float(np.std(residual * residual) / np.sqrt(count))
+    sq_residual = y - ratio * x
+    sq_residual *= sq_residual
+    var_res = float(np.mean(sq_residual))
+    se_var = float(np.std(sq_residual) / np.sqrt(count))
     t_hat = min(max(t_raw, 0.0), 1.0)
     if t_raw > 0.0:
         xi_raw = 2.0 * (var_res - 1.0) / t_raw
-        se_xi = 2.0 * np.sqrt((se_var / t_raw) ** 2 + ((var_res - 1.0) * se_t / t_raw ** 2) ** 2)
+        # Ratio form: no square of t_raw, which overflows at tiny modulation variances.
+        se_xi = 2.0 / t_raw * np.hypot(se_var, (var_res - 1.0) * se_t / t_raw)
     else:
         xi_raw, se_xi = 0.0, float("inf")
     return ChannelEstimate(

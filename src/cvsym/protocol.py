@@ -24,6 +24,9 @@ import numpy as np
 
 from .errors import InvalidDimensionError, require
 
+# The triples' Berry-Esseen bound grows as variance_a ** -3 and leaves the float range below this.
+MIN_MODULATION_VARIANCE = 1e-100
+
 
 @dataclass(frozen=True)
 class ModulationParams:
@@ -34,7 +37,8 @@ class ModulationParams:
 
     def __post_init__(self):
         require(("n", self.n >= 1, "must be >= 1"),
-                ("variance_a", self.variance_a > 0, "must be > 0"))
+                ("variance_a", self.variance_a >= MIN_MODULATION_VARIANCE,
+                 f"must be >= {MIN_MODULATION_VARIANCE:g}"))
 
 
 @dataclass(frozen=True)
@@ -146,21 +150,28 @@ def channel_and_heterodyne(x, model, rng):
     x, squeeze = _stacked(x)
     trials, two_n = x.shape
     n = two_n // 2
-    t, xi, signal = model.transmittance, model.excess_noise, x
+    t, xi = model.transmittance, model.excess_noise
     if isinstance(model.perturbation, GaussianMixture):
         mix = model.perturbation
         comp = rng.choice(len(mix.weights), size=(trials, n), p=np.array(mix.weights))
         t = np.repeat(np.array(mix.transmittances)[comp], 2, axis=1)
         xi = np.repeat(np.array(mix.excess_noises)[comp], 2, axis=1)
-    elif isinstance(model.perturbation, PhaseDiffusion):
+    if isinstance(model.perturbation, PhaseDiffusion):
         phi = rng.normal(0.0, model.perturbation.sigma, size=(trials, n))
-        cos, sin = np.cos(phi), np.sin(phi)
+        cos, sin = np.cos(phi), np.sin(phi, out=phi)
+        # In place; IEEE + and * commute, so this equals cos x0 - sin x1 and
+        # sin x0 + cos x1 bit for bit.
         signal = np.empty_like(x)
-        signal[:, 0::2] = cos * x[:, 0::2] - sin * x[:, 1::2]
-        signal[:, 1::2] = sin * x[:, 0::2] + cos * x[:, 1::2]
-    signal = np.sqrt(t) * signal
-    noise_sd = np.sqrt(1.0 + t * xi / 2.0)
-    y = signal + noise_sd * rng.standard_normal(x.shape)
+        np.multiply(cos, x[:, 0::2], out=signal[:, 0::2])
+        signal[:, 0::2] -= sin * x[:, 1::2]
+        np.multiply(sin, x[:, 0::2], out=signal[:, 1::2])
+        signal[:, 1::2] += cos * x[:, 1::2]
+        signal *= np.sqrt(t)
+    else:
+        signal = np.sqrt(t) * x
+    y = rng.standard_normal(x.shape)
+    y *= np.sqrt(1.0 + t * xi / 2.0)
+    y += signal
     return y[0] if squeeze else y
 
 

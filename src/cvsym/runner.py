@@ -53,6 +53,10 @@ _S_SWEEP, _S_PREPASS, _S_DIAG, _S_AUDIT, _S_DESIGN = 0, 1, 2, 3, 4
 _S_KEYRATE, _S_KEYRATE_ANALYSIS, _S_ESTIMATION, _S_SELFCHECK = 5, 6, 7, 8
 
 MOMENT_PREPASS_MODES = 200_000
+# Float64 coordinates per block wherever work is simulated coordinate by
+# coordinate: 2 MiB per array, inside a per-core L2.  Blocks are fixed before
+# scheduling, so results depend on this budget but never on the worker count.
+BLOCK_COORDS = 1 << 18
 
 
 def _stream_rng(seed, *key):
@@ -69,7 +73,8 @@ def _summary_dict(summary):
 
 
 def _map_blocks(fn, args_list, workers):
-    if workers <= 1 or len(args_list) <= 1:
+    workers = min(workers, len(args_list))
+    if workers <= 1:
         return [fn(args) for args in args_list]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args_list))
@@ -139,7 +144,7 @@ def _sweep_block(args):
 
 
 def _sweep_block_size(n, exact):
-    return 1 << 18 if exact else max(1, 4_000_000 // (2 * n))
+    return 1 << 18 if exact else max(1, BLOCK_COORDS // (2 * n))
 
 
 def _loglog_slope(ns, values):
@@ -277,17 +282,15 @@ def _keyrate_block(args):
     rng = _stream_rng(seed, _S_KEYRATE, block_index)
     x = alice_modulate(modulation, rng, modes)
     y = channel_and_heterodyne(x, model, rng)
-    return np.concatenate([x, y], axis=1)
+    return x.ravel(), y.ravel()
 
 
 def _run_keyrate_report(config, workers):
     model = config.channel()
     modulation = ModulationParams(1, config.modulation_variance)
     args = [(config.seed, bi, bm, model, modulation)
-            for bi, bm in _blocks(config.n, 500_000)]
-    data = np.concatenate(_map_blocks(_keyrate_block, args, workers), axis=0)
-    x = data[:, :2].ravel()
-    y = data[:, 2:].ravel()
+            for bi, bm in _blocks(config.n, BLOCK_COORDS // 2)]
+    x, y = (np.concatenate(parts) for parts in zip(*_map_blocks(_keyrate_block, args, workers)))
 
     estimate = estimate_channel(x, y, config.modulation_variance,
                                 beta=config.reconciliation_efficiency)
@@ -298,12 +301,12 @@ def _run_keyrate_report(config, workers):
     # Four modes at least: the covariance of fewer 3-d triples is singular.
     m_modes = max(4, int(np.ceil(config.estimation_fraction * config.n)))
     picked = analysis_rng.choice(config.n, size=m_modes, replace=False)
-    triples = mode_triples(x, y)[picked]
+    triples = mode_triples(x.reshape(-1, 2)[picked], y.reshape(-1, 2)[picked])
     summary = MomentSummary.from_triples(triples)
     bound_over_c = berry_esseen_bound(summary, config.n, 1.0)
 
     coord_idx = np.sort(np.concatenate([2 * picked, 2 * picked + 1]))
-    est = sigma_est(np.column_stack([x, y]), indices=coord_idx)
+    est = sigma_est(np.column_stack([x[coord_idx], y[coord_idx]]))
     comps = model.mixture_components(modulation)
     if comps is None:
         truth = sigma_g(*model.coordinate_moments(modulation))
@@ -353,7 +356,7 @@ def _run_estimation_error(config, workers):
     weights, comps = model.mixture_components(ModulationParams(config.n, config.modulation_variance))
     law = BivariateMixture(tuple(weights), tuple(comps))
     m = config.est_m
-    args = [(config.seed, bi, bt, m, law) for bi, bt in _blocks(config.trials, max(1, 2_000_000 // m))]
+    args = [(config.seed, bi, bt, m, law) for bi, bt in _blocks(config.trials, max(1, BLOCK_COORDS // (2 * m)))]
     errors = np.concatenate(_map_blocks(_estimation_block, args, workers), axis=0)
     report = summarize_scaled_errors(errors, m)
     out = report.to_dict()

@@ -70,18 +70,15 @@ def _fourth_moment_terms(x, y):
     return rows
 
 
-def sigma_est(samples, indices=None):
+def sigma_est(samples):
     """Empirical fourth-moment matrix over coordinate pairs with CLT standard errors.
 
-    ``samples`` is (m, 2); ``indices`` optionally restricts to a random
-    sub-sample, matching the protocol step where a fraction of the data is
+    ``samples`` is (m, 2): in the protocol, the fraction of the data
     sacrificed for estimation.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != 2:
         raise InvalidDimensionError(f"expected (m, 2) samples, got {samples.shape}")
-    if indices is not None:
-        samples = samples[np.asarray(indices)]
     m = samples.shape[0]
     if m < 2:
         raise PreconditionError(f"need at least 2 samples for an estimate, got {m}")
@@ -422,13 +419,16 @@ class EstimationErrorReport:
                 for name, value in vars(self).items()}
 
 
-# Fewest samples per estimate in the estimation-error study.
-MIN_ESTIMATION_SAMPLES = 10
+# Fewest and most samples per estimate in the estimation-error study.  A
+# trial holds 72 bytes of fourth-moment terms per sample at once, so the cap
+# keeps one trial under 80 MB.
+MIN_ESTIMATION_SAMPLES, MAX_ESTIMATION_SAMPLES = 10, 1 << 20
 
 
 def scaled_estimation_errors(model, m, trials, rng):
     """Per-trial scaled errors sqrt(m) (Sigma_est - E Sigma_est), shape (trials, 3, 3)."""
-    require(("m", m >= MIN_ESTIMATION_SAMPLES, f"must be >= {MIN_ESTIMATION_SAMPLES}"))
+    require(("m", MIN_ESTIMATION_SAMPLES <= m <= MAX_ESTIMATION_SAMPLES,
+             f"must lie in [{MIN_ESTIMATION_SAMPLES}, {MAX_ESTIMATION_SAMPLES}]"))
     truth = model.fourth_moment_matrix()
     draws = model.draw(trials * m, rng).reshape(trials, m, 2)
     est = _fourth_moment_terms(draws[..., 0], draws[..., 1]).mean(axis=1)

@@ -224,6 +224,11 @@ class DesignCompareReport:
         }
 
 
+# Monomials up to total degree 2 * degree are averaged one exponent pair at a
+# time, about 2 * degree ** 2 passes over the amplitudes per side.
+MAX_DESIGN_DEGREE = 8
+
+
 def _monomial_exponents(degree):
     return [(p, q) for total in range(1, 2 * degree + 1)
             for p in range(total + 1) for q in [total - p]]
@@ -240,7 +245,7 @@ def finite_design_average(sampler, design, degree, rng, samples=200):
     """
     design = np.asarray(design, dtype=complex)
     require(("design", len(design) >= 1, "must have at least one element"),
-            ("degree", degree >= 1, "must be >= 1"))
+            ("degree", 1 <= degree <= MAX_DESIGN_DEGREE, f"must lie in [1, {MAX_DESIGN_DEGREE}]"))
     n = design.shape[-1]
     batches = [sampler(rng) for _ in range(samples)]
     if any(batch.n != n for batch in batches):

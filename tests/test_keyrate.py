@@ -43,6 +43,15 @@ def test_estimate_round_trip_grid():
         assert abs(est.excess_noise - xi) <= 3 * est.se_excess_noise
 
 
+def test_estimate_standard_errors_finite_at_tiny_modulation():
+    # At x ~ 1e-150 the raw transmittance is ~1e276, whose square overflows.
+    rng = np.random.default_rng(12)
+    x = 1e-150 * rng.standard_normal(4000)
+    y = np.sqrt(0.7) * x + rng.standard_normal(4000)
+    est = estimate_channel(x, y, 1e-300)
+    assert np.isfinite(est.se_transmittance) and np.isfinite(est.se_excess_noise)
+
+
 def test_estimate_preconditions():
     rng = np.random.default_rng(3)
     with pytest.raises(PreconditionError):

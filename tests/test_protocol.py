@@ -102,6 +102,33 @@ def test_phase_diffusion_damps_correlation():
     assert abs(np.mean(y * y) - b) <= 4 * b * np.sqrt(6.0 / n)
 
 
+@pytest.mark.parametrize("perturbation", [
+    None, PhaseDiffusion(0.3), GaussianMixture((0.85, 0.15), (0.9, 0.15), (0.01, 3.0))])
+def test_channel_follows_documented_draw_order(perturbation):
+    # The fixed draw order: the per-mode perturbation (phi, or the mixture
+    # component), then the noise g; y = sqrt(T) * signal + sd * g exactly,
+    # and the input is left untouched.
+    model = ChannelModel(0.7, 0.02, perturbation)
+    x = np.random.default_rng(3).standard_normal((6, 10))
+    x_before = x.copy()
+    y = channel_and_heterodyne(x, model, np.random.default_rng(4))
+
+    rng = np.random.default_rng(4)
+    t, xi, signal = 0.7, 0.02, x
+    if isinstance(perturbation, PhaseDiffusion):
+        phi = rng.normal(0.0, 0.3, size=(6, 5))
+        signal = np.empty_like(x)
+        signal[:, 0::2] = np.cos(phi) * x[:, 0::2] - np.sin(phi) * x[:, 1::2]
+        signal[:, 1::2] = np.sin(phi) * x[:, 0::2] + np.cos(phi) * x[:, 1::2]
+    elif perturbation is not None:
+        comp = rng.choice(2, size=(6, 5), p=np.array(perturbation.weights))
+        t = np.repeat(np.array(perturbation.transmittances)[comp], 2, axis=1)
+        xi = np.repeat(np.array(perturbation.excess_noises)[comp], 2, axis=1)
+    g = rng.standard_normal(x.shape)
+    assert np.array_equal(y, np.sqrt(t) * signal + np.sqrt(1.0 + t * xi / 2.0) * g)
+    assert np.array_equal(x, x_before)
+
+
 def test_mixture_validation():
     with pytest.raises(ValueError):
         GaussianMixture((0.5, 0.4), (1.0, 0.5), (0.0, 0.0))  # weights do not sum to 1

@@ -73,22 +73,57 @@ _MIXTURE = dict(perturbation="gaussian-mixture", mixture_weights=[0.8, 0.2],
                 mixture_transmittances=[0.9, 0.3], mixture_excess_noises=[0.01, 1.0])
 
 
-def test_run_is_worker_count_independent():
-    # Each config but design-compare (which runs in-process) splits into
-    # at least two blocks, so two workers really share the work.
+def test_run_is_worker_count_independent(monkeypatch):
+    # Each config but design-compare (which runs in-process) is about the
+    # smallest of its kind that splits into two blocks, so two workers really
+    # share the work; the block counts are checked, not assumed.
+    block = runner.BLOCK_COORDS
     configs = [
-        ExperimentConfig(kind="convergence-sweep", seed=5, n_grid=[50], trials=[270_000]),
-        ExperimentConfig(kind="convergence-sweep", seed=5, n_grid=[1000], trials=[4000],
+        ExperimentConfig(kind="convergence-sweep", seed=5, n_grid=[50], trials=[(1 << 18) + 1]),
+        ExperimentConfig(kind="convergence-sweep", seed=5, n_grid=[block // 2000 + 1], trials=[1000],
                          perturbation="phase-diffusion", phase_sigma=0.3),
-        ExperimentConfig(kind="invariant-audit", seed=5, n=3, trials=600),
+        ExperimentConfig(kind="invariant-audit", seed=5, n=3, trials=513),
         ExperimentConfig(kind="design-compare", seed=5, n=1, trials=1, design_samples=64),
-        ExperimentConfig(kind="keyrate-report", seed=5, n=600_000),
-        ExperimentConfig(kind="estimation-error", seed=5, n=10, trials=2100, est_m=1000, **_MIXTURE),
+        ExperimentConfig(kind="keyrate-report", seed=5, n=block // 2 + 1),
+        ExperimentConfig(kind="estimation-error", seed=5, n=10, trials=block // 2000 + 1, est_m=1000,
+                         **_MIXTURE),
     ]
+    block_counts = []
+    real = runner._map_blocks
+
+    def spy(fn, args_list, workers):
+        block_counts.append(len(args_list))
+        return real(fn, args_list, workers)
+
+    monkeypatch.setattr(runner, "_map_blocks", spy)
     for cfg in configs:
+        block_counts.clear()
         rep1 = run(cfg, workers=1)
+        assert cfg.kind == "design-compare" or min(block_counts) >= 2, (cfg.kind, block_counts)
         rep2 = run(cfg, workers=2)
         assert json.dumps(rep1.metrics, sort_keys=True) == json.dumps(rep2.metrics, sort_keys=True), cfg.kind
+
+
+def test_map_blocks_starts_no_more_workers_than_blocks(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args_list):
+            return map(fn, args_list)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    assert runner._map_blocks(abs, [-1, -2, -3], 1000) == [1, 2, 3]
+    assert runner._map_blocks(abs, [-1], 1000) == [1]
+    assert started == [3]
 
 
 def test_report_roundtrip(tmp_path):
@@ -274,6 +309,10 @@ def test_cli_rejects_mistyped_field(tmp_path, capsys, field_name, value):
     ({"kind": "invariant-audit", "n": 2, "audit_dot_xy": 100}, "audit_dot_xy"),
     ({"kind": "keyrate-report", "n": 10}, "n"),
     ({"kind": "convergence-sweep", "n_grid": [10], "trials": 50}, "trials"),
+    # The Berry-Esseen bound of the triples leaves the float range.
+    ({"kind": "keyrate-report", "n": 2000, "modulation_variance": 1e-300}, "modulation_variance"),
+    ({"kind": "estimation-error", "n": 1, "est_m": 10 ** 23}, "est_m"),
+    ({"kind": "design-compare", "n": 1, "design_degree": 10 ** 8}, "design_degree"),
 ])
 def test_cli_rejects_config_that_cannot_run(tmp_path, capsys, config, field_name):
     path = tmp_path / "config.json"
@@ -305,6 +344,17 @@ def test_cli_rejects_postselected_sweep(tmp_path, capsys):
     path = dump_config(cfg, tmp_path / "config.json")
     assert main(["convergence-sweep", "--config", str(path)]) == 2
     assert "postselection_rule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_rejects_nonpositive_workers(tmp_path, capsys, workers):
+    cfg_path = dump_config(_small_sweep(), tmp_path / "config.json")
+    code = main(["convergence-sweep", "--config", str(cfg_path), "--workers", workers,
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "workers" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_kind_mismatch(tmp_path, capsys):

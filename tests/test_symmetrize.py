@@ -14,6 +14,7 @@ from cvsym.linalg import (
 )
 from cvsym.samples import InvariantTriple, SampleBatch
 from cvsym.symmetrize import (
+    MAX_DESIGN_DEGREE,
     InvariantAuditReport,
     apply_symmetrization,
     batch_with_invariants,
@@ -333,9 +334,10 @@ def test_design_validation():
         with pytest.raises(ConfigError) as exc:
             finite_design_average(lambda rng: batch, design, 1, np.random.default_rng(0))
         assert exc.value.fields == ["design"]
-    with pytest.raises(ConfigError) as exc:
-        finite_design_average(lambda rng: batch, roots_of_unity_design(2), 0, np.random.default_rng(0))
-    assert exc.value.fields == ["degree"]
+    for degree in (0, MAX_DESIGN_DEGREE + 1):
+        with pytest.raises(ConfigError) as exc:
+            finite_design_average(lambda rng: batch, roots_of_unity_design(2), degree, np.random.default_rng(0))
+        assert exc.value.fields == ["degree"]
 
 
 def test_invariant_triple_relative_scales():
