@@ -17,9 +17,8 @@ import numpy as np
 from .errors import ConfigError
 from .keyrate import MIN_ESTIMATION_COORDS, ChannelEstimate
 from .protocol import ChannelModel, GaussianMixture, ModulationParams, PhaseDiffusion, PostselectionRegion
-from .samples import SampleBatch
 from .stats import MIN_TV_SAMPLES, GaussianBivariate, scaled_estimation_errors
-from .symmetrize import batch_with_invariants, finite_design_average
+from .symmetrize import batch_with_invariants, require_design
 
 EXPERIMENT_KINDS = (
     "convergence-sweep",
@@ -211,14 +210,10 @@ class ExperimentConfig:
             # The rules see n only through n >= 2, so two modes stand in for n
             # without allocating 2n coordinates.
             constructors.append(lambda: batch_with_invariants(min(self.n, 2), *self.audit_invariants()))
-        # Single-mode stand-ins keep these calls cheap: the first design_size
-        # elements of a one-element design, averaged over one sample, and
-        # zero trials of the estimator.
         if self.kind == "design-compare":
-            constructors.append(lambda: finite_design_average(
-                lambda _: SampleBatch(np.ones(2), np.ones(2)), np.ones((1, 1, 1))[:self.design_size],
-                self.design_degree, np.random.default_rng(0), samples=1))
+            constructors.append(lambda: require_design(self.design_size, self.design_degree))
         if self.kind == "estimation-error":
+            # Zero trials of the estimator keep the call cheap.
             constructors.append(lambda: scaled_estimation_errors(
                 GaussianBivariate(1.0, 1.0, 0.0), self.est_m, 0, np.random.default_rng(0)))
         for construct in constructors:

@@ -93,15 +93,16 @@ def symplecticity_residual(r):
     return np.max(np.abs(g), axis=(-2, -1))
 
 
-def phase_fixed_qr(z):
-    """Complete unitary Q of ``z = Q R`` (..., m, k) with R's diagonal real and >= 0.
+def phase_fixed_qr(z, mode="complete"):
+    """Unitary Q of ``z = Q R`` (..., m, k) with R's diagonal real and >= 0.
 
-    The first min(m, k) columns of LAPACK's Q are multiplied by the phases
-    of R's diagonal (phase 1 where an entry is zero), which makes the
-    factorization unique wherever R's diagonal is nonzero (Mezzadri,
-    arXiv:math-ph/0609050).  Works on stacks.
+    ``mode`` is passed to ``np.linalg.qr``: "complete" returns the whole
+    (..., m, m) Q, "reduced" its first min(m, k) columns.  Those columns
+    are multiplied by the phases of R's diagonal (phase 1 where an entry is
+    zero), which makes the factorization unique wherever R's diagonal is
+    nonzero (Mezzadri, arXiv:math-ph/0609050).  Works on stacks.
     """
-    q, r = np.linalg.qr(z, mode="complete")
+    q, r = np.linalg.qr(z, mode=mode)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     mag = np.abs(d)
     phases = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
@@ -109,16 +110,21 @@ def phase_fixed_qr(z):
     return q
 
 
-def haar_unitary_stack(n, size, rng):
+def haar_unitary_stack(n, size, rng, k=None):
     """Sample ``size`` independent Haar unitaries as an array (size, n, n).
 
-    Uses the phase-fixed QR of a complex Ginibre matrix; without the phase
-    fix the QR output is not Haar-distributed.
+    With ``k`` columns, 1 <= k <= n, only the first k columns of each
+    unitary are drawn, as an array (size, n, k); k = n (the default) is the
+    whole unitary.  Uses the phase-fixed reduced QR of a complex Ginibre
+    matrix (size, n, k), whose Q has the law of the first k columns of a
+    Haar unitary; without the phase fix the QR output is not
+    Haar-distributed.
     """
-    if n < 1:
-        raise InvalidDimensionError(f"mode count must be >= 1, got {n}")
-    z = rng.standard_normal((size, n, n)) + 1j * rng.standard_normal((size, n, n))
-    return phase_fixed_qr(z / np.sqrt(2.0))
+    k = n if k is None else k
+    if not 1 <= k <= n:
+        raise InvalidDimensionError(f"need 1 <= k <= n, got k = {k} columns of n = {n} modes")
+    z = rng.standard_normal((size, n, k)) + 1j * rng.standard_normal((size, n, k))
+    return phase_fixed_qr(z / np.sqrt(2.0), mode="reduced")
 
 
 def realify_stack(u_stack):

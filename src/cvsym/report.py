@@ -1,13 +1,17 @@
 """Experiment reports and their serialization.
 
-The JSON report round-trips losslessly (full float precision); the CSV
-tables are the human-diffable view with 12 significant digits.
+The JSON report is strict JSON and round-trips losslessly (full float
+precision) unless a value is non-finite, which it writes as null and
+flags; the CSV tables are the human-diffable view with 12 significant
+digits.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -120,14 +124,48 @@ _TABLE_WRITERS = {
 }
 
 
+def _null_nonfinite(value, path, flagged):
+    """``value`` with every non-finite float replaced by None; appends each one's path to ``flagged``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        flagged.append(path)
+        return None
+    if isinstance(value, dict):
+        return {k: _null_nonfinite(v, f"{path}.{k}", flagged) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_nonfinite(v, f"{path}.{i}", flagged) for i, v in enumerate(value)]
+    return value
+
+
+def _strict_json(data):
+    """``data`` as strict JSON text: a non-finite float becomes null, and its
+    dotted path is listed in ``meta.nonfinite``."""
+    try:
+        return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        flagged = []
+        data = {k: _null_nonfinite(v, k, flagged) for k, v in data.items()}
+        data["meta"] = {**data["meta"], "nonfinite": sorted(flagged)}
+        return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def emit(report, out_dir, formats=("json", "csv")):
-    """Write the report files and return their paths."""
+    """Write the report files and return their paths.
+
+    ``report.json`` is strict JSON (see :func:`_strict_json`), written to a
+    temporary file and renamed into place so that it appears whole or not
+    at all.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     if "json" in formats:
         path = out_dir / "report.json"
-        path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        tmp = out_dir / f".report.json.{os.getpid()}.tmp"
+        try:
+            tmp.write_text(_strict_json(report.to_dict()))
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
         written.append(path)
     if "csv" in formats:
         written.extend(_TABLE_WRITERS[report.config.kind](report, out_dir / "tables"))

@@ -147,7 +147,16 @@ def berry_esseen_bound(summary, n, constant=1.0):
         raise ValueError("constant must be >= 0")
     if summary.lambda_min <= 0:
         raise DegenerateCovarianceError("covariance of the triples is degenerate")
-    return float(constant * np.sqrt(3.0) * summary.lambda_min ** -1.5 * summary.third_abs / np.sqrt(n))
+    try:
+        with np.errstate(over="ignore"):
+            bound = float(constant * np.sqrt(3.0) * summary.lambda_min ** -1.5 * summary.third_abs / np.sqrt(n))
+    except OverflowError:  # lambda_min ** -1.5 on a Python float past the float range
+        bound = np.inf
+    if not np.isfinite(bound):
+        raise DegenerateCovarianceError(
+            f"covariance of the triples is nearly degenerate: lambda_min = {summary.lambda_min:.3e} "
+            "puts the bound outside the float range")
+    return bound
 
 
 def gaussian_tv_1d(sigma1, sigma2):

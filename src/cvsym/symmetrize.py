@@ -234,35 +234,58 @@ def _monomial_exponents(degree):
             for p in range(total + 1) for q in [total - p]]
 
 
+def require_design(size, degree):
+    """The rules of :func:`finite_design_average` on a design's element count and the degree."""
+    require(("design", size >= 1, "must have at least one element"),
+            ("degree", 1 <= degree <= MAX_DESIGN_DEGREE, f"must lie in [1, {MAX_DESIGN_DEGREE}]"))
+
+
+def haar_rotated_pairs(pairs, replicates, rng):
+    """``U [a b]`` under ``replicates`` independent Haar U per amplitude pair.
+
+    ``pairs`` is a stack (samples, n, 2) of columns [a b]; returns a stack
+    (samples, replicates, n, 2).  With the reduced QR [a b] = Q0 R,
+    U [a b] = (U Q0) R, and U Q0 has the law of the first k = min(n, 2)
+    columns of a Haar unitary, so only those k columns are drawn
+    (Mezzadri, arXiv:math-ph/0609050).
+    """
+    samples, n, _ = pairs.shape
+    _, r = np.linalg.qr(pairs)
+    frames = haar_unitary_stack(n, samples * replicates, rng, r.shape[-2])
+    return frames.reshape(samples, replicates, n, -1) @ r[:, None]
+
+
 def finite_design_average(sampler, design, degree, rng, samples=200):
     """Moments of symmetrized data: finite-design average vs Haar Monte Carlo.
 
     ``design`` is a stack of unitaries (size, n, n).  For every mode
     amplitude on each side, monomials a^p conj(a)^q with
     1 <= p+q <= 2*degree are averaged (i) over the design elements and
-    (ii) over fresh Haar draws matched to the same sample count, and the
-    worst absolute difference per total degree is reported.
+    (ii) over fresh Haar draws matched to the same sample count, each
+    rotating Alice's and Bob's amplitudes of one sample together (see
+    :func:`haar_rotated_pairs`), and the worst absolute difference per
+    total degree is reported.
     """
     design = np.asarray(design, dtype=complex)
-    require(("design", len(design) >= 1, "must have at least one element"),
-            ("degree", 1 <= degree <= MAX_DESIGN_DEGREE, f"must lie in [1, {MAX_DESIGN_DEGREE}]"))
+    require_design(len(design), degree)
     n = design.shape[-1]
     batches = [sampler(rng) for _ in range(samples)]
     if any(batch.n != n for batch in batches):
         raise InvalidDimensionError("sampler output does not match the design's mode count")
     replicates = len(design)
     count = samples * replicates
-    haar_stack = haar_unitary_stack(n, count, rng).reshape(samples, replicates, n, n)
+    bases = [np.array([complex_modes(getattr(batch, side)) for batch in batches]) for side in "xy"]
+    # (samples, replicates, n, side): each sample's pair under its matched Haar elements.
+    sym_haar_pairs = haar_rotated_pairs(np.stack(bases, axis=-1), replicates, rng)
 
     exponents = _monomial_exponents(degree)
     # (side, exponent, mode) arrays of the two averages and the Haar standard error.
     shape = (2, len(exponents), n)
     mean_d, mean_h, se = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex), np.empty(shape)
-    for s, side in enumerate("xy"):
-        base = np.array([complex_modes(getattr(batch, side)) for batch in batches])
+    for s, base in enumerate(bases):
         # (samples, replicates, n): each batch pushed through every element.
         sym_design = np.einsum("rij,sj->sri", design, base)
-        sym_haar = np.einsum("srij,sj->sri", haar_stack, base)
+        sym_haar = sym_haar_pairs[..., s]
         for e, (p, q) in enumerate(exponents):
             term_d = sym_design ** p * np.conj(sym_design) ** q
             term_h = sym_haar ** p * np.conj(sym_haar) ** q

@@ -27,13 +27,14 @@ def test_phase_fixed_qr_gives_nonnegative_real_r_diagonal(m, k):
     rng = np.random.default_rng(m * 10 + k)
     z = rng.standard_normal((4, m, k)) + 1j * rng.standard_normal((4, m, k))
     z[0, :, 0] = 0.0  # a zero column keeps phase 1
-    q = phase_fixed_qr(z)
-    assert q.shape == (4, m, m)
-    assert np.max(np.abs(q.conj().swapaxes(-1, -2) @ q - np.eye(m))) < 1e-14
-    r = q.conj().swapaxes(-1, -2) @ z
-    assert np.max(np.abs(np.tril(r, -1))) < 1e-14
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    assert np.max(np.abs(d.imag)) < 1e-14 and np.min(d.real) > -1e-14
+    for mode, cols in (("complete", m), ("reduced", min(m, k))):
+        q = phase_fixed_qr(z, mode=mode)
+        assert q.shape == (4, m, cols)
+        assert np.max(np.abs(q.conj().swapaxes(-1, -2) @ q - np.eye(cols))) < 1e-14
+        r = q.conj().swapaxes(-1, -2) @ z
+        assert np.max(np.abs(np.tril(r, -1))) < 1e-14
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        assert np.max(np.abs(d.imag)) < 1e-14 and np.min(d.real) > -1e-14
 
 
 def test_haar_unitary_deterministic_given_seed():
@@ -45,6 +46,36 @@ def test_haar_unitary_deterministic_given_seed():
 def test_haar_unitary_rejects_zero_modes():
     with pytest.raises(InvalidDimensionError):
         haar_unitary_stack(0, 1, np.random.default_rng(0))
+    for k in (0, 4):  # column counts outside [1, n]
+        with pytest.raises(InvalidDimensionError):
+            haar_unitary_stack(3, 1, np.random.default_rng(0), k)
+
+
+@pytest.mark.parametrize("n", [1, 40])
+def test_haar_unitary_whole_draw_matches_complete_qr(n):
+    # The reduced QR of a square Ginibre stack is the complete one, bit for
+    # bit, so whole unitaries keep the draw they had under the complete QR.
+    size, seed = 50, 60 + n
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((size, n, n)) + 1j * rng.standard_normal((size, n, n))
+    expected = phase_fixed_qr(z / np.sqrt(2.0), mode="complete")
+    np.testing.assert_array_equal(haar_unitary_stack(n, size, np.random.default_rng(seed)), expected)
+
+
+def test_haar_columns_are_leading_columns_of_a_haar_unitary():
+    # The first k columns of a whole draw and a k-column draw share a law;
+    # compare every entry's real part, imaginary part and modulus.
+    rng = np.random.default_rng(11)
+    n, k, size = 4, 2, 4000
+    cols = haar_unitary_stack(n, size, rng, k)
+    assert cols.shape == (size, n, k)
+    assert np.max(np.abs(cols.conj().swapaxes(-1, -2) @ cols - np.eye(k))) < 1e-14
+    whole = haar_unitary_stack(n, size, rng)[..., :k]
+    for part in (np.real, np.imag, np.abs):
+        for i in range(n):
+            for j in range(k):
+                pvalue = sps.ks_2samp(part(cols[:, i, j]), part(whole[:, i, j])).pvalue
+                assert pvalue > 1e-3, (part.__name__, i, j, pvalue)
 
 
 def test_haar_unitary_second_moment_is_one_over_n():

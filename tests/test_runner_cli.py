@@ -4,10 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvsym import runner
+from cvsym import runner, symmetrize
 from cvsym.cli import main
 from cvsym.config import ExperimentConfig, dump_config, load_config
 from cvsym.errors import ConfigError
+from cvsym.protocol import ModulationParams
 from cvsym.report import emit, parse_report
 from cvsym.runner import run
 
@@ -224,6 +225,60 @@ def test_design_compare_kind():
     assert set(rep.metrics["max_discrepancy_by_degree"]) == {1, 2}
 
 
+def test_design_compare_haar_side_matches_channel_moments():
+    # The benchmark's design-compare check at its sizes: second moments
+    # E|a_k|^2 = 2<x^2> and E|b_k|^2 = 2<y^2>, and 0 for every p != q.
+    cfg = ExperimentConfig(kind="design-compare", seed=7, n=40, trials=1,
+                           design_kind="haar-sample", design_size=8,
+                           design_degree=1, design_samples=100)
+    m = run(cfg).metrics
+    a, b, _ = cfg.channel().coordinate_moments(ModulationParams(cfg.n, cfg.modulation_variance))
+    checked = 0
+    for key, (re, im) in m["moments_haar"].items():
+        side, _, p, q = key.split(":")
+        if p == q == "1":
+            expected = 2 * a if side == "x" else 2 * b
+        elif p != q:
+            expected = 0.0
+        else:
+            continue
+        checked += 1
+        se = m["stderr_by_degree"][int(p) + int(q)]
+        assert abs(complex(re, im) - expected) <= 5 * se, (key, complex(re, im), expected, se)
+    assert checked == 2 * 40 * 5  # (1, 0), (0, 1), (2, 0), (0, 2) and (1, 1)
+
+
+def test_validation_runs_no_design_average(monkeypatch):
+    # The design's rules are checked without averaging over a stand-in design.
+    def fail(*args, **kwargs):
+        raise AssertionError("validation ran the design average")
+
+    monkeypatch.setattr(symmetrize, "_monomial_exponents", fail)
+    monkeypatch.setattr(np.linalg, "qr", fail)
+    ExperimentConfig(kind="design-compare", seed=1, n=1, trials=1, design_degree=8).validate()
+
+
+def test_report_json_is_strict_and_flags_nonfinite(tmp_path):
+    rep = run(ExperimentConfig(kind="design-compare", seed=4, n=1, trials=1, design_samples=8))
+    emit(rep, tmp_path / "finite")
+    # A finite report is written as before: plain json.dumps, no flag.
+    finite_text = (tmp_path / "finite" / "report.json").read_text()
+    assert finite_text == json.dumps(rep.to_dict(), indent=2, sort_keys=True) + "\n"
+
+    rep.metrics["se_excess_noise"] = float("inf")
+    rep.metrics["grid"] = [{"tv": 0.5}, {"tv": float("nan")}]
+    emit(rep, tmp_path / "nonfinite")
+    assert sorted(p.name for p in (tmp_path / "nonfinite").iterdir()) == ["report.json", "tables"]
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    data = json.loads((tmp_path / "nonfinite" / "report.json").read_text(), parse_constant=reject)
+    assert data["metrics"]["se_excess_noise"] is None
+    assert data["metrics"]["grid"] == [{"tv": 0.5}, {"tv": None}]
+    assert data["meta"]["nonfinite"] == ["metrics.grid.1.tv", "metrics.se_excess_noise"]
+
+
 def test_keyrate_report_kind():
     cfg = ExperimentConfig(kind="keyrate-report", seed=6, n=50_000, trials=1,
                            transmittance=0.9, excess_noise=0.01, modulation_variance=10.0,
@@ -313,6 +368,7 @@ def test_cli_rejects_mistyped_field(tmp_path, capsys, field_name, value):
     ({"kind": "keyrate-report", "n": 2000, "modulation_variance": 1e-300}, "modulation_variance"),
     ({"kind": "estimation-error", "n": 1, "est_m": 10 ** 23}, "est_m"),
     ({"kind": "design-compare", "n": 1, "design_degree": 10 ** 8}, "design_degree"),
+    ({"kind": "design-compare", "n": 1, "design_size": 0}, "design_size"),
 ])
 def test_cli_rejects_config_that_cannot_run(tmp_path, capsys, config, field_name):
     path = tmp_path / "config.json"

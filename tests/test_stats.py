@@ -168,6 +168,13 @@ def test_berry_esseen_degenerate_covariance():
         berry_esseen_bound(summary, 10)
 
 
+@pytest.mark.parametrize("lambda_min", [1e-206, 1e-320])
+def test_berry_esseen_bound_past_float_range_is_degenerate(lambda_min):
+    summary = MomentSummary(np.zeros(3), np.eye(3), np.eye(3), 1.0, lambda_min)
+    with pytest.raises(DegenerateCovarianceError, match="lambda_min"):
+        berry_esseen_bound(summary, 10)
+
+
 def _tv_quadrature(s1, s2):
     lo, hi = sorted((s1, s2))
     crossing = lo * hi * np.sqrt(2.0 * np.log(hi / lo) / (hi * hi - lo * lo))

@@ -22,6 +22,7 @@ from cvsym.symmetrize import (
     default_audit_statistics,
     finite_design_average,
     haar_design,
+    haar_rotated_pairs,
     roots_of_unity_design,
     witness_transform,
 )
@@ -260,6 +261,48 @@ def test_audit_row_sampler_matches_full_haar_path(n):
         for name, fn in default_audit_statistics().items():
             pvalue = sps.ks_2samp(sampled[name][side], fn(x, y)).pvalue
             assert pvalue > 0.01, (side, name, pvalue)
+
+
+def _design_pair(kind, n, rng):
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if kind == "zero-first":
+        a[:] = 0.0
+    elif kind == "colinear":
+        b = (0.6 - 1.3j) * a
+    return np.column_stack([a, b])
+
+
+def _pair_statistics(w):
+    """Names and values of mode coordinates and cross terms of rotated pairs w (trials, n, 2)."""
+    n = w.shape[1]
+    stats = {}
+    for mode in sorted({0, n - 1}):
+        for side in (0, 1):
+            stats[f"re {side} {mode}"] = w[:, mode, side].real
+            stats[f"im {side} {mode}"] = w[:, mode, side].imag
+        if n > 1:  # at n = 1, (U a) conj(U b) = a conj(b) for every U
+            cross = w[:, mode, 0] * np.conj(w[:, mode, 1])
+            stats[f"cross re {mode}"], stats[f"cross im {mode}"] = cross.real, cross.imag
+    if n > 1:
+        stats["cross modes"] = (w[:, 0, 0] * np.conj(w[:, 1, 1])).real
+    return stats
+
+
+@pytest.mark.parametrize("kind, n", [("random", 1), ("random", 2), ("random", 40),
+                                     ("zero-first", 5), ("colinear", 5)])
+def test_design_haar_side_matches_full_haar_path(kind, n):
+    # The design's Haar side draws k = min(n, 2) columns per element; rotating
+    # the pair by whole elements must give (U a, U b) the same joint law.
+    rng = np.random.default_rng(70 + n)
+    pair = _design_pair(kind, n, rng)
+    trials, chunk = 2000, 500
+    sampled = haar_rotated_pairs(pair[None], trials, rng)[0]
+    full = np.concatenate([haar_unitary_stack(n, chunk, rng) @ pair for _ in range(trials // chunk)])
+    reference = _pair_statistics(full)
+    for name, values in _pair_statistics(sampled).items():
+        pvalue = sps.ks_2samp(values, reference[name]).pvalue
+        assert pvalue > 1e-3, (name, pvalue)
 
 
 def test_symmetrized_statistics_well_defined():
