@@ -115,7 +115,7 @@ class ChannelModel:
 
         Conditioned on its component every mode's coordinate pair is exactly
         bivariate normal; phase diffusion has no such finite decomposition,
-        so it returns None and callers fall back to sampling.
+        so it returns None.
         """
         if isinstance(self.perturbation, PhaseDiffusion):
             return None

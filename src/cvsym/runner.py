@@ -22,7 +22,13 @@ from .linalg import (
     orthogonality_residual,
     symplecticity_residual,
 )
-from .protocol import ModulationParams, alice_modulate, channel_and_heterodyne, postselect
+from .protocol import (
+    ModulationParams,
+    PhaseDiffusion,
+    alice_modulate,
+    channel_and_heterodyne,
+    postselect,
+)
 from .report import ExperimentReport
 from .samples import SampleBatch, mode_triples
 from .stats import (
@@ -53,8 +59,8 @@ _S_SWEEP, _S_PREPASS, _S_DIAG, _S_AUDIT, _S_DESIGN = 0, 1, 2, 3, 4
 _S_KEYRATE, _S_KEYRATE_ANALYSIS, _S_ESTIMATION, _S_SELFCHECK = 5, 6, 7, 8
 
 MOMENT_PREPASS_MODES = 200_000
-# Float64 coordinates per block wherever work is simulated coordinate by
-# coordinate: 2 MiB per array, inside a per-core L2.  Blocks are fixed before
+# Float64 coordinates per block wherever work is drawn per coordinate or per
+# mode: 2 MiB per array, inside a per-core L2.  Blocks are fixed before
 # scheduling, so results depend on this budget but never on the worker count.
 BLOCK_COORDS = 1 << 18
 
@@ -96,8 +102,8 @@ def wishart_triples(n, trials, weights, components, rng):
     Grouped by component, a trial's scatter matrix is a sum of independent
     2x2 Wisharts with 2*m_k degrees of freedom, sampled through Bartlett
     factors: three scalar draws per component instead of O(n) coordinate
-    draws.  Distribution-level equivalence with the coordinate-by-coordinate
-    simulation is covered by tests.
+    draws.  ``tests/test_triple_laws.py`` checks the law against the
+    coordinate-by-coordinate simulation.
     """
     out = np.zeros((trials, 3))
     weights = np.asarray(weights, dtype=float)
@@ -124,7 +130,28 @@ def wishart_triples(n, trials, weights, components, rng):
 
 
 def coordinate_triples(n, trials, model, modulation, rng):
-    """Per-trial totals (X^n, Y^n, Z^n) by simulating every coordinate; ``modulation.n`` is n."""
+    """Per-trial totals (X^n, Y^n, Z^n) of n modes; ``modulation.n`` is n.
+
+    Gaussian and mixture channels simulate every coordinate
+    (``alice_modulate`` then ``channel_and_heterodyne``).  Under phase
+    diffusion the totals are drawn from their exact law instead.  Write a
+    mode's input as x = r e and its noise in the frame (e, e_perp) as
+    (p, q) ~ N(0, s^2 I), s^2 = 1 + T xi / 2; then X = r^2,
+    Z = sqrt(T) r^2 cos(phi) + r p and
+    Y = T r^2 + 2 sqrt(T) r (p cos(phi) + q sin(phi)) + p^2 + q^2.  Summed
+    over modes, the 2n noise coordinates enter only through their
+    projections on two vectors u, w with |u|^2 = |w|^2 = X and
+    u.w = C = sum r^2 cos(phi), and through their squared norm.  So per
+    mode r^2 = V Exp(1), V = ``modulation.variance_a``, and
+    phi ~ N(0, sigma^2), and per trial p1, p2 ~ N(0, s^2) and
+    Q = s^2 chi^2_{2n-2} (zero at n = 1), drawn in that order:
+
+        X = sum r^2,  Z = sqrt(T) C + sqrt(X) p1,
+        Y = T X + 2 sqrt(T) (C / sqrt(X) p1 + sqrt(X - C^2 / X) p2)
+            + p1^2 + p2^2 + Q.
+    """
+    if isinstance(model.perturbation, PhaseDiffusion):
+        return _phase_diffusion_triples(n, trials, model, modulation, rng)
     x = alice_modulate(modulation, rng, trials)
     y = channel_and_heterodyne(x, model, rng)
     return np.stack([
@@ -132,6 +159,28 @@ def coordinate_triples(n, trials, model, modulation, rng):
         np.einsum("ij,ij->i", y, y),
         np.einsum("ij,ij->i", x, y),
     ], axis=1)
+
+
+def _phase_diffusion_triples(n, trials, model, modulation, rng):
+    """The phase-diffusion law of :func:`coordinate_triples`; only r^2 and cos(phi) are (trials, n)."""
+    t = model.transmittance
+    noise_var = 1.0 + t * model.excess_noise / 2.0
+    r2 = rng.standard_exponential((trials, n))
+    r2 *= modulation.variance_a
+    cos_phi = rng.normal(0.0, model.perturbation.sigma, size=(trials, n))
+    np.cos(cos_phi, out=cos_phi)
+    x_tot = r2.sum(axis=1)
+    c = np.einsum("ij,ij->i", r2, cos_phi)
+    p1, p2 = np.sqrt(noise_var) * rng.standard_normal((2, trials))
+    q = 2.0 * noise_var * rng.standard_gamma(n - 1.0, size=trials)
+
+    root_x = np.sqrt(x_tot)
+    # At X = 0, u and w vanish and so do both noise projections.
+    along = np.divide(c, root_x, out=np.zeros(trials), where=root_x > 0)
+    across = np.sqrt(np.maximum(x_tot - along * along, 0.0))
+    y_tot = t * x_tot + 2.0 * np.sqrt(t) * (along * p1 + across * p2) + p1 * p1 + p2 * p2 + q
+    z_tot = np.sqrt(t) * c + root_x * p1
+    return np.column_stack([x_tot, y_tot, z_tot])
 
 
 def _sweep_block(args):

@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import stats as sps
-from scipy.special import erf, ndtr
+from scipy.special import erf, kolmogorov, ndtr
 
 from .errors import DegenerateCovarianceError, InvalidDimensionError, PreconditionError, require
 
@@ -260,9 +259,12 @@ def _ks_pvalues(statistics, count):
     """Two-sided KS p-values: exact below ``KS_ASYMPTOTIC_MIN_N`` samples, Kolmogorov's limit above."""
     statistics = np.asarray(statistics, dtype=float)
     if count < KS_ASYMPTOTIC_MIN_N:
-        pvalues = sps.kstwo.sf(statistics, count)
+        # Imported here: scipy.stats is most of the package's import time.
+        from scipy.stats import kstwo
+
+        pvalues = kstwo.sf(statistics, count)
     else:
-        pvalues = sps.kstwobign.sf(statistics * np.sqrt(count))
+        pvalues = kolmogorov(statistics * np.sqrt(count))
     return np.clip(pvalues, 0.0, 1.0)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from .errors import InvalidDimensionError, PreconditionError, require
 from .linalg import (
@@ -168,9 +167,11 @@ class InvariantAuditReport:
 
         Fewer than 100 trials sets the ``underpowered`` flag.
         """
+        from scipy.stats import ks_2samp  # imported here: scipy.stats dominates import time
+
         results = {}
         for name, (va, vb) in samples.items():
-            ks = sps.ks_2samp(va, vb)
+            ks = ks_2samp(va, vb)
             results[name] = AuditResult(float(ks.statistic), float(ks.pvalue))
         return cls(trials=trials, underpowered=trials < 100, results=results)
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +342,25 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
     code = main(["convergence-sweep", "--config", str(path)])
     assert code == 2
     assert "excess_noise" in capsys.readouterr().err
+
+
+def test_cli_validation_error_loads_no_scipy_stats(tmp_path):
+    # scipy.stats is most of the import time; only KS p-values need it.
+    cfg = ExperimentConfig(kind="convergence-sweep", seed=1, n_grid=[10], trials=10,
+                           excess_noise=-1.0)
+    path = dump_config(cfg, tmp_path / "bad.json")
+    script = ("import sys\n"
+              "from cvsym.cli import main\n"
+              f"code = main(['convergence-sweep', '--config', {str(path)!r}])\n"
+              "print('scipy.stats' in sys.modules)\n"
+              "sys.exit(code)\n")
+    src = str(Path(runner.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert "excess_noise" in done.stderr
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("field_name, value", [
