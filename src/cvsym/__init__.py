@@ -13,9 +13,6 @@ from .protocol import (
     PostselectionRegion,
     alice_modulate,
     channel_and_heterodyne,
-    eb_to_pm,
-    gamma_factor,
-    pm_to_eb,
     postselect,
 )
 from .report import ExperimentReport, emit, parse_report

@@ -34,7 +34,6 @@ class ChannelEstimate:
     beta: float
     se_transmittance: float = 0.0
     se_excess_noise: float = 0.0
-    samples: int = 0
 
     def __post_init__(self):
         require(("transmittance", 0.0 <= self.transmittance <= 1.0, "must lie in [0, 1]"),
@@ -81,7 +80,7 @@ def estimate_channel(x, y, modulation_variance, beta=0.95):
     return ChannelEstimate(
         transmittance=t_hat, excess_noise=max(xi_raw, 0.0),
         v_variance=float(modulation_variance) + 1.0, beta=float(beta),
-        se_transmittance=se_t, se_excess_noise=float(se_xi), samples=count)
+        se_transmittance=se_t, se_excess_noise=float(se_xi))
 
 
 def entropy_g(nu):

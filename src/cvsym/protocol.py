@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimensionError, require
+from .stats import sigma_g, sigma_g_centered
 
 # The triples' Berry-Esseen bound grows as variance_a ** -3 and leaves the float range below this.
 MIN_MODULATION_VARIANCE = 1e-100
@@ -98,17 +99,53 @@ class ChannelModel:
             weights, channels = [1.0], [(self.transmittance, self.excess_noise)]
         return weights, [(a, t * a + 1.0 + t * xi / 2.0, float(np.sqrt(t)) * a) for t, xi in channels]
 
-    def coordinate_moments(self, modulation):
-        """Population (⟨x²⟩, ⟨y²⟩, ⟨xy⟩) per coordinate: the weighted sum over components.
+    def _phase_factors(self):
+        """(k1, k2) = (E cos phi, E cos^2 phi) of the phase diffusion."""
+        var = self.perturbation.sigma ** 2
+        return np.exp(-var / 2.0), (1.0 + np.exp(-2.0 * var)) / 2.0
 
-        Phase diffusion damps ⟨xy⟩ of the Gaussian core by E cos(phi).
+    def mode_moments(self, modulation):
+        """Exact mean and covariance of one mode's triple (|x|^2, |y|^2, x.y).
+
+        A mixture mode is two i.i.d. coordinate triples given its component.
+        Phase diffusion with core moments (a, b, c) keeps the Gaussian form
+        except that phi scales every Z term by k1 = E cos phi, and
+        Var Z = 8 k2 c^2 - 4 k1^2 c^2 + 2 (a b - c^2) with k2 = E cos^2 phi.
         """
         weights, comps = self._gaussian_components(modulation)
-        b = sum(w * comp[1] for w, comp in zip(weights, comps))
-        c = sum(w * comp[2] for w, comp in zip(weights, comps))
         if isinstance(self.perturbation, PhaseDiffusion):
-            c *= np.exp(-self.perturbation.sigma ** 2 / 2.0)
-        return modulation.variance_a / 2.0, float(b), float(c)
+            (a, b, c), = comps
+            k1, k2 = self._phase_factors()
+            cov = 2.0 * sigma_g_centered(a, b, c)
+            cov[2, :2] *= k1
+            cov[:2, 2] *= k1
+            cov[2, 2] = 8.0 * k2 * c * c - 4.0 * k1 * k1 * c * c + 2.0 * (a * b - c * c)
+            return 2.0 * np.array([a, b, k1 * c]), cov
+        weights = np.asarray(weights, dtype=float)
+        mus, seconds = [], []
+        for (a, b, c) in comps:
+            mu_k = 2.0 * np.array([a, b, c])
+            mus.append(mu_k)
+            seconds.append(2.0 * sigma_g_centered(a, b, c) + np.outer(mu_k, mu_k))
+        mu = weights @ np.array(mus)
+        cov = np.tensordot(weights, np.array(seconds), axes=1) - np.outer(mu, mu)
+        return mu, 0.5 * (cov + cov.T)
+
+    def fourth_moment_matrix(self, modulation):
+        """Exact <(x^2, y^2, xy)(x^2, y^2, xy)^T> of one coordinate pair.
+
+        The weighted sum of component ``sigma_g``; phase diffusion scales
+        <x^3 y> and <x y^3> by k1 and sets <x^2 y^2> = a b + 2 k2 c^2.
+        """
+        weights, comps = self._gaussian_components(modulation)
+        matrix = sum(w * sigma_g(*comp) for w, comp in zip(weights, comps))
+        if isinstance(self.perturbation, PhaseDiffusion):
+            (a, b, c), = comps
+            k1, k2 = self._phase_factors()
+            matrix[2, :2] *= k1
+            matrix[:2, 2] *= k1
+            matrix[0, 1] = matrix[1, 0] = matrix[2, 2] = a * b + 2.0 * k2 * c * c
+        return matrix
 
     def mixture_components(self, modulation):
         """Per-mode Gaussian components as (weights, [(a, b, c), ...]), or None.
@@ -173,41 +210,6 @@ def channel_and_heterodyne(x, model, rng):
     y *= np.sqrt(1.0 + t * xi / 2.0)
     y += signal
     return y[0] if squeeze else y
-
-
-def gamma_factor(v):
-    """The heterodyne projection factor sqrt(2 (V - 1) / (V + 1)) for variance V >= 1."""
-    if v < 1.0:
-        raise ValueError(f"two-mode squeezing variance must be >= 1, got {v}")
-    return float(np.sqrt(2.0 * (v - 1.0) / (v + 1.0)))
-
-
-def pm_to_eb(x, y, v):
-    """Map prepare-and-measure samples to the coordinates of the entangled picture.
-
-    Per mode, (x1, x2, y1, y2) -> (x1 / gamma, -x2 / gamma, y1, y2); Bob's
-    data is untouched.  The map is a bijection for V > 1.
-    """
-    gamma = gamma_factor(v)
-    if gamma == 0.0:
-        raise ValueError("degenerate map: V must exceed 1")
-    x, squeeze = _stacked(x)
-    out = np.empty_like(x)
-    out[:, 0::2] = x[:, 0::2] / gamma
-    out[:, 1::2] = -x[:, 1::2] / gamma
-    return (out[0] if squeeze else out), np.asarray(y, dtype=float)
-
-
-def eb_to_pm(x, y, v):
-    """Inverse of :func:`pm_to_eb`."""
-    gamma = gamma_factor(v)
-    if gamma == 0.0:
-        raise ValueError("degenerate map: V must exceed 1")
-    x, squeeze = _stacked(x)
-    out = np.empty_like(x)
-    out[:, 0::2] = x[:, 0::2] * gamma
-    out[:, 1::2] = -x[:, 1::2] * gamma
-    return (out[0] if squeeze else out), np.asarray(y, dtype=float)
 
 
 @dataclass(frozen=True)

@@ -38,10 +38,8 @@ from .stats import (
     cholesky_2x2,
     columnwise_shape_stats,
     empirical_tv_3d,
-    mode_triple_moments,
     scaled_estimation_errors,
     sigma_est,
-    sigma_g,
     summarize_scaled_errors,
 )
 from .symmetrize import (
@@ -213,20 +211,15 @@ def _run_convergence_sweep(config, workers):
     prepass = coordinate_triples(1, MOMENT_PREPASS_MODES, model, single_mode,
                                  _stream_rng(config.seed, _S_PREPASS, 0))
     mode_summary = MomentSummary.from_triples(prepass)
-    comps = model.mixture_components(single_mode)
-    if comps is not None:
-        mu_mode, cov_mode = mode_triple_moments(comps[0], comps[1])
-    else:
-        # Phase diffusion: the mode mean 2 (a, b, c) is still exact, only the
-        # covariance comes from the pre-pass.  Centring on the pre-pass mean
-        # would shift z by sqrt(n) times that mean's Monte Carlo error.
-        mu_mode = 2.0 * np.array(model.coordinate_moments(single_mode))
-        cov_mode = mode_summary.covariance
+    # Centre and whiten on the exact moments: the pre-pass mean would shift z
+    # by sqrt(n) times its Monte Carlo error.
+    mu_mode, cov_mode = model.mode_moments(single_mode)
+    exact = model.mixture_components(single_mode) is not None
 
     grid_rows = []
     for grid_index, (n, trials) in enumerate(zip(config.n_grid, config.trials_for_grid())):
         modulation = ModulationParams(n, config.modulation_variance)
-        block_size = _sweep_block_size(n, comps is not None)
+        block_size = _sweep_block_size(n, exact)
         args = [(config.seed, grid_index, bi, n, bt, model, modulation)
                 for bi, bt in _blocks(trials, block_size)]
         totals = np.concatenate(_map_blocks(_sweep_block, args, workers), axis=0)
@@ -237,7 +230,7 @@ def _run_convergence_sweep(config, workers):
         # invariant), so they come from the raw totals, not the whitened mix.
         skew, kurt, se_skew, se_kurt = columnwise_shape_stats(totals)
         del totals
-        bound_over_c = berry_esseen_bound(mode_summary, n, 1.0)
+        bound_over_c = berry_esseen_bound(mode_summary, n)
 
         row = {
             "n": n,
@@ -352,16 +345,11 @@ def _run_keyrate_report(config, workers):
     picked = analysis_rng.choice(config.n, size=m_modes, replace=False)
     triples = mode_triples(x.reshape(-1, 2)[picked], y.reshape(-1, 2)[picked])
     summary = MomentSummary.from_triples(triples)
-    bound_over_c = berry_esseen_bound(summary, config.n, 1.0)
+    bound_over_c = berry_esseen_bound(summary, config.n)
 
     coord_idx = np.sort(np.concatenate([2 * picked, 2 * picked + 1]))
     est = sigma_est(np.column_stack([x[coord_idx], y[coord_idx]]))
-    comps = model.mixture_components(modulation)
-    if comps is None:
-        truth = sigma_g(*model.coordinate_moments(modulation))
-    else:
-        truth = BivariateMixture(tuple(comps[0]), tuple(comps[1])).fourth_moment_matrix()
-    gap = np.abs(est.matrix - truth)
+    gap = np.abs(est.matrix - model.fourth_moment_matrix(modulation))
     with np.errstate(divide="ignore", invalid="ignore"):
         gap_in_se = np.where(est.stderr > 0, gap / est.stderr, 0.0)
 

@@ -54,7 +54,6 @@ def sigma_g_centered(a, b, c):
 class SigmaEstimate:
     matrix: np.ndarray
     stderr: np.ndarray
-    m: int
 
 
 def _fourth_moment_terms(x, y):
@@ -82,28 +81,7 @@ def sigma_est(samples):
     if m < 2:
         raise PreconditionError(f"need at least 2 samples for an estimate, got {m}")
     terms = _fourth_moment_terms(samples[:, 0], samples[:, 1])
-    return SigmaEstimate(terms.mean(axis=0), terms.std(axis=0, ddof=1) / np.sqrt(m), m)
-
-
-def mode_triple_moments(weights, components):
-    """Mean and covariance of a mode's (X, Y, Z) for a per-mode Gaussian mixture.
-
-    ``components`` lists per-component coordinate moments (a, b, c); both
-    coordinates of a mode share the component, so the mode is a sum of two
-    i.i.d. coordinate triples conditioned on it.
-    """
-    weights = np.asarray(weights, dtype=float)
-    mus, seconds = [], []
-    for (a, b, c) in components:
-        mu_k = 2.0 * np.array([a, b, c])
-        cov_k = 2.0 * sigma_g_centered(a, b, c)
-        mus.append(mu_k)
-        seconds.append(cov_k + np.outer(mu_k, mu_k))
-    mus = np.array(mus)
-    seconds = np.array(seconds)
-    mu = weights @ mus
-    cov = np.tensordot(weights, seconds, axes=1) - np.outer(mu, mu)
-    return mu, 0.5 * (cov + cov.T)
+    return SigmaEstimate(terms.mean(axis=0), terms.std(axis=0, ddof=1) / np.sqrt(m))
 
 
 @dataclass(frozen=True)
@@ -134,21 +112,18 @@ class MomentSummary:
         return cls(mu, second, cov, third, lam)
 
 
-def berry_esseen_bound(summary, n, constant=1.0):
-    """Quantitative central-limit bound c sqrt(3) lambda_min^{-3/2} E|V|^3 / sqrt(n).
+def berry_esseen_bound(summary, n):
+    """Quantitative central-limit bound in "bound / c" units: sqrt(3) lambda_min^{-3/2} E|V|^3 / sqrt(n).
 
-    The universal constant is a caller-supplied parameter; with the default
-    1.0 the result is reported in "bound / c" units.
+    The caller scales it by the universal constant c.
     """
     if n < 1:
         raise InvalidDimensionError("n must be >= 1")
-    if constant < 0:
-        raise ValueError("constant must be >= 0")
     if summary.lambda_min <= 0:
         raise DegenerateCovarianceError("covariance of the triples is degenerate")
     try:
         with np.errstate(over="ignore"):
-            bound = float(constant * np.sqrt(3.0) * summary.lambda_min ** -1.5 * summary.third_abs / np.sqrt(n))
+            bound = float(np.sqrt(3.0) * summary.lambda_min ** -1.5 * summary.third_abs / np.sqrt(n))
     except OverflowError:  # lambda_min ** -1.5 on a Python float past the float range
         bound = np.inf
     if not np.isfinite(bound):

@@ -10,11 +10,9 @@ from cvsym.protocol import (
     PostselectionRegion,
     alice_modulate,
     channel_and_heterodyne,
-    eb_to_pm,
-    gamma_factor,
-    pm_to_eb,
     postselect,
 )
+from cvsym.samples import mode_triples
 
 
 def test_modulation_variance_per_coordinate():
@@ -68,7 +66,7 @@ def test_gaussian_core_moment_identities():
     mod = ModulationParams(100_000, 4.0)
     x = alice_modulate(mod, rng)
     y = channel_and_heterodyne(x, model, rng)
-    a, b, c = model.coordinate_moments(mod)
+    a, b, c = model.mode_moments(mod)[0] / 2.0
     assert (a, b, c) == (2.0, 0.5 * 2.0 + 1.0 + 0.5 * 0.1 / 2.0, np.sqrt(0.5) * 2.0)
     n = x.size
     assert abs(np.mean(x * y) / np.mean(x * x) - np.sqrt(0.5)) <= 3 * np.sqrt((a * b) / (a * a * n))
@@ -82,7 +80,7 @@ def test_mixture_channel_moments():
     mod = ModulationParams(200_000, 4.0)
     x = alice_modulate(mod, rng)
     y = channel_and_heterodyne(x, model, rng)
-    a, b, c = model.coordinate_moments(mod)
+    a, b, c = model.mode_moments(mod)[0] / 2.0
     n = x.size
     assert abs(np.mean(y * y) - b) <= 4 * b * np.sqrt(6.0 / n)
     assert abs(np.mean(x * y) - c) <= 4 * np.sqrt(a * b / n)
@@ -95,11 +93,45 @@ def test_phase_diffusion_damps_correlation():
     mod = ModulationParams(200_000, 4.0)
     x = alice_modulate(mod, rng)
     y = channel_and_heterodyne(x, model, rng)
-    a, b, c = model.coordinate_moments(mod)
+    a, b, c = model.mode_moments(mod)[0] / 2.0
     assert abs(c - np.sqrt(0.8) * 2.0 * np.exp(-sigma * sigma / 2.0)) < 1e-12
     n = x.size
     assert abs(np.mean(x * y) - c) <= 4 * np.sqrt(a * b / n)
     assert abs(np.mean(y * y) - b) <= 4 * b * np.sqrt(6.0 / n)
+
+
+@pytest.mark.parametrize("seed, sigma, t, xi", [
+    (31, 0.3, 0.7, 0.02), (32, 1.5, 0.2, 0.5), (33, 0.3, 0.0, 0.1), (34, 0.8, 1.0, 0.0)])
+def test_phase_diffusion_moments_match_simulation(seed, sigma, t, xi):
+    # 10^6 simulated modes.  Both coordinates of a mode share phi, so every
+    # standard error is taken over per-mode values.
+    model = ChannelModel(t, xi, PhaseDiffusion(sigma))
+    mod = ModulationParams(1_000_000, 4.0)
+    rng = np.random.default_rng(seed)
+    x = alice_modulate(mod, rng)
+    y = channel_and_heterodyne(x, model, rng)
+    modes = mod.n
+
+    triples = mode_triples(x, y)
+    mu, cov = model.mode_moments(mod)
+    assert np.all(np.abs(triples.mean(axis=0) - mu) <= 5 * triples.std(axis=0) / np.sqrt(modes))
+    centered = triples - triples.mean(axis=0)
+    for j in range(3):
+        for k in range(j, 3):
+            products = centered[:, j] * centered[:, k]
+            se = products.std() / np.sqrt(modes)
+            assert abs(products.mean() - cov[j, k]) <= 5 * se, (j, k)
+            assert cov[j, k] == cov[k, j]
+    del triples, centered
+
+    xs, ys = x.reshape(-1, 2), y.reshape(-1, 2)
+    powers = {(0, 0): (4, 0), (1, 1): (0, 4), (0, 1): (2, 2), (2, 2): (2, 2), (0, 2): (3, 1), (1, 2): (1, 3)}
+    truth = model.fourth_moment_matrix(mod)
+    for (j, k), (p, q) in powers.items():
+        per_mode = (xs ** p * ys ** q).mean(axis=1)
+        se = per_mode.std() / np.sqrt(modes)
+        assert abs(per_mode.mean() - truth[j, k]) <= 5 * se, (j, k)
+        assert truth[j, k] == truth[k, j]
 
 
 @pytest.mark.parametrize("perturbation", [
@@ -141,47 +173,6 @@ def test_mixture_validation():
     with pytest.raises(ConfigError) as err:
         ChannelModel(1.5, -0.1)
     assert err.value.fields == ["transmittance", "excess_noise"]
-
-
-def test_gamma_factor_values():
-    assert gamma_factor(1.0) == 0.0
-    assert abs(gamma_factor(3.0) - 1.0) < 1e-15
-    assert abs(gamma_factor(1e12) - np.sqrt(2.0)) < 1e-5
-    with pytest.raises(ValueError):
-        gamma_factor(0.5)
-
-
-def test_pm_to_eb_at_unit_gamma():
-    # V = 3 gives gamma = 1: per mode (x1, x2) -> (x1, -x2), Bob untouched.
-    x_eb, y_eb = pm_to_eb(np.array([1.0, 2.0]), np.array([3.0, 4.0]), 3.0)
-    np.testing.assert_allclose(x_eb, [1.0, -2.0])
-    np.testing.assert_allclose(y_eb, [3.0, 4.0])
-
-
-def test_pm_eb_roundtrip():
-    rng = np.random.default_rng(7)
-    x, y = rng.standard_normal(8), rng.standard_normal(8)
-    x_eb, y_eb = pm_to_eb(x, y, 5.0)
-    x_back, y_back = eb_to_pm(x_eb, y_eb, 5.0)
-    np.testing.assert_allclose(x_back, x, atol=1e-14)
-    np.testing.assert_allclose(y_back, y, atol=1e-14)
-
-
-def test_pm_to_eb_second_moments_sign_flip():
-    rng = np.random.default_rng(8)
-    mod = ModulationParams(100_000, 2.0)  # V = 3, gamma = 1
-    x = alice_modulate(mod, rng)
-    y = channel_and_heterodyne(x, ChannelModel(0.9, 0.01), rng)
-    x_eb, y_eb = pm_to_eb(x, y, 3.0)
-    q = slice(0, None, 2)
-    p = slice(1, None, 2)
-    assert abs(np.mean(x_eb[q] * y_eb[q]) - np.mean(x[q] * y[q])) < 1e-12
-    assert abs(np.mean(x_eb[p] * y_eb[p]) + np.mean(x[p] * y[p])) < 1e-12
-
-
-def test_pm_to_eb_degenerate():
-    with pytest.raises(ValueError):
-        pm_to_eb(np.array([1.0, 2.0]), np.array([0.0, 0.0]), 1.0)
 
 
 def test_postselect_none_keeps_everything():

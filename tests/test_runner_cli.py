@@ -156,9 +156,9 @@ def test_empty_sweep_gives_header_only_table(tmp_path):
     assert lines == ["n,tv,ks_max,be_bound_over_c"]
 
 
-def test_sweep_phase_diffusion_fallback_path():
-    # No exact per-mode decomposition exists for phase diffusion, so the sweep
-    # simulates coordinates and standardizes with pre-pass moments.
+def test_sweep_phase_diffusion_law_path():
+    # Phase diffusion has no Wishart decomposition: the sweep draws its totals
+    # from the phase-diffusion law and whitens them on the closed-form moments.
     cfg = ExperimentConfig(kind="convergence-sweep", seed=21, n_grid=[20, 60],
                            trials=[1500, 1500], perturbation="phase-diffusion",
                            phase_sigma=0.4)
@@ -210,6 +210,25 @@ def test_phase_diffusion_sweep_is_centred_on_exact_mean(monkeypatch):
     assert np.all(np.abs(column_means[0]) < 5.0 / np.sqrt(trials))
 
 
+def test_phase_diffusion_sweep_whitens_on_exact_mode_moments(monkeypatch):
+    passed = []
+    real = runner.empirical_tv_3d
+
+    def spy(samples, mean, cov, rng):
+        passed.append((mean, cov))
+        return real(samples, mean, cov, rng)
+
+    monkeypatch.setattr(runner, "empirical_tv_3d", spy)
+    cfg = ExperimentConfig(kind="convergence-sweep", seed=8, n_grid=[20, 60], trials=[1500, 1500],
+                           perturbation="phase-diffusion", phase_sigma=0.8)
+    run(cfg)
+    mu, cov = cfg.channel().mode_moments(ModulationParams(1, cfg.modulation_variance))
+    assert len(passed) == 2
+    for n, (mean_passed, cov_passed) in zip(cfg.n_grid, passed):
+        assert np.array_equal(mean_passed, n * mu)
+        assert np.array_equal(cov_passed, n * cov)
+
+
 def test_invariant_audit_kind():
     cfg = ExperimentConfig(kind="invariant-audit", seed=3, n=4, trials=300)
     rep = run(cfg)
@@ -235,12 +254,12 @@ def test_design_compare_haar_side_matches_channel_moments():
                            design_kind="haar-sample", design_size=8,
                            design_degree=1, design_samples=100)
     m = run(cfg).metrics
-    a, b, _ = cfg.channel().coordinate_moments(ModulationParams(cfg.n, cfg.modulation_variance))
+    mean_x, mean_y, _ = cfg.channel().mode_moments(ModulationParams(cfg.n, cfg.modulation_variance))[0]
     checked = 0
     for key, (re, im) in m["moments_haar"].items():
         side, _, p, q = key.split(":")
         if p == q == "1":
-            expected = 2 * a if side == "x" else 2 * b
+            expected = mean_x if side == "x" else mean_y
         elif p != q:
             expected = 0.0
         else:
@@ -301,6 +320,14 @@ def test_keyrate_sigma_gap_under_mixture_channel():
     cfg = ExperimentConfig(kind="keyrate-report", seed=10, n=1_000_000, modulation_variance=20.0,
                            perturbation="gaussian-mixture", mixture_weights=[0.85, 0.15],
                            mixture_transmittances=[0.9, 0.15], mixture_excess_noises=[0.01, 3.0])
+    assert run(cfg).metrics["sigma_gap_max_se_units"] <= 5.0
+
+
+def test_keyrate_sigma_gap_under_phase_diffusion():
+    # The truth has <x^2 y^2> = a b + 2 E[cos^2 phi] c^2; with (E cos phi)^2
+    # in its place this run read 10.0 standard errors.
+    cfg = ExperimentConfig(kind="keyrate-report", seed=0, n=1_000_000,
+                           perturbation="phase-diffusion", phase_sigma=0.8)
     assert run(cfg).metrics["sigma_gap_max_se_units"] <= 5.0
 
 

@@ -4,6 +4,13 @@ from scipy.integrate import quad
 from scipy.stats import kstest, kstwo, kurtosis, norm, skew
 
 from cvsym.errors import DegenerateCovarianceError, PreconditionError
+from cvsym.protocol import (
+    ChannelModel,
+    GaussianMixture,
+    ModulationParams,
+    alice_modulate,
+    channel_and_heterodyne,
+)
 from cvsym.samples import SampleBatch, mode_triples
 from cvsym.stats import (
     KS_ASYMPTOTIC_MIN_N,
@@ -18,7 +25,6 @@ from cvsym.stats import (
     gaussian_tv_1d,
     gaussian_tv_first_order,
     ks_null_mean,
-    mode_triple_moments,
     sigma_est,
     sigma_g,
     sigma_g_centered,
@@ -131,7 +137,6 @@ def test_berry_esseen_explicit_n_dependence():
     ], axis=1)
     summary = MomentSummary.from_triples(triples)
     assert abs(berry_esseen_bound(summary, 400) - berry_esseen_bound(summary, 100) / 2.0) < 1e-12
-    assert berry_esseen_bound(summary, 100, constant=0.0) == 0.0
 
 
 def test_berry_esseen_factor_recomposition():
@@ -326,22 +331,15 @@ def test_mixture_fourth_moment_matrix_matches_draws():
 
 
 def test_mode_triple_moments_match_monte_carlo():
+    # Mode moments of a mixture channel against its coordinate simulation:
+    # both coordinates of a mode share the component.
     rng = np.random.default_rng(15)
-    weights = [0.6, 0.4]
-    comps = [(1.0, 2.0, 0.5), (1.0, 4.0, -1.0)]
-    mu, cov = mode_triple_moments(weights, comps)
-    # one component per mode, two coordinate pairs each
-    size = 200_000
-    comp = rng.choice(2, size=size, p=weights)
-    triples = np.empty((size, 3))
-    for j, (a, b, c) in enumerate(comps):
-        sel = comp == j
-        m = sel.sum()
-        g = rng.standard_normal((m, 2, 2))
-        x = np.sqrt(a) * g[:, :, 0]
-        y = (c / np.sqrt(a)) * g[:, :, 0] + np.sqrt(b - c * c / a) * g[:, :, 1]
-        triples[sel] = np.stack([(x * x).sum(1), (y * y).sum(1), (x * y).sum(1)], axis=1)
-    np.testing.assert_allclose(triples.mean(axis=0), mu, atol=4 * np.sqrt(cov.max() / size))
+    model = ChannelModel(0.5, 0.0, GaussianMixture((0.6, 0.4), (0.9, 0.2), (0.05, 1.5)))
+    mod = ModulationParams(200_000, 4.0)
+    mu, cov = model.mode_moments(mod)
+    x = alice_modulate(mod, rng)
+    triples = mode_triples(x, channel_and_heterodyne(x, model, rng))
+    np.testing.assert_allclose(triples.mean(axis=0), mu, atol=4 * np.sqrt(cov.max() / mod.n))
     emp_cov = np.cov(triples.T)
     assert np.max(np.abs(emp_cov - cov)) <= 0.05 * np.max(np.abs(cov))
 
