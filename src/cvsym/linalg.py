@@ -21,17 +21,8 @@ from .errors import InvalidDimensionError, PreconditionError
 UNITARITY_TOL = 1e-12
 
 
-def symplectic_form(n):
-    """The 2n x 2n form Omega for interleaved vectors: diag of [[0,1],[-1,0]] blocks."""
-    omega = np.zeros((2 * n, 2 * n))
-    idx = np.arange(n)
-    omega[2 * idx, 2 * idx + 1] = 1.0
-    omega[2 * idx + 1, 2 * idx] = -1.0
-    return omega
-
-
 def omega_apply(m):
-    """Compute Omega @ m for interleaved ordering without building Omega.
+    """Omega @ m without building Omega, the interleaved form diag([[0, 1], [-1, 0]], ...).
 
     Acts on axis -2, so it works for stacked matrices and for column
     vectors shaped (..., 2n, k).

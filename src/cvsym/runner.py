@@ -52,11 +52,10 @@ from .symmetrize import (
     witness_transform,
 )
 
-# Stream ids for SeedSequence spawn keys.
-_S_SWEEP, _S_PREPASS, _S_DIAG, _S_AUDIT, _S_DESIGN = 0, 1, 2, 3, 4
+# Stream ids for SeedSequence spawn keys; id 1 (the retired moment pre-pass) stays unused.
+_S_SWEEP, _S_DIAG, _S_AUDIT, _S_DESIGN = 0, 2, 3, 4
 _S_KEYRATE, _S_KEYRATE_ANALYSIS, _S_ESTIMATION, _S_SELFCHECK = 5, 6, 7, 8
 
-MOMENT_PREPASS_MODES = 200_000
 # Float64 coordinates per block wherever work is drawn per coordinate or per
 # mode: 2 MiB per array, inside a per-core L2.  Blocks are fixed before
 # scheduling, so results depend on this budget but never on the worker count.
@@ -205,15 +204,9 @@ def _loglog_slope(ns, values):
 
 def _run_convergence_sweep(config, workers):
     model = config.channel()
-    # Per-mode moments do not depend on n: one pre-pass and one
-    # standardization serve every grid point.
+    # Per-mode moments do not depend on n: one exact summary serves every grid point.
     single_mode = ModulationParams(1, config.modulation_variance)
-    prepass = coordinate_triples(1, MOMENT_PREPASS_MODES, model, single_mode,
-                                 _stream_rng(config.seed, _S_PREPASS, 0))
-    mode_summary = MomentSummary.from_triples(prepass)
-    # Centre and whiten on the exact moments: the pre-pass mean would shift z
-    # by sqrt(n) times its Monte Carlo error.
-    mu_mode, cov_mode = model.mode_moments(single_mode)
+    mode_summary = model.mode_summary(single_mode)
     exact = model.mixture_components(single_mode) is not None
 
     grid_rows = []
@@ -224,7 +217,7 @@ def _run_convergence_sweep(config, workers):
                 for bi, bt in _blocks(trials, block_size)]
         totals = np.concatenate(_map_blocks(_sweep_block, args, workers), axis=0)
 
-        diag = empirical_tv_3d(totals, n * mu_mode, n * cov_mode,
+        diag = empirical_tv_3d(totals, n * mode_summary.mean, n * mode_summary.covariance,
                                _stream_rng(config.seed, _S_DIAG, grid_index))
         # Shape statistics are per-component (skew/kurtosis are affine
         # invariant), so they come from the raw totals, not the whitened mix.

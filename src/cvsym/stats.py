@@ -89,7 +89,6 @@ class MomentSummary:
     """First three moment summaries of the per-mode triples."""
 
     mean: np.ndarray
-    second_moment: np.ndarray
     covariance: np.ndarray
     third_abs: float
     lambda_min: float
@@ -101,15 +100,13 @@ class MomentSummary:
             raise InvalidDimensionError(f"expected (m, 3) triples, got {triples.shape}")
         mu = triples.mean(axis=0)
         second = triples.T @ triples / triples.shape[0]
-        second = 0.5 * (second + second.T)
-        cov = second - np.outer(mu, mu)
-        cov = 0.5 * (cov + cov.T)
+        cov = 0.5 * (second + second.T) - np.outer(mu, mu)
         norm_sq = np.sum(triples * triples, axis=1)
         third = float(np.mean(norm_sq * np.sqrt(norm_sq)))
         lam = float(np.linalg.eigvalsh(cov)[0])
         if -1e-10 * max(abs(cov).max(), 1.0) < lam < 0.0:
             lam = 0.0
-        return cls(mu, second, cov, third, lam)
+        return cls(mu, cov, third, lam)
 
 
 def berry_esseen_bound(summary, n):

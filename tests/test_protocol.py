@@ -12,7 +12,9 @@ from cvsym.protocol import (
     channel_and_heterodyne,
     postselect,
 )
+from cvsym.runner import coordinate_triples, wishart_triples
 from cvsym.samples import mode_triples
+from cvsym.stats import berry_esseen_bound
 
 
 def test_modulation_variance_per_coordinate():
@@ -132,6 +134,56 @@ def test_phase_diffusion_moments_match_simulation(seed, sigma, t, xi):
         se = per_mode.std() / np.sqrt(modes)
         assert abs(per_mode.mean() - truth[j, k]) <= 5 * se, (j, k)
         assert truth[j, k] == truth[k, j]
+
+
+MIXTURE = GaussianMixture((0.85, 0.15), (0.9, 0.15), (0.01, 3.0))
+QUADRATURE_CASES = [
+    (ChannelModel(0.7, 0.02), 4.0), (ChannelModel(0.0, 0.1), 4.0), (ChannelModel(1.0, 0.0), 4.0),
+    (ChannelModel(0.7, 0.02, MIXTURE), 20.0),
+] + [(ChannelModel(0.7, 0.02, PhaseDiffusion(sigma)), 4.0) for sigma in (0.01, 0.3, 1.5, 30.0)]
+
+
+@pytest.mark.parametrize("seed, case", list(enumerate(QUADRATURE_CASES, start=40)), ids=[
+    "T0.7", "T0", "T1", "mixture", "phase0.01", "phase0.3", "phase1.5", "phase30"])
+def test_mode_summary_third_moment_matches_monte_carlo(seed, case):
+    # Independent per-mode samplers: the exact Wishart law at n = 1 for
+    # Gaussian and mixture channels, the phase-diffusion law of
+    # coordinate_triples otherwise (both checked in test_triple_laws.py).
+    model, variance = case
+    mod, modes = ModulationParams(1, variance), 1_000_000
+    rng = np.random.default_rng(seed)
+    comps = model.mixture_components(mod)
+    if comps is not None:
+        triples = wishart_triples(1, modes, comps[0], comps[1], rng)
+    else:
+        triples = coordinate_triples(1, modes, model, mod, rng)
+    norm_cubed = np.sum(triples * triples, axis=1) ** 1.5
+    se = norm_cubed.std() / np.sqrt(modes)
+    summary = model.mode_summary(mod)
+    assert abs(summary.third_abs - norm_cubed.mean()) <= 4 * se
+    mu, cov = model.mode_moments(mod)
+    assert np.array_equal(summary.mean, mu) and np.array_equal(summary.covariance, cov)
+    assert summary.lambda_min == pytest.approx(np.linalg.eigvalsh(cov)[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("model, variance", QUADRATURE_CASES + [
+    (ChannelModel(1.0, 0.0, PhaseDiffusion(sigma)), variance)
+    for sigma in (0.0, 0.01, 1.0, 1e300) for variance in (1e-100, 4.0, 1e6)])
+def test_mode_summary_quadrature_is_converged(model, variance):
+    mod = ModulationParams(1, variance)
+    third = model.mode_summary(mod).third_abs
+    doubled = model.mode_summary(mod, n_psi=80, n_theta=64, n_phi=128).third_abs
+    assert np.isfinite(third) and abs(doubled / third - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("perturbation", [None, MIXTURE, PhaseDiffusion(0.3)])
+def test_mode_summary_bound_is_finite_at_smallest_modulation(perturbation):
+    # The covariance is graded: Var X = variance_a^2 = 1e-200 next to O(1)
+    # entries.  Its smallest eigenvalue tends to Var X, which the smallest
+    # eigenvalue of cov itself loses to rounding.
+    summary = ChannelModel(0.7, 0.02, perturbation).mode_summary(ModulationParams(1, 1e-100))
+    assert summary.lambda_min == pytest.approx(1e-200, rel=1e-9)
+    assert np.isfinite(berry_esseen_bound(summary, 1))
 
 
 @pytest.mark.parametrize("perturbation", [

@@ -171,7 +171,9 @@ def test_sweep_phase_diffusion_law_path():
         assert abs(row["skew_x"]) < 1.0
 
 
-def test_sweep_runs_one_moment_prepass(monkeypatch):
+def test_sweep_draws_no_moment_prepass(monkeypatch):
+    # The per-mode summary is exact: no single-mode draw, and every row
+    # reports model.mode_moments bit for bit.
     calls = []
     real = runner.coordinate_triples
 
@@ -180,11 +182,18 @@ def test_sweep_runs_one_moment_prepass(monkeypatch):
         return real(n, trials, *args)
 
     monkeypatch.setattr(runner, "coordinate_triples", spy)
-    cfg = ExperimentConfig(kind="convergence-sweep", seed=6, n_grid=[20, 50, 100],
-                           trials=[1500, 1500, 1500])
-    rows = run(cfg).metrics["grid"]
-    assert calls == [(1, runner.MOMENT_PREPASS_MODES)]
-    assert all(row["mode_moments"] == rows[0]["mode_moments"] for row in rows)
+    for perturbation in ({}, {"perturbation": "phase-diffusion", "phase_sigma": 0.3}):
+        cfg = ExperimentConfig(kind="convergence-sweep", seed=6, n_grid=[20, 50, 100],
+                               trials=[1500, 1500, 1500], **perturbation)
+        rows = run(cfg).metrics["grid"]
+        mu, cov = cfg.channel().mode_moments(ModulationParams(1, cfg.modulation_variance))
+        for row in rows:
+            assert row["mode_moments"]["mean"] == mu.tolist()
+            assert row["mode_moments"]["covariance"] == cov.tolist()
+    # Only the phase-diffusion sweep draws through coordinate_triples, and
+    # only its grid points' trials.
+    assert sorted({n for n, _ in calls}) == [20, 50, 100]
+    assert sum(trials for _, trials in calls) == 4500
 
 
 def test_phase_diffusion_sweep_is_centred_on_exact_mean(monkeypatch):
