@@ -42,45 +42,102 @@ class ChannelEstimate:
                 ("beta", 0.0 < self.beta <= 1.0, "must lie in (0, 1]"))
 
 
+@dataclass(frozen=True)
+class ChannelMoments:
+    """Mergeable summary of paired coordinate data for the channel estimate.
+
+    Over ``count`` coordinates, ``ratio`` is sum(x y) / sum(x^2) and
+    ``mean`` and ``comoment`` (the centred sum of outer products) describe
+    u = (e^2, e x, x^2) with e = y - ratio x.  Two summaries merge by
+    shearing both to their common ratio, which is linear in u, and then by
+    the pairwise update of Chan, Golub & LeVeque.  Raw (x^2, xy, y^2)
+    moments would merge more simply but lose digits as the modulation
+    variance grows, since e^2 is a small difference of large terms.
+    """
+
+    count: int
+    ratio: float
+    mean: np.ndarray
+    comoment: np.ndarray
+
+    @classmethod
+    def from_data(cls, x, y):
+        """Summary of one block; einsum and ufunc reductions only, no BLAS."""
+        x = np.asarray(x, dtype=float).ravel()
+        y = np.asarray(y, dtype=float).ravel()
+        u = np.empty((3, x.size))
+        np.multiply(x, x, out=u[2])
+        sxx = u[2].sum()
+        ratio = float(np.einsum("i,i->", x, y) / sxx) if sxx > 0.0 else 0.0
+        e = np.multiply(x, ratio, out=u[1])
+        np.subtract(y, e, out=e)
+        np.multiply(e, e, out=u[0])
+        e *= x
+        mean = u.mean(axis=1)
+        u -= mean[:, None]
+        return cls(x.size, ratio, mean, np.einsum("ik,jk->ij", u, u))
+
+    def sheared(self, ratio):
+        """The same data summarized against ``ratio``: e' = e - (ratio - self.ratio) x."""
+        d = ratio - self.ratio
+        shear = np.array([[1.0, -2.0 * d, d * d], [0.0, 1.0, -d], [0.0, 0.0, 1.0]])
+        return ChannelMoments(self.count, ratio, shear @ self.mean, shear @ self.comoment @ shear.T)
+
+    @classmethod
+    def merge(cls, parts):
+        """One summary of the concatenated data of ``parts``, merged in order."""
+        sxx = sum(p.count * p.mean[2] for p in parts)
+        sxy = sum(p.count * (p.mean[1] + p.ratio * p.mean[2]) for p in parts)
+        ratio = float(sxy / sxx) if sxx > 0.0 else 0.0
+        merged, *rest = (p.sheared(ratio) for p in parts)
+        for part in rest:
+            count = merged.count + part.count
+            delta = part.mean - merged.mean
+            merged = cls(count, ratio, merged.mean + delta * (part.count / count),
+                         merged.comoment + part.comoment
+                         + np.outer(delta, delta) * (merged.count * part.count / count))
+        return merged
+
+    def estimate(self, modulation_variance, beta):
+        """The :class:`ChannelEstimate` of :func:`estimate_channel` from this summary."""
+        count = self.count
+        if count < MIN_ESTIMATION_COORDS:
+            raise PreconditionError(f"need at least {MIN_ESTIMATION_COORDS} coordinates, got {count}")
+        sxx = float(self.mean[2])
+        if sxx == 0.0:
+            raise DegenerateCovarianceError("<x^2> vanishes; transmittance is unidentifiable")
+        ratio = self.ratio
+        # The delta-method influence of each coordinate on the ratio is e x / <x^2>.
+        se_ratio = float(np.sqrt(self.comoment[1, 1] / count) / sxx / np.sqrt(count))
+        t_raw = ratio * ratio
+        se_t = 2.0 * abs(ratio) * se_ratio
+
+        var_res = float(self.mean[0])
+        se_var = float(np.sqrt(self.comoment[0, 0] / count) / np.sqrt(count))
+        t_hat = min(max(t_raw, 0.0), 1.0)
+        if t_raw > 0.0:
+            xi_raw = 2.0 * (var_res - 1.0) / t_raw
+            # Ratio form: no square of t_raw, which overflows at tiny modulation variances.
+            se_xi = 2.0 / t_raw * np.hypot(se_var, (var_res - 1.0) * se_t / t_raw)
+        else:
+            xi_raw, se_xi = 0.0, float("inf")
+        return ChannelEstimate(
+            transmittance=t_hat, excess_noise=max(xi_raw, 0.0),
+            v_variance=float(modulation_variance) + 1.0, beta=float(beta),
+            se_transmittance=se_t, se_excess_noise=float(se_xi))
+
+
 def estimate_channel(x, y, modulation_variance, beta=0.95):
     """Moment-based channel estimate from paired coordinate data.
 
     T_hat = (<xy> / <x^2>)^2 and xi_hat solves the conditional-variance
     formula Var(y - sqrt(T) x) = 1 + T xi / 2.  Standard errors are
     first-order (delta method) and ignore the T-xi error correlation.
+    This is the one-block case of :class:`ChannelMoments`.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.size != y.size:
+    if np.size(x) != np.size(y):
         raise PreconditionError("x and y must have equal size")
-    if x.size < MIN_ESTIMATION_COORDS:
-        raise PreconditionError(f"need at least {MIN_ESTIMATION_COORDS} coordinates, got {x.size}")
-    count = x.size
-    sxx = float(np.mean(x * x))
-    if sxx == 0.0:
-        raise DegenerateCovarianceError("<x^2> vanishes; transmittance is unidentifiable")
-    sxy = float(np.mean(x * y))
-    ratio = sxy / sxx
-    # The delta-method influence of each coordinate on the ratio.
-    se_ratio = float(np.std((x * y - ratio * x * x) / sxx) / np.sqrt(count))
-    t_raw = ratio * ratio
-    se_t = 2.0 * abs(ratio) * se_ratio
-
-    sq_residual = y - ratio * x
-    sq_residual *= sq_residual
-    var_res = float(np.mean(sq_residual))
-    se_var = float(np.std(sq_residual) / np.sqrt(count))
-    t_hat = min(max(t_raw, 0.0), 1.0)
-    if t_raw > 0.0:
-        xi_raw = 2.0 * (var_res - 1.0) / t_raw
-        # Ratio form: no square of t_raw, which overflows at tiny modulation variances.
-        se_xi = 2.0 / t_raw * np.hypot(se_var, (var_res - 1.0) * se_t / t_raw)
-    else:
-        xi_raw, se_xi = 0.0, float("inf")
-    return ChannelEstimate(
-        transmittance=t_hat, excess_noise=max(xi_raw, 0.0),
-        v_variance=float(modulation_variance) + 1.0, beta=float(beta),
-        se_transmittance=se_t, se_excess_noise=float(se_xi))
+    return ChannelMoments.from_data(x, y).estimate(modulation_variance, beta)
 
 
 def entropy_g(nu):

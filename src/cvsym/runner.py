@@ -16,7 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .keyrate import estimate_channel, gaussian_keyrate
+# estimate_channel stays bound here: cvbench/spans.py wraps it as a runner-level name.
+from .keyrate import ChannelMoments, estimate_channel, gaussian_keyrate  # noqa: F401
 from .linalg import (
     haar_orthogonal_symplectic_stack,
     orthogonality_residual,
@@ -209,13 +210,20 @@ def _run_convergence_sweep(config, workers):
     mode_summary = model.mode_summary(single_mode)
     exact = model.mixture_components(single_mode) is not None
 
-    grid_rows = []
-    for grid_index, (n, trials) in enumerate(zip(config.n_grid, config.trials_for_grid())):
+    # One pool for every grid point's blocks (each pool start costs about 20 ms);
+    # the run holds every point's totals, three floats per trial, at once.
+    grid = list(zip(config.n_grid, config.trials_for_grid()))
+    args, cuts = [], [0]
+    for grid_index, (n, trials) in enumerate(grid):
         modulation = ModulationParams(n, config.modulation_variance)
-        block_size = _sweep_block_size(n, exact)
-        args = [(config.seed, grid_index, bi, n, bt, model, modulation)
-                for bi, bt in _blocks(trials, block_size)]
-        totals = np.concatenate(_map_blocks(_sweep_block, args, workers), axis=0)
+        args += [(config.seed, grid_index, bi, n, bt, model, modulation)
+                 for bi, bt in _blocks(trials, _sweep_block_size(n, exact))]
+        cuts.append(len(args))
+    parts = _map_blocks(_sweep_block, args, workers)
+
+    grid_rows = []
+    for grid_index, (n, trials) in enumerate(grid):
+        totals = np.concatenate(parts[cuts[grid_index]:cuts[grid_index + 1]], axis=0)
 
         diag = empirical_tv_3d(totals, n * mode_summary.mean, n * mode_summary.covariance,
                                _stream_rng(config.seed, _S_DIAG, grid_index))
@@ -313,35 +321,48 @@ def _run_design_compare(config, workers):
 
 
 def _keyrate_block(args):
-    seed, block_index, modes, model, modulation = args
+    """Kept-mode count, the picked modes' x and y rows, and the block's channel moments."""
+    seed, block_index, modes, model, modulation, region, picked = args
     rng = _stream_rng(seed, _S_KEYRATE, block_index)
     x = alice_modulate(modulation, rng, modes)
     y = channel_and_heterodyne(x, model, rng)
-    return x.ravel(), y.ravel()
+    mask, _ = postselect(x.ravel(), y.ravel(), region)
+    return int(np.count_nonzero(mask)), x[picked], y[picked], ChannelMoments.from_data(x, y)
 
 
 def _run_keyrate_report(config, workers):
     model = config.channel()
     modulation = ModulationParams(1, config.modulation_variance)
-    args = [(config.seed, bi, bm, model, modulation)
-            for bi, bm in _blocks(config.n, BLOCK_COORDS // 2)]
-    x, y = (np.concatenate(parts) for parts in zip(*_map_blocks(_keyrate_block, args, workers)))
-
-    estimate = estimate_channel(x, y, config.modulation_variance,
-                                beta=config.reconciliation_efficiency)
-    rate = gaussian_keyrate(estimate)
-    _, acceptance = postselect(x, y, config.region())
-
     analysis_rng = _stream_rng(config.seed, _S_KEYRATE_ANALYSIS, 0)
     # Four modes at least: the covariance of fewer 3-d triples is singular.
     m_modes = max(4, int(np.ceil(config.estimation_fraction * config.n)))
     picked = analysis_rng.choice(config.n, size=m_modes, replace=False)
-    triples = mode_triples(x.reshape(-1, 2)[picked], y.reshape(-1, 2)[picked])
-    summary = MomentSummary.from_triples(triples)
+
+    # Each block reduces its own data and returns only its picked modes, in
+    # ascending order; the parent holds O(estimation_fraction * n) values.
+    block_modes = BLOCK_COORDS // 2
+    blocks = _blocks(config.n, block_modes)
+    order = np.argsort(picked)
+    ascending = picked[order]
+    cuts = np.searchsorted(ascending, block_modes * np.arange(len(blocks) + 1))
+    region = config.region()
+    args = [(config.seed, bi, bm, model, modulation, region,
+             ascending[cuts[bi]:cuts[bi + 1]] - bi * block_modes) for bi, bm in blocks]
+    kept, x_rows, y_rows, moments = zip(*_map_blocks(_keyrate_block, args, workers))
+
+    estimate = ChannelMoments.merge(moments).estimate(config.modulation_variance,
+                                                      beta=config.reconciliation_efficiency)
+    rate = gaussian_keyrate(estimate)
+    acceptance = sum(kept) / config.n
+
+    x_rows, y_rows = np.concatenate(x_rows), np.concatenate(y_rows)
+    xs, ys = np.empty_like(x_rows), np.empty_like(y_rows)
+    xs[order], ys[order] = x_rows, y_rows  # back in picked order
+    summary = MomentSummary.from_triples(mode_triples(xs, ys))
     bound_over_c = berry_esseen_bound(summary, config.n)
 
-    coord_idx = np.sort(np.concatenate([2 * picked, 2 * picked + 1]))
-    est = sigma_est(np.column_stack([x[coord_idx], y[coord_idx]]))
+    # sigma_est takes the picked coordinates in ascending mode order.
+    est = sigma_est(np.column_stack([x_rows.ravel(), y_rows.ravel()]))
     gap = np.abs(est.matrix - model.fourth_moment_matrix(modulation))
     with np.errstate(divide="ignore", invalid="ignore"):
         gap_in_se = np.where(est.stderr > 0, gap / est.stderr, 0.0)

@@ -56,16 +56,31 @@ class SigmaEstimate:
     stderr: np.ndarray
 
 
-def _fourth_moment_terms(x, y):
-    """Per-sample fourth-moment matrices for coordinate arrays, shape (..., 3, 3)."""
+# Entries of the symmetric fourth-moment matrix as indices into its five
+# distinct products x^4, y^4, x^2 y^2, x^3 y, x y^3.
+_FOURTH_MOMENT_ENTRIES = np.array([[0, 2, 3], [2, 1, 4], [3, 4, 2]])
+
+
+def _fourth_moment_products(x, y):
+    """The five distinct fourth-moment products of coordinate arrays, stacked first: (5, ...)."""
     x2, y2, xy = x * x, y * y, x * y
-    rows = np.empty(x.shape + (3, 3))
-    rows[..., 0, 0] = x2 * x2
-    rows[..., 1, 1] = y2 * y2
-    rows[..., 0, 1] = rows[..., 1, 0] = rows[..., 2, 2] = x2 * y2
-    rows[..., 0, 2] = rows[..., 2, 0] = x2 * xy
-    rows[..., 1, 2] = rows[..., 2, 1] = y2 * xy
-    return rows
+    out = np.empty((5,) + x2.shape)
+    np.multiply(x2, x2, out=out[0])
+    np.multiply(y2, y2, out=out[1])
+    np.multiply(x2, y2, out=out[2])
+    np.multiply(x2, xy, out=out[3])
+    np.multiply(y2, xy, out=out[4])
+    return out
+
+
+def _fourth_moment_matrix(values):
+    """Symmetric (..., 3, 3) matrices from (5, ...) values of the five distinct products.
+
+    C-contiguous: reductions over the result, as in
+    :func:`summarize_scaled_errors`, then add in the same order whether or
+    not the array went through a worker process.
+    """
+    return np.ascontiguousarray(np.moveaxis(values[_FOURTH_MOMENT_ENTRIES], (0, 1), (-2, -1)))
 
 
 def sigma_est(samples):
@@ -80,8 +95,9 @@ def sigma_est(samples):
     m = samples.shape[0]
     if m < 2:
         raise PreconditionError(f"need at least 2 samples for an estimate, got {m}")
-    terms = _fourth_moment_terms(samples[:, 0], samples[:, 1])
-    return SigmaEstimate(terms.mean(axis=0), terms.std(axis=0, ddof=1) / np.sqrt(m))
+    products = _fourth_moment_products(samples[:, 0], samples[:, 1])
+    return SigmaEstimate(_fourth_moment_matrix(products.mean(axis=1)),
+                         _fourth_moment_matrix(products.std(axis=1, ddof=1)) / np.sqrt(m))
 
 
 @dataclass(frozen=True)
@@ -366,15 +382,11 @@ class BivariateMixture:
     def draw(self, m, rng):
         """(m, 2) pairs; one component draws no component labels."""
         k = len(self.weights)
-        labels = rng.choice(k, size=m, p=np.asarray(self.weights)) if k > 1 else None
+        labels = rng.choice(k, size=m, p=np.asarray(self.weights)) if k > 1 else 0
         g = rng.standard_normal((m, 2))
-        out = np.empty((m, 2))
-        for j, comp in enumerate(self.components):
-            l11, l21, l22 = cholesky_2x2(*comp)
-            sel = slice(None) if labels is None else labels == j
-            out[sel, 0] = l11 * g[sel, 0]
-            out[sel, 1] = l21 * g[sel, 0] + l22 * g[sel, 1]
-        return out
+        # Each pair takes the Cholesky factor (l11, l21, l22) of its component.
+        l11, l21, l22 = np.array([cholesky_2x2(*comp) for comp in self.components]).T[:, labels]
+        return np.column_stack([l11 * g[:, 0], l21 * g[:, 0] + l22 * g[:, 1]])
 
     def fourth_moment_matrix(self):
         return sum(w * sigma_g(*comp) for w, comp in zip(self.weights, self.components))
@@ -403,8 +415,8 @@ class EstimationErrorReport:
 
 
 # Fewest and most samples per estimate in the estimation-error study.  A
-# trial holds 72 bytes of fourth-moment terms per sample at once, so the cap
-# keeps one trial under 80 MB.
+# trial holds 64 bytes per sample at once (five fourth-moment products and
+# three second-order ones), so the cap keeps one trial under 80 MB.
 MIN_ESTIMATION_SAMPLES, MAX_ESTIMATION_SAMPLES = 10, 1 << 20
 
 
@@ -414,7 +426,7 @@ def scaled_estimation_errors(model, m, trials, rng):
              f"must lie in [{MIN_ESTIMATION_SAMPLES}, {MAX_ESTIMATION_SAMPLES}]"))
     truth = model.fourth_moment_matrix()
     draws = model.draw(trials * m, rng).reshape(trials, m, 2)
-    est = _fourth_moment_terms(draws[..., 0], draws[..., 1]).mean(axis=1)
+    est = _fourth_moment_matrix(_fourth_moment_products(draws[..., 0], draws[..., 1]).mean(axis=-1))
     return np.sqrt(m) * (est - truth)
 
 

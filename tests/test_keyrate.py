@@ -4,6 +4,7 @@ import pytest
 from cvsym.errors import DegenerateCovarianceError, PreconditionError
 from cvsym.keyrate import (
     ChannelEstimate,
+    ChannelMoments,
     entropy_g,
     estimate_channel,
     gaussian_keyrate,
@@ -58,6 +59,49 @@ def test_estimate_preconditions():
         estimate_channel(rng.standard_normal(100), rng.standard_normal(100), 4.0)
     with pytest.raises(DegenerateCovarianceError):
         estimate_channel(np.zeros(5000), rng.standard_normal(5000), 4.0)
+
+
+def _two_pass_estimate(x, y):
+    """(ratio, se_ratio, <e^2>, se of <e^2>) by whole-array two-pass formulas, e = y - ratio x."""
+    ratio = np.mean(x * y) / np.mean(x * x)
+    se_ratio = np.std((x * y - ratio * x * x) / np.mean(x * x)) / np.sqrt(x.size)
+    sq_residual = (y - ratio * x) ** 2
+    return ratio, se_ratio, np.mean(sq_residual), np.std(sq_residual) / np.sqrt(x.size)
+
+
+@pytest.mark.parametrize("variance_a", [1e-100, 4.0, 1e6, 1e12])
+@pytest.mark.parametrize("t", [0.0, 0.7, 1.0])
+def test_merged_blocks_match_two_pass_estimate(variance_a, t):
+    # Unequal blocks, each summarized against its own ratio, then sheared to
+    # the common one and merged in order.
+    rng = np.random.default_rng(30)
+    x = alice_modulate(ModulationParams(60_000, variance_a), rng)
+    y = channel_and_heterodyne(x, ChannelModel(t, 0.02), rng)
+    cuts = [0, 5_000, 5_001, 40_000, 77_777, x.size]
+    merged = ChannelMoments.merge([ChannelMoments.from_data(x[lo:hi], y[lo:hi])
+                                   for lo, hi in zip(cuts, cuts[1:])])
+    count = merged.count
+    got = (merged.ratio, np.sqrt(merged.comoment[1, 1] / count) / merged.mean[2] / np.sqrt(count),
+           merged.mean[0], np.sqrt(merged.comoment[0, 0] / count) / np.sqrt(count))
+    rtol = 1e-10 if variance_a > 1e6 else 1e-12
+    np.testing.assert_allclose(got, _two_pass_estimate(x, y), rtol=rtol)
+    assert count == x.size
+    whole, blocks = estimate_channel(x, y, variance_a), merged.estimate(variance_a, 0.95)
+    for name in ("transmittance", "excess_noise", "se_transmittance", "se_excess_noise"):
+        assert getattr(blocks, name) == pytest.approx(getattr(whole, name), rel=rtol, abs=0.0), name
+
+
+def test_merge_does_not_depend_on_the_ratio_parts_were_summarized_against():
+    rng = np.random.default_rng(31)
+    x = rng.normal(0.0, 2.0, 6000)
+    y = 0.8 * x + rng.standard_normal(6000)
+    parts = [ChannelMoments.from_data(x[:2500], y[:2500]), ChannelMoments.from_data(x[2500:], y[2500:])]
+    want = ChannelMoments.merge(parts)
+    got = ChannelMoments.merge([parts[0].sheared(5.0), parts[1].sheared(-3.0)])
+    assert got.ratio == pytest.approx(want.ratio, rel=1e-12)
+    np.testing.assert_allclose(got.mean, want.mean, rtol=1e-12, atol=1e-12 * np.abs(want.mean).max())
+    np.testing.assert_allclose(got.comoment, want.comoment, rtol=1e-10,
+                               atol=1e-10 * np.abs(want.comoment).max())
 
 
 def test_noiseless_channel_leaks_nothing():

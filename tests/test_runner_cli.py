@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +12,12 @@ from cvsym import runner, symmetrize
 from cvsym.cli import main
 from cvsym.config import ExperimentConfig, dump_config, load_config
 from cvsym.errors import ConfigError
-from cvsym.protocol import ModulationParams
+from cvsym.keyrate import estimate_channel
+from cvsym.protocol import ModulationParams, alice_modulate, channel_and_heterodyne, postselect
 from cvsym.report import emit, parse_report
 from cvsym.runner import run
+from cvsym.samples import mode_triples
+from cvsym.stats import MomentSummary
 
 
 def _small_sweep(seed=5):
@@ -128,6 +132,71 @@ def test_map_blocks_starts_no_more_workers_than_blocks(monkeypatch):
     assert runner._map_blocks(abs, [-1, -2, -3], 1000) == [1, 2, 3]
     assert runner._map_blocks(abs, [-1], 1000) == [1]
     assert started == [3]
+
+
+def test_keyrate_blocks_return_only_picked_rows(monkeypatch):
+    # What crosses back from a key-rate block is its picked modes' x and y
+    # rows plus O(1) numbers, never the block's coordinates.
+    returned = []
+    real = runner._map_blocks
+
+    def spy(fn, args_list, workers):
+        results = real(fn, args_list, workers)
+        returned.extend(zip(args_list, results))
+        return results
+
+    monkeypatch.setattr(runner, "_map_blocks", spy)
+    cfg = ExperimentConfig(kind="keyrate-report", seed=5, n=3 * (runner.BLOCK_COORDS // 2) + 7,
+                           estimation_fraction=0.01)
+    metrics = run(cfg).metrics
+    assert len(returned) == 4
+    rows = 0
+    for args, result in returned:
+        picked = args[-1]
+        _, x_rows, y_rows, _ = result
+        assert x_rows.shape == y_rows.shape == (len(picked), 2)
+        assert len(pickle.dumps(result)) <= x_rows.nbytes + y_rows.nbytes + 1024
+        rows += len(picked)
+    assert rows == metrics["estimation_modes"]
+
+
+def test_keyrate_report_matches_whole_array_reduction():
+    # Reference: every block's draw concatenated and reduced as one array.
+    cfg = ExperimentConfig(kind="keyrate-report", seed=5, n=runner.BLOCK_COORDS + 3,
+                           postselection_rule="amplitude-threshold", postselection_threshold=2.0)
+    metrics = run(cfg).metrics
+    model, modulation = cfg.channel(), ModulationParams(1, cfg.modulation_variance)
+    xs, ys = [], []
+    for block_index, modes in runner._blocks(cfg.n, runner.BLOCK_COORDS // 2):
+        rng = runner._stream_rng(cfg.seed, runner._S_KEYRATE, block_index)
+        xs.append(alice_modulate(modulation, rng, modes))
+        ys.append(channel_and_heterodyne(xs[-1], model, rng))
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    picked = runner._stream_rng(cfg.seed, runner._S_KEYRATE_ANALYSIS, 0).choice(
+        cfg.n, size=metrics["estimation_modes"], replace=False)
+    summary = MomentSummary.from_triples(mode_triples(x[picked], y[picked]))
+    assert metrics["mode_moments"] == runner._summary_dict(summary)
+    assert metrics["acceptance_fraction"] == postselect(x.ravel(), y.ravel(), cfg.region())[1]
+    est = estimate_channel(x, y, cfg.modulation_variance, beta=cfg.reconciliation_efficiency)
+    for field, name in (("transmittance_hat", "transmittance"), ("excess_noise_hat", "excess_noise"),
+                        ("se_transmittance", "se_transmittance"), ("se_excess_noise", "se_excess_noise")):
+        assert metrics[field] == pytest.approx(getattr(est, name), rel=1e-12), field
+
+
+def test_sweep_starts_one_pool_for_every_grid_point(monkeypatch):
+    calls = []
+    real = runner._map_blocks
+
+    def spy(fn, args_list, workers):
+        calls.append(len(args_list))
+        return real(fn, args_list, workers)
+
+    monkeypatch.setattr(runner, "_map_blocks", spy)
+    cfg = ExperimentConfig(kind="convergence-sweep", seed=5, n_grid=[50, 2000], trials=[1000, 1000],
+                           perturbation="phase-diffusion", phase_sigma=0.3)
+    run(cfg)
+    # 1000 trials of n = 50 fit one block; of n = 2000, 65 trials fit one.
+    assert calls == [1 + 16]
 
 
 def test_report_roundtrip(tmp_path):

@@ -25,6 +25,7 @@ from cvsym.stats import (
     gaussian_tv_1d,
     gaussian_tv_first_order,
     ks_null_mean,
+    scaled_estimation_errors,
     sigma_est,
     sigma_g,
     sigma_g_centered,
@@ -318,6 +319,41 @@ def test_gaussian_draw_consumes_only_normals():
     g = expected.standard_normal((500, 2))
     assert rng.bit_generator.state == expected.bit_generator.state
     np.testing.assert_array_equal(pairs[:, 0], np.sqrt(2.0) * g[:, 0])
+
+
+def test_mixture_draw_gives_each_pair_its_component_factor():
+    law = BivariateMixture((0.5, 0.3, 0.2), ((1.0, 2.0, 0.5), (1.0, 4.0, -1.0), (3.0, 1.0, 1.7)))
+    pairs = law.draw(5000, np.random.default_rng(25))
+    expected = np.random.default_rng(25)
+    labels = expected.choice(3, size=5000, p=np.asarray(law.weights))
+    g = expected.standard_normal((5000, 2))
+    for j, comp in enumerate(law.components):
+        l11, l21, l22 = cholesky_2x2(*comp)
+        sel = labels == j
+        np.testing.assert_array_equal(pairs[sel, 0], l11 * g[sel, 0])
+        np.testing.assert_array_equal(pairs[sel, 1], l21 * g[sel, 0] + l22 * g[sel, 1])
+
+
+def _fourth_moment_outer(pairs):
+    """Per-pair outer products v v^T of v = (x^2, y^2, x y), shape (..., 3, 3)."""
+    x, y = pairs[..., 0], pairs[..., 1]
+    v = np.stack([x * x, y * y, x * y], axis=-1)
+    return v[..., :, None] * v[..., None, :]
+
+
+def test_fourth_moment_estimators_match_outer_products():
+    law = BivariateMixture((0.7, 0.3), ((1.0, 2.0, 0.5), (1.0, 4.0, -1.0)))
+    pairs = law.draw(3000, np.random.default_rng(26))
+    terms = _fourth_moment_outer(pairs)
+    est = sigma_est(pairs)
+    np.testing.assert_allclose(est.matrix, terms.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(est.stderr, terms.std(axis=0, ddof=1) / np.sqrt(3000), rtol=1e-12)
+
+    errors = scaled_estimation_errors(law, 100, 30, np.random.default_rng(27))
+    draws = law.draw(3000, np.random.default_rng(27)).reshape(30, 100, 2)
+    expected = np.sqrt(100) * (_fourth_moment_outer(draws).mean(axis=1) - law.fourth_moment_matrix())
+    assert errors.flags.c_contiguous
+    np.testing.assert_allclose(errors, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
 def test_mixture_fourth_moment_matrix_matches_draws():
