@@ -25,8 +25,9 @@ import numpy as np
 from .errors import InvalidDimensionError, require
 from .stats import MomentSummary, cholesky_2x2, sigma_g, sigma_g_centered
 
-# The triples' Berry-Esseen bound grows as variance_a ** -3 and leaves the float range below this.
-MIN_MODULATION_VARIANCE = 1e-100
+# Below the floor the triples' Berry-Esseen bound leaves the float range.  Their covariance's
+# condition number grows as variance_a ** 2, and from 3e7 some T = 1 key rates find it degenerate.
+MIN_MODULATION_VARIANCE, MAX_MODULATION_VARIANCE = 1e-100, 1e6
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,8 @@ class ModulationParams:
 
     def __post_init__(self):
         require(("n", self.n >= 1, "must be >= 1"),
-                ("variance_a", self.variance_a >= MIN_MODULATION_VARIANCE,
-                 f"must be >= {MIN_MODULATION_VARIANCE:g}"))
+                ("variance_a", MIN_MODULATION_VARIANCE <= self.variance_a <= MAX_MODULATION_VARIANCE,
+                 f"must lie in [{MIN_MODULATION_VARIANCE:g}, {MAX_MODULATION_VARIANCE:g}]"))
 
 
 @dataclass(frozen=True)

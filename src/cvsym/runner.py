@@ -104,18 +104,13 @@ def wishart_triples(n, trials, weights, components, rng):
     coordinate-by-coordinate simulation.
     """
     out = np.zeros((trials, 3))
-    weights = np.asarray(weights, dtype=float)
-    if len(weights) == 1:
-        counts = np.full((trials, 1), n, dtype=np.int64)
-    else:
-        counts = rng.multinomial(n, weights, size=trials)
-    for j, (a, b, c) in enumerate(components):
-        m = counts[:, j].astype(float)
-        nu = 2.0 * m
+    # A lone component's count is the scalar n in every trial; no multinomial is drawn.
+    counts = rng.multinomial(n, weights, size=trials).T if len(weights) > 1 else [n]
+    for m, (a, b, c) in zip(counts, components):
         l11, l21, l22 = cholesky_2x2(a, b, c)
         nonzero = m > 0
-        c11 = 2.0 * rng.standard_gamma(nu / 2.0)
-        c22 = 2.0 * rng.standard_gamma(np.clip((nu - 1.0) / 2.0, 0.0, None)) * nonzero
+        c11 = 2.0 * rng.standard_gamma(m, size=trials)
+        c22 = 2.0 * rng.standard_gamma(np.maximum(m - 0.5, 0.0), size=trials) * nonzero
         z21 = rng.standard_normal(trials) * nonzero
         a11 = np.sqrt(c11)
         b11 = l11 * a11

@@ -75,7 +75,8 @@ def test_merged_blocks_match_two_pass_estimate(variance_a, t):
     # Unequal blocks, each summarized against its own ratio, then sheared to
     # the common one and merged in order.
     rng = np.random.default_rng(30)
-    x = alice_modulate(ModulationParams(60_000, variance_a), rng)
+    # alice_modulate's draw, taken directly: 1e12 lies past ModulationParams' ceiling.
+    x = rng.normal(0.0, np.sqrt(variance_a / 2.0), size=120_000)
     y = channel_and_heterodyne(x, ChannelModel(t, 0.02), rng)
     cuts = [0, 5_000, 5_001, 40_000, 77_777, x.size]
     merged = ChannelMoments.merge([ChannelMoments.from_data(x[lo:hi], y[lo:hi])

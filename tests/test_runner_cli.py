@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,14 @@ from cvsym.cli import main
 from cvsym.config import ExperimentConfig, dump_config, load_config
 from cvsym.errors import ConfigError
 from cvsym.keyrate import estimate_channel
-from cvsym.protocol import ModulationParams, alice_modulate, channel_and_heterodyne, postselect
+from cvsym.protocol import (
+    MAX_MODULATION_VARIANCE,
+    MIN_MODULATION_VARIANCE,
+    ModulationParams,
+    alice_modulate,
+    channel_and_heterodyne,
+    postselect,
+)
 from cvsym.report import emit, parse_report
 from cvsym.runner import run
 from cvsym.samples import mode_triples
@@ -238,6 +246,29 @@ def test_sweep_phase_diffusion_law_path():
         assert np.isfinite(row["tv_estimate"])
         assert np.isfinite(row["ks_max_corrected"])
         assert abs(row["skew_x"]) < 1.0
+
+
+def test_mixture_sweep_at_modulation_floor_has_finite_shape_stats():
+    # Var X is 1e-200 per mode here: unstandardized, its square underflowed to 0.
+    cfg = ExperimentConfig(kind="convergence-sweep", seed=23, n_grid=[100, 1000],
+                           modulation_variance=MIN_MODULATION_VARIANCE, perturbation="gaussian-mixture",
+                           mixture_weights=[0.85, 0.15], mixture_transmittances=[0.9, 0.15],
+                           mixture_excess_noises=[0.01, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = run(cfg).metrics["grid"]
+    for row in rows:
+        assert all(np.isfinite(row[f"{stat}_{col}"]) for stat in ("skew", "kurt") for col in "xyz")
+
+
+@pytest.mark.parametrize("config", [
+    {"kind": "convergence-sweep", "n_grid": [1, 100], "trials": 1000},
+    {"kind": "keyrate-report", "n": 2000, "transmittance": 1.0, "excess_noise": 0.0},
+    {"kind": "keyrate-report", "n": 2000, "transmittance": 1.0, "excess_noise": 1.0},
+])
+def test_largest_modulation_variance_runs(config):
+    # T = 1 key rates are the first to find the triple covariance degenerate as V grows.
+    run(ExperimentConfig(seed=2, modulation_variance=MAX_MODULATION_VARIANCE, **config))
 
 
 def test_sweep_draws_no_moment_prepass(monkeypatch):
@@ -496,6 +527,8 @@ def test_cli_rejects_mistyped_field(tmp_path, capsys, field_name, value):
     ({"kind": "estimation-error", "n": 1, "est_m": 10 ** 23}, "est_m"),
     ({"kind": "design-compare", "n": 1, "design_degree": 10 ** 8}, "design_degree"),
     ({"kind": "design-compare", "n": 1, "design_size": 0}, "design_size"),
+    # One decade over the ceiling; at 1e8 this sweep's reference covariance is singular.
+    ({"kind": "convergence-sweep", "n_grid": [100, 1000], "modulation_variance": 1e7}, "modulation_variance"),
 ])
 def test_cli_rejects_config_that_cannot_run(tmp_path, capsys, config, field_name):
     path = tmp_path / "config.json"

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr
 from scipy.stats import kstest, kstwo, kurtosis, norm, skew
 
 from cvsym.errors import DegenerateCovarianceError, PreconditionError
@@ -31,6 +34,7 @@ from cvsym.stats import (
     sigma_g_centered,
     summarize_scaled_errors,
     _equal_mass_edges,
+    _inverse_sqrt,
     _ks_pvalues,
     _ks_statistic_sorted,
     _ks_steps,
@@ -264,6 +268,50 @@ def test_sorted_ks_matches_kstest():
                 assert abs(pvalue / ref.pvalue - 1.0) < 0.03
 
 
+def _ks_full(sorted_values):
+    """The KS statistic with ndtr at every value: the unpruned reference."""
+    count = len(sorted_values)
+    cdf = ndtr(sorted_values)
+    return max(float(np.max(np.arange(1.0, count + 1) / count - cdf)),
+               float(np.max(cdf - np.arange(0.0, count) / count)))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(count=st.integers(1, 12_000), block=st.sampled_from([None, 2, 3, 16, 37, 5000]),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([0.0, 1e-3, 1.0, 7.0, 60.0]),
+       shift=st.floats(-45.0, 45.0), decimals=st.sampled_from([None, 0, 1, 3]))
+def test_pruned_ks_equals_full_evaluation(count, block, seed, scale, shift, decimals):
+    # block None keeps _ks_steps' own length (no blocks below 5000 values);
+    # the others cover samples shorter than one block and not a multiple of
+    # it.  Scale 0 gives constant samples, rounding gives ties, and shifts
+    # past +-40 saturate Phi (D = 1) or come near it.
+    values = np.random.default_rng(seed).standard_normal(count) * scale + shift
+    if decimals is not None:
+        values = np.round(values, decimals)
+    values.sort()
+    after, before, own_block = _ks_steps(count)
+    steps = (after, before, own_block if block is None else block)
+    assert _ks_statistic_sorted(values, steps) == _ks_full(values)
+
+
+@pytest.mark.parametrize("count, bins", [(1000, None), (2001, 3), (4000, 5)])
+def test_edge_compare_cells_match_searchsorted(count, bins):
+    # Integer-valued samples put many values exactly on the equal-mass edges.
+    samples = np.random.default_rng(count).integers(-3, 4, size=(count, 3)).astype(float)
+    got = empirical_tv_3d(samples, np.zeros(3), np.eye(3), np.random.default_rng(0),
+                          bins_per_axis=bins, projections=0)
+    bins = got.bins_per_axis
+    z = samples @ _inverse_sqrt(np.eye(3))
+    cell, reference = np.zeros(count, dtype=np.int64), np.ones(1)
+    for k in range(3):
+        edges = _equal_mass_edges(np.sort(z[:, k]), bins)
+        cell = cell * bins + np.searchsorted(edges, z[:, k], side="right")
+        mass = np.diff(ndtr(np.concatenate(([-np.inf], edges, [np.inf]))))
+        reference = np.multiply.outer(reference, mass).ravel()
+    p_hat = np.bincount(cell, minlength=bins ** 3) / count
+    assert got.tv_estimate == 0.5 * float(np.abs(p_hat - reference).sum())
+
+
 def test_equal_mass_edges_match_np_quantile():
     rng = np.random.default_rng(18)
     for count in (1000, 1001, 12_345):
@@ -384,6 +432,12 @@ def test_columnwise_shape_stats_gaussian():
     skew, kurt, se_skew, se_kurt = columnwise_shape_stats(z)
     assert np.all(np.abs(skew) <= 4 * se_skew)
     assert np.all(np.abs(kurt) <= 4 * se_kurt)
+
+
+def test_shape_stats_do_not_underflow_at_small_scale():
+    data = np.random.default_rng(22).chisquare(3.0, size=(20_000, 3))
+    for got, want in zip(columnwise_shape_stats(1e-150 * data), columnwise_shape_stats(data)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_shape_and_moment_stats_match_power_forms():

@@ -21,6 +21,7 @@ from cvsym.protocol import (
     channel_and_heterodyne,
 )
 from cvsym.runner import coordinate_triples, wishart_triples
+from cvsym.stats import cholesky_2x2
 
 TRIALS = 3000
 MODULATION_VARIANCE = 4.0
@@ -81,3 +82,17 @@ def test_phase_diffusion_law_at_modulation_floor():
     totals = coordinate_triples(3, 50, model, ModulationParams(3, 1e-100), np.random.default_rng(0))
     assert np.all(np.isfinite(totals))
     assert np.all(np.abs(totals[:, 2]) < 1e-40) and np.all(totals[:, 1] > 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000])
+def test_single_component_wishart_draws_as_a_constant_count_array(n):
+    # The scalar count n must draw the stream that a (trials,) array of n draws.
+    a, b, c = 2.0, 2.4, 1.6
+    got = wishart_triples(n, TRIALS, (1.0,), ((a, b, c),), np.random.default_rng(n))
+    rng = np.random.default_rng(n)
+    m = np.full(TRIALS, float(n))
+    l11, l21, l22 = cholesky_2x2(a, b, c)
+    a11 = np.sqrt(2.0 * rng.standard_gamma(m))
+    c22 = 2.0 * rng.standard_gamma(m - 0.5)
+    b11, b21, b22 = l11 * a11, l21 * a11 + l22 * rng.standard_normal(TRIALS), l22 * np.sqrt(c22)
+    np.testing.assert_array_equal(got, np.column_stack([b11 * b11, b21 * b21 + b22 * b22, b11 * b21]))
