@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimensionError, require
-from .stats import MomentSummary, cholesky_2x2, sigma_g, sigma_g_centered
+from .stats import MomentSummary, cholesky_2x2, covariance_spectrum, sigma_g, sigma_g_centered
 
 # Below the floor the triples' Berry-Esseen bound leaves the float range.  Their covariance's
 # condition number grows as variance_a ** 2, and from 3e7 some T = 1 key rates find it degenerate.
@@ -122,21 +122,18 @@ class ChannelModel:
             cov[:2, 2] *= k1
             cov[2, 2] = 8.0 * k2 * c * c - 4.0 * k1 * k1 * c * c + 2.0 * (a * b - c * c)
             return 2.0 * np.array([a, b, k1 * c]), cov
-        weights = np.asarray(weights, dtype=float)
-        mus, seconds = [], []
-        for (a, b, c) in comps:
-            mu_k = 2.0 * np.array([a, b, c])
-            mus.append(mu_k)
-            seconds.append(2.0 * sigma_g_centered(a, b, c) + np.outer(mu_k, mu_k))
-        mu = weights @ np.array(mus)
-        cov = np.tensordot(weights, np.array(seconds), axes=1) - np.outer(mu, mu)
-        return mu, 0.5 * (cov + cov.T)
+        mus = 2.0 * np.array(comps)
+        mu = np.asarray(weights, dtype=float) @ mus
+        # The law of total covariance: within-component plus between-component terms.
+        cov = sum(w * (2.0 * sigma_g_centered(*comp) + np.outer(mu_k - mu, mu_k - mu))
+                  for w, comp, mu_k in zip(weights, comps, mus))
+        return mu, cov
 
     def mode_summary(self, modulation, n_psi=40, n_theta=32, n_phi=64):
         """Exact :class:`MomentSummary` of one mode's triple V; nothing is drawn.
 
-        lambda_min = 1 / max eig(cov^-1) keeps its relative accuracy on the
-        graded cov of a tiny ``variance_a`` (0 if cov is not positive definite).
+        lambda_min comes from :func:`~cvsym.stats.covariance_spectrum`, which keeps its relative
+        accuracy on the graded cov of a tiny ``variance_a`` (0 if cov is not positive definite).
         A component (a, b, c), Cholesky factor (l11, l21, l22), has x = l11 |h| e
         and y = l21 |h| R(phi) e + l22 (g1 e + g2 e'): V is quadratic in the standard
         4-d Gaussian (h, g1, g2), so E|V|^3 = E(chi^2_4)^3 = 192 times the mean of
@@ -145,10 +142,8 @@ class ChannelModel:
         weighted by the wrapped normal's Fourier series (README, convergence sweeps).
         """
         mu, cov = self.mode_moments(modulation)
-        try:
-            lam = float(np.linalg.norm(np.linalg.inv(np.linalg.cholesky(cov)), 2) ** -2)
-        except np.linalg.LinAlgError:
-            lam = 0.0
+        spectrum = covariance_spectrum(cov)
+        lam = 0.0 if spectrum is None else float(spectrum[0][0])
         u, w_psi = np.polynomial.legendre.leggauss(n_psi)
         psi = np.pi / 4.0 * (u + 1.0)
         w_psi *= 192.0 * np.pi / 4.0 * np.sin(2.0 * psi) / n_theta

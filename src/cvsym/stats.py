@@ -100,6 +100,45 @@ def sigma_est(samples):
                          _fourth_moment_matrix(products.std(axis=1, ddof=1)) / np.sqrt(m))
 
 
+# Jacobi stops once no column pair has |cos angle| above the tolerance, within a few sweeps.
+_JACOBI_TOL, _JACOBI_MAX_SWEEPS = 4.0 * np.finfo(float).eps, 10
+
+
+def covariance_spectrum(cov):
+    """Ascending eigenvalues and eigenvector columns of a positive-definite 3x3 covariance, or None.
+
+    None when the Cholesky factorization cov = L L^T fails.  One-sided Jacobi
+    rotates the columns of L^T to orthogonality: their squared norms are the
+    eigenvalues, the accumulated rotation holds the eigenvectors.  Every
+    eigenpair of a graded cov (D A D, A well conditioned) keeps its relative
+    accuracy, which a symmetric eigensolver loses below eps * the largest
+    eigenvalue (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)).
+    """
+    try:
+        lower = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return None
+    columns = np.vstack([lower.T, np.eye(3)])  # L^T above the accumulated rotation
+    for _ in range(_JACOBI_MAX_SWEEPS):
+        rotated = False
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            gi, gj = columns[:3, i], columns[:3, j]
+            alpha, beta, gamma = gi @ gi, gj @ gj, gi @ gj
+            if abs(gamma) <= _JACOBI_TOL * np.sqrt(alpha) * np.sqrt(beta):
+                continue
+            # The rotation by t = tan(angle) that makes columns i and j orthogonal.
+            zeta = (beta - alpha) / (2.0 * gamma)
+            t = np.copysign(1.0, zeta) / (abs(zeta) + np.hypot(1.0, zeta))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            columns[:, [i, j]] = columns[:, [i, j]] @ np.array([[c, c * t], [-c * t, c]])
+            rotated = True
+        if not rotated:
+            break
+    values = np.einsum("ij,ij->j", columns[:3], columns[:3])
+    order = np.argsort(values)
+    return values[order], columns[3:, order]
+
+
 @dataclass(frozen=True)
 class MomentSummary:
     """First three moment summaries of the per-mode triples."""
@@ -115,14 +154,12 @@ class MomentSummary:
         if triples.ndim != 2 or triples.shape[1] != 3:
             raise InvalidDimensionError(f"expected (m, 3) triples, got {triples.shape}")
         mu = triples.mean(axis=0)
-        second = triples.T @ triples / triples.shape[0]
-        cov = 0.5 * (second + second.T) - np.outer(mu, mu)
+        centered = triples - mu
+        cov = centered.T @ centered / triples.shape[0]
         norm_sq = np.sum(triples * triples, axis=1)
         third = float(np.mean(norm_sq * np.sqrt(norm_sq)))
-        lam = float(np.linalg.eigvalsh(cov)[0])
-        if -1e-10 * max(abs(cov).max(), 1.0) < lam < 0.0:
-            lam = 0.0
-        return cls(mu, cov, third, lam)
+        spectrum = covariance_spectrum(cov)
+        return cls(mu, cov, third, 0.0 if spectrum is None else float(spectrum[0][0]))
 
 
 def berry_esseen_bound(summary, n):
@@ -134,11 +171,8 @@ def berry_esseen_bound(summary, n):
         raise InvalidDimensionError("n must be >= 1")
     if summary.lambda_min <= 0:
         raise DegenerateCovarianceError("covariance of the triples is degenerate")
-    try:
-        with np.errstate(over="ignore"):
-            bound = float(np.sqrt(3.0) * summary.lambda_min ** -1.5 * summary.third_abs / np.sqrt(n))
-    except OverflowError:  # lambda_min ** -1.5 on a Python float past the float range
-        bound = np.inf
+    with np.errstate(over="ignore"):
+        bound = float(np.sqrt(3.0) * np.float64(summary.lambda_min) ** -1.5 * summary.third_abs / np.sqrt(n))
     if not np.isfinite(bound):
         raise DegenerateCovarianceError(
             f"covariance of the triples is nearly degenerate: lambda_min = {summary.lambda_min:.3e} "
@@ -170,9 +204,11 @@ def gaussian_tv_first_order(sigma1, delta):
 
 
 def _inverse_sqrt(cov):
-    vals, vecs = np.linalg.eigh(cov)
-    if vals[0] <= 0:
+    """The symmetric cov^(-1/2), so whitening rotates no axis."""
+    spectrum = covariance_spectrum(cov)
+    if spectrum is None:
         raise DegenerateCovarianceError("reference covariance is not positive definite")
+    vals, vecs = spectrum
     return (vecs / np.sqrt(vals)) @ vecs.T
 
 
@@ -362,15 +398,19 @@ def empirical_tv_3d(samples, mean, cov, rng, bins_per_axis=None, projections=6):
 def columnwise_shape_stats(z):
     """Sample skewness and excess kurtosis per column, with i.i.d.-Gaussian standard errors.
 
-    Columns are standardized before the third and fourth powers, which then cannot underflow.
+    Each centred column is scaled by the power of two that puts its largest
+    magnitude in [1/2, 1), which is exact, and then standardized before any
+    power, so no power can underflow.  A constant column reports 0 for both.
     """
     rows = np.array(np.asarray(z, dtype=float).T, order="C")
     count = rows.shape[1]
     rows -= rows.mean(axis=1, keepdims=True)
-    rows /= np.sqrt(np.einsum("ij,ij->i", rows, rows) / count)[:, None]
+    np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1))[1][:, None], out=rows)
+    scale = np.sqrt(np.einsum("ij,ij->i", rows, rows) / count)
+    rows /= np.where(scale > 0, scale, 1.0)[:, None]
     squared = rows * rows
     skew = np.einsum("ij,ij->i", squared, rows) / count
-    kurt = np.einsum("ij,ij->i", squared, squared) / count - 3.0
+    kurt = np.where(scale > 0, np.einsum("ij,ij->i", squared, squared) / count - 3.0, 0.0)
     return skew, kurt, float(np.sqrt(6.0 / count)), float(np.sqrt(24.0 / count))
 
 
@@ -458,15 +498,11 @@ def summarize_scaled_errors(errors, m):
     errors = np.asarray(errors, dtype=float)
     trials = errors.shape[0]
     mean = errors.mean(axis=0)
-    centered = errors - mean
-    var = (centered ** 2).mean(axis=0)
-    std = np.sqrt(var)
-    safe = np.where(var > 0, var, 1.0)
-    skew = np.where(var > 0, (centered ** 3).mean(axis=0) / safe ** 1.5, 0.0)
-    kurt = np.where(var > 0, (centered ** 4).mean(axis=0) / safe ** 2 - 3.0, 0.0)
+    std = errors.std(axis=0)
+    skew, kurt, _, _ = columnwise_shape_stats(errors.reshape(trials, 9))
     return EstimationErrorReport(
         trials=trials, m=m, mean=mean, std=std,
-        se_mean=std / np.sqrt(trials), skew=skew, excess_kurtosis=kurt)
+        se_mean=std / np.sqrt(trials), skew=skew.reshape(3, 3), excess_kurtosis=kurt.reshape(3, 3))
 
 
 def estimation_error_mc(model, m, trials, rng):

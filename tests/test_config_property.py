@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from cvsym.config import EXPERIMENT_KINDS, ExperimentConfig
 from cvsym.errors import ConfigError
+from cvsym.protocol import MIN_MODULATION_VARIANCE
 from cvsym.runner import run
 
 # Integers of any size, those beyond the float range included.
@@ -111,7 +112,7 @@ _KIND_FIELDS = {
 @st.composite
 def _tiny_config(draw, kind):
     config = {"kind": kind, "seed": draw(st.integers(0, 2 ** 32)),
-              "modulation_variance": draw(st.floats(0.01, 100.0)),
+              "modulation_variance": draw(st.floats(-100.0, 6.0).map(lambda exponent: 10.0 ** exponent)),
               "transmittance": draw(_UNIT), "excess_noise": draw(st.floats(0.0, 10.0)),
               "be_constant": draw(st.floats(0.0, 10.0)),
               "reconciliation_efficiency": draw(_POSITIVE_UNIT),
@@ -143,6 +144,14 @@ def _numbers(value):
 @example({"kind": "convergence-sweep", "seed": 0, "n_grid": [10], "trials": 50})
 # Two estimation modes gave a singular triple covariance (exit 1).
 @example({"kind": "keyrate-report", "seed": 0, "n": 1000, "estimation_fraction": 0.001})
+# At the modulation floor sweeps could not whiten (exit 1) and the
+# estimation study wrote NaN skewness and kurtosis.
+@example({"kind": "convergence-sweep", "seed": 0, "n_grid": [2, 6], "trials": 1000,
+          "modulation_variance": MIN_MODULATION_VARIANCE})
+@example({"kind": "convergence-sweep", "seed": 0, "n_grid": [2, 6], "trials": 1000,
+          "modulation_variance": MIN_MODULATION_VARIANCE, "perturbation": "phase-diffusion", "phase_sigma": 0.3})
+@example({"kind": "estimation-error", "seed": 0, "n": 6, "trials": 1000, "est_m": 50,
+          "modulation_variance": MIN_MODULATION_VARIANCE})
 def test_validated_config_runs_to_finite_metrics(data):
     config = ExperimentConfig.from_dict(data)
     try:

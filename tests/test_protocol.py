@@ -182,7 +182,7 @@ def test_mode_summary_bound_is_finite_at_smallest_modulation(perturbation):
     # entries.  Its smallest eigenvalue tends to Var X, which the smallest
     # eigenvalue of cov itself loses to rounding.
     summary = ChannelModel(0.7, 0.02, perturbation).mode_summary(ModulationParams(1, 1e-100))
-    assert summary.lambda_min == pytest.approx(1e-200, rel=1e-9)
+    assert summary.lambda_min == pytest.approx(1e-200, rel=1e-9, abs=0.0)
     assert np.isfinite(berry_esseen_bound(summary, 1))
 
 

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from cvsym.protocol import (
     ChannelModel,
     GaussianMixture,
     ModulationParams,
+    PhaseDiffusion,
     alice_modulate,
     channel_and_heterodyne,
 )
@@ -23,6 +25,7 @@ from cvsym.stats import (
     berry_esseen_bound,
     cholesky_2x2,
     columnwise_shape_stats,
+    covariance_spectrum,
     empirical_tv_3d,
     estimation_error_mc,
     gaussian_tv_1d,
@@ -181,6 +184,43 @@ def test_berry_esseen_bound_past_float_range_is_degenerate(lambda_min):
     summary = MomentSummary(np.zeros(3), np.eye(3), 1.0, lambda_min)
     with pytest.raises(DegenerateCovarianceError, match="lambda_min"):
         berry_esseen_bound(summary, 10)
+
+
+# The sweep's reference covariances: Gaussian channels, phase diffusion and the benchmark mixture.
+_WHITENING_CHANNELS = {
+    "T0.7": ChannelModel(0.7, 0.02), "T1": ChannelModel(1.0, 0.0),
+    "phase0.3": ChannelModel(0.7, 0.02, PhaseDiffusion(0.3)),
+    "mixture": ChannelModel(0.7, 0.02, GaussianMixture((0.85, 0.15), (0.9, 0.15), (0.01, 3.0))),
+}
+
+
+@pytest.mark.parametrize("variance, tolerance", [(1e-100, 1e-12), (1e-30, 1e-12), (4.0, 1e-12), (1e6, 1e-4)])
+@pytest.mark.parametrize("channel", list(_WHITENING_CHANNELS))
+def test_whitening_is_exact_across_the_modulation_range(channel, variance, tolerance):
+    # max|W Sigma W - I| in exact arithmetic on n Sigma at n = 3000.  At the
+    # floor Sigma is graded (Var X = 1e-200 next to O(1) entries); at 1e6 its
+    # condition number, about V^2, sets the error of any float whitening.
+    cov = 3000.0 * _WHITENING_CHANNELS[channel].mode_moments(ModulationParams(1, variance))[1]
+    whiten = _inverse_sqrt(cov)
+    with mpmath.workdps(400):  # every float product and sum below is exact at this precision
+        w, sigma = mpmath.matrix(whiten.tolist()), mpmath.matrix(cov.tolist())
+        assert max(abs(entry) for entry in w * sigma * w - mpmath.eye(3)) <= tolerance
+    # lambda_min against the Cholesky form 1 / |L^-1|_2^2.
+    cholesky_form = np.linalg.norm(np.linalg.inv(np.linalg.cholesky(cov)), 2) ** -2
+    assert abs(covariance_spectrum(cov)[0][0] / cholesky_form - 1.0) <= 1e-15
+
+
+def test_covariance_spectrum_is_an_eigendecomposition():
+    rng = np.random.default_rng(25)
+    for _ in range(20):
+        factor = rng.standard_normal((3, 3))
+        cov = factor @ factor.T
+        vals, vecs = covariance_spectrum(cov)
+        assert np.all(np.diff(vals) >= 0)
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(3), atol=1e-14)
+        np.testing.assert_allclose((vecs * vals) @ vecs.T, cov, atol=1e-13 * np.abs(cov).max())
+    assert covariance_spectrum(np.diag([1.0, 0.0, 1.0])) is None
+    assert covariance_spectrum(np.diag([1.0, -1e-300, 1.0])) is None
 
 
 def _tv_quadrature(s1, s2):
@@ -435,9 +475,11 @@ def test_columnwise_shape_stats_gaussian():
 
 
 def test_shape_stats_do_not_underflow_at_small_scale():
+    # At 1e-250 even the standardizing variance underflows unless the column is rescaled first.
     data = np.random.default_rng(22).chisquare(3.0, size=(20_000, 3))
-    for got, want in zip(columnwise_shape_stats(1e-150 * data), columnwise_shape_stats(data)):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    for scale in (1e-150, 1e-250):
+        for got, want in zip(columnwise_shape_stats(scale * data), columnwise_shape_stats(data)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_shape_and_moment_stats_match_power_forms():
