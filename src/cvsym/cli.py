@@ -24,7 +24,7 @@ def _build_parser():
         cmd.add_argument("--config", required=True, help="path to the JSON config file")
         cmd.add_argument("--seed", type=int, default=None, help="override the config's master seed")
         cmd.add_argument("--out", default=None, help="override the config's output directory")
-        cmd.add_argument("--workers", type=int, default=1, help="worker processes (results identical for any count)")
+        cmd.add_argument("--workers", type=int, default=1, help="worker threads (results identical for any count)")
         cmd.add_argument("--format", choices=("json", "csv", "both"), default="both",
                          help="which report files to write")
     return parser

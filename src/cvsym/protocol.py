@@ -198,7 +198,10 @@ def alice_modulate(params, rng, trials=None):
     With ``trials`` the draw is a (trials, 2n) stack of such vectors.
     """
     size = 2 * params.n if trials is None else (trials, 2 * params.n)
-    return rng.normal(0.0, np.sqrt(params.variance_a / 2.0), size=size)
+    # The values of rng.normal(0, scale), which is loc + scale * z, without its broadcasting pass.
+    x = rng.standard_normal(size)
+    x *= np.sqrt(params.variance_a / 2.0)
+    return x
 
 
 def _stacked(x):
@@ -227,7 +230,8 @@ def channel_and_heterodyne(x, model, rng):
         t = np.repeat(np.array(mix.transmittances)[comp], 2, axis=1)
         xi = np.repeat(np.array(mix.excess_noises)[comp], 2, axis=1)
     if isinstance(model.perturbation, PhaseDiffusion):
-        phi = rng.normal(0.0, model.perturbation.sigma, size=(trials, n))
+        phi = rng.standard_normal((trials, n))
+        phi *= model.perturbation.sigma
         cos, sin = np.cos(phi), np.sin(phi, out=phi)
         # In place; IEEE + and * commute, so this equals cos x0 - sin x1 and
         # sin x0 + cos x1 bit for bit.

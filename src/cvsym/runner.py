@@ -6,12 +6,16 @@ block indices, so results are identical across runs and across worker
 counts.  Work is cut into fixed-size blocks before scheduling; workers only
 change how blocks are executed, never what a block computes, and gathered
 results are merged in block order.
+
+Workers are threads: block kernels are array-level numpy, which releases
+the GIL, so blocks overlap with no process start-up or pickling.  A
+per-element Python loop in a kernel would hold the GIL and serialize them.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -80,7 +84,7 @@ def _map_blocks(fn, args_list, workers):
     workers = min(workers, len(args_list))
     if workers <= 1:
         return [fn(args) for args in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args_list))
 
 
@@ -160,7 +164,8 @@ def _phase_diffusion_triples(n, trials, model, modulation, rng):
     noise_var = 1.0 + t * model.excess_noise / 2.0
     r2 = rng.standard_exponential((trials, n))
     r2 *= modulation.variance_a
-    cos_phi = rng.normal(0.0, model.perturbation.sigma, size=(trials, n))
+    cos_phi = rng.standard_normal((trials, n))
+    cos_phi *= model.perturbation.sigma
     np.cos(cos_phi, out=cos_phi)
     x_tot = r2.sum(axis=1)
     c = np.einsum("ij,ij->i", r2, cos_phi)
@@ -205,8 +210,8 @@ def _run_convergence_sweep(config, workers):
     mode_summary = model.mode_summary(single_mode)
     exact = model.mixture_components(single_mode) is not None
 
-    # One pool for every grid point's blocks (each pool start costs about 20 ms);
-    # the run holds every point's totals, three floats per trial, at once.
+    # One pool for every grid point's blocks, so grid points overlap; the run
+    # holds every point's totals, three floats per trial, at once.
     grid = list(zip(config.n_grid, config.trials_for_grid()))
     args, cuts = [], [0]
     for grid_index, (n, trials) in enumerate(grid):

@@ -76,9 +76,9 @@ def _fourth_moment_products(x, y):
 def _fourth_moment_matrix(values):
     """Symmetric (..., 3, 3) matrices from (5, ...) values of the five distinct products.
 
-    C-contiguous: reductions over the result, as in
-    :func:`summarize_scaled_errors`, then add in the same order whether or
-    not the array went through a worker process.
+    C-contiguous, as is a concatenation of such blocks, so reductions over
+    the result, as in :func:`summarize_scaled_errors`, add in one fixed
+    order.
     """
     return np.ascontiguousarray(np.moveaxis(values[_FOURTH_MOMENT_ENTRIES], (0, 1), (-2, -1)))
 
@@ -395,17 +395,25 @@ def empirical_tv_3d(samples, mean, cov, rng, bins_per_axis=None, projections=6):
         ks_max_corrected=max(ks_corrected.values()))
 
 
+def _scale_to_unit(centred, axis):
+    """Scale ``centred`` in place, exactly, by the power of two that puts its
+    largest magnitude along ``axis`` in [1/2, 1); return the exponents undoing it."""
+    exponent = np.frexp(np.abs(centred).max(axis=axis, keepdims=True))[1]
+    np.ldexp(centred, -exponent, out=centred)
+    return exponent
+
+
 def columnwise_shape_stats(z):
     """Sample skewness and excess kurtosis per column, with i.i.d.-Gaussian standard errors.
 
-    Each centred column is scaled by the power of two that puts its largest
-    magnitude in [1/2, 1), which is exact, and then standardized before any
-    power, so no power can underflow.  A constant column reports 0 for both.
+    Each centred column is scaled to unit magnitude (:func:`_scale_to_unit`)
+    and then standardized before any power, so no power can underflow.  A
+    constant column reports 0 for both.
     """
     rows = np.array(np.asarray(z, dtype=float).T, order="C")
     count = rows.shape[1]
     rows -= rows.mean(axis=1, keepdims=True)
-    np.ldexp(rows, -np.frexp(np.abs(rows).max(axis=1))[1][:, None], out=rows)
+    _scale_to_unit(rows, axis=1)
     scale = np.sqrt(np.einsum("ij,ij->i", rows, rows) / count)
     rows /= np.where(scale > 0, scale, 1.0)[:, None]
     squared = rows * rows
@@ -498,7 +506,10 @@ def summarize_scaled_errors(errors, m):
     errors = np.asarray(errors, dtype=float)
     trials = errors.shape[0]
     mean = errors.mean(axis=0)
-    std = errors.std(axis=0)
+    # errors.std(axis=0), on entries scaled to unit magnitude so their squares cannot underflow.
+    centred = errors - mean
+    exponent = _scale_to_unit(centred, axis=0)[0]
+    std = np.ldexp(np.sqrt((centred * centred).mean(axis=0)), exponent)
     skew, kurt, _, _ = columnwise_shape_stats(errors.reshape(trials, 9))
     return EstimationErrorReport(
         trials=trials, m=m, mean=mean, std=std,

@@ -37,6 +37,15 @@ def test_modulation_reproducible():
     np.testing.assert_array_equal(x1, x2)
 
 
+@pytest.mark.parametrize("variance, trials", [(4.0, None), (4.0, 7), (1e-100, 3), (1e6, None)])
+def test_modulation_equals_generator_normal(variance, trials):
+    # Scaled standard draws give exactly Generator.normal's loc + scale * z.
+    params = ModulationParams(5, variance)
+    x = alice_modulate(params, np.random.default_rng(9), trials)
+    size = 10 if trials is None else (trials, 10)
+    assert np.array_equal(x, np.random.default_rng(9).normal(0.0, np.sqrt(variance / 2.0), size=size))
+
+
 def test_modulation_parameter_validation():
     with pytest.raises(ValueError):
         ModulationParams(10, 0.0)

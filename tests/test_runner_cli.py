@@ -89,21 +89,23 @@ _MIXTURE = dict(perturbation="gaussian-mixture", mixture_weights=[0.8, 0.2],
                 mixture_transmittances=[0.9, 0.3], mixture_excess_noises=[0.01, 1.0])
 
 
+# Each config but design-compare (which runs in-process) is about the
+# smallest of its kind that splits into two blocks, so two workers really
+# share the work; test_run_is_worker_count_independent checks the block
+# counts instead of assuming them.
+_SPLIT_CONFIGS = [
+    ExperimentConfig(kind="convergence-sweep", seed=5, n_grid=[50], trials=[(1 << 18) + 1]),
+    ExperimentConfig(kind="convergence-sweep", seed=5, n_grid=[runner.BLOCK_COORDS // 2000 + 1],
+                     trials=[1000], perturbation="phase-diffusion", phase_sigma=0.3),
+    ExperimentConfig(kind="invariant-audit", seed=5, n=3, trials=513),
+    ExperimentConfig(kind="design-compare", seed=5, n=1, trials=1, design_samples=64),
+    ExperimentConfig(kind="keyrate-report", seed=5, n=runner.BLOCK_COORDS // 2 + 1),
+    ExperimentConfig(kind="estimation-error", seed=5, n=10, trials=runner.BLOCK_COORDS // 2000 + 1,
+                     est_m=1000, **_MIXTURE),
+]
+
+
 def test_run_is_worker_count_independent(monkeypatch):
-    # Each config but design-compare (which runs in-process) is about the
-    # smallest of its kind that splits into two blocks, so two workers really
-    # share the work; the block counts are checked, not assumed.
-    block = runner.BLOCK_COORDS
-    configs = [
-        ExperimentConfig(kind="convergence-sweep", seed=5, n_grid=[50], trials=[(1 << 18) + 1]),
-        ExperimentConfig(kind="convergence-sweep", seed=5, n_grid=[block // 2000 + 1], trials=[1000],
-                         perturbation="phase-diffusion", phase_sigma=0.3),
-        ExperimentConfig(kind="invariant-audit", seed=5, n=3, trials=513),
-        ExperimentConfig(kind="design-compare", seed=5, n=1, trials=1, design_samples=64),
-        ExperimentConfig(kind="keyrate-report", seed=5, n=block // 2 + 1),
-        ExperimentConfig(kind="estimation-error", seed=5, n=10, trials=block // 2000 + 1, est_m=1000,
-                         **_MIXTURE),
-    ]
     block_counts = []
     real = runner._map_blocks
 
@@ -112,7 +114,7 @@ def test_run_is_worker_count_independent(monkeypatch):
         return real(fn, args_list, workers)
 
     monkeypatch.setattr(runner, "_map_blocks", spy)
-    for cfg in configs:
+    for cfg in _SPLIT_CONFIGS:
         block_counts.clear()
         rep1 = run(cfg, workers=1)
         assert cfg.kind == "design-compare" or min(block_counts) >= 2, (cfg.kind, block_counts)
@@ -136,10 +138,35 @@ def test_map_blocks_starts_no_more_workers_than_blocks(monkeypatch):
         def map(self, fn, args_list):
             return map(fn, args_list)
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", RecordingPool)
     assert runner._map_blocks(abs, [-1, -2, -3], 1000) == [1, 2, 3]
     assert runner._map_blocks(abs, [-1], 1000) == [1]
     assert started == [3]
+
+
+def test_two_worker_runs_start_no_process(monkeypatch):
+    # Workers are threads: no kind forks or starts a process, at any worker count.
+    import multiprocessing.process
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run started a process")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    for cfg in _SPLIT_CONFIGS:
+        run(cfg, workers=2)
+
+
+def test_cli_import_loads_no_process_machinery():
+    script = ("import sys\n"
+              "import cvsym.cli\n"
+              "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n")
+    src = str(Path(runner.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_keyrate_blocks_return_only_picked_rows(monkeypatch):
@@ -259,6 +286,15 @@ def test_mixture_sweep_at_modulation_floor_has_finite_shape_stats():
         rows = run(cfg).metrics["grid"]
     for row in rows:
         assert all(np.isfinite(row[f"{stat}_{col}"]) for stat in ("skew", "kurt") for col in "xyz")
+
+
+def test_estimation_std_is_positive_at_modulation_floor():
+    # Scaled errors are of order 1e-200 here: their unscaled squares underflowed to a zero std.
+    cfg = ExperimentConfig(kind="estimation-error", seed=0, n=10, trials=50, est_m=200,
+                           modulation_variance=MIN_MODULATION_VARIANCE)
+    metrics = run(cfg).metrics
+    assert np.all(np.array(metrics["std"]) > 0)
+    assert np.all(np.array(metrics["se_mean"]) > 0)
 
 
 @pytest.mark.parametrize("config", [
