@@ -35,7 +35,7 @@ from .protocol import (
     postselect,
 )
 from .report import ExperimentReport
-from .samples import SampleBatch, mode_triples
+from .samples import InvariantTriple, SampleBatch, mode_triples
 from .stats import (
     BivariateMixture,
     MomentSummary,
@@ -320,6 +320,25 @@ def _run_design_compare(config, workers):
 # keyrate report
 
 
+def _sorted_subset(rng, n, m):
+    """A uniform random m-subset of range(n), ascending, in O(m) memory.
+
+    Each index is kept with probability p, a Bernoulli process drawn as
+    geometric gaps, with p set so that at least m indices are kept but
+    fewer than ``draws`` (the last gap then passes n) with near certainty;
+    otherwise the process is redrawn.  Both rules see only the kept count,
+    and given that count the kept indices are a uniform subset, so dropping
+    a uniform choice of the surplus leaves a uniform m-subset.
+    """
+    p = min(1.0, (m + 4.0 * np.sqrt(m) + 16.0) / n)
+    draws = int(n * p + 5.0 * np.sqrt(n * p)) + 16
+    while True:
+        kept = np.cumsum(rng.geometric(p, size=draws)) - 1
+        kept = kept[:np.searchsorted(kept, n)]
+        if m <= len(kept) < draws:
+            return np.delete(kept, rng.choice(len(kept), len(kept) - m, replace=False))
+
+
 def _keyrate_block(args):
     """Kept-mode count, the picked modes' x and y rows, and the block's channel moments."""
     seed, block_index, modes, model, modulation, region, picked = args
@@ -336,18 +355,16 @@ def _run_keyrate_report(config, workers):
     analysis_rng = _stream_rng(config.seed, _S_KEYRATE_ANALYSIS, 0)
     # Four modes at least: the covariance of fewer 3-d triples is singular.
     m_modes = max(4, int(np.ceil(config.estimation_fraction * config.n)))
-    picked = analysis_rng.choice(config.n, size=m_modes, replace=False)
+    picked = _sorted_subset(analysis_rng, config.n, m_modes)
 
     # Each block reduces its own data and returns only its picked modes, in
     # ascending order; the parent holds O(estimation_fraction * n) values.
     block_modes = BLOCK_COORDS // 2
     blocks = _blocks(config.n, block_modes)
-    order = np.argsort(picked)
-    ascending = picked[order]
-    cuts = np.searchsorted(ascending, block_modes * np.arange(len(blocks) + 1))
+    cuts = np.searchsorted(picked, block_modes * np.arange(len(blocks) + 1))
     region = config.region()
     args = [(config.seed, bi, bm, model, modulation, region,
-             ascending[cuts[bi]:cuts[bi + 1]] - bi * block_modes) for bi, bm in blocks]
+             picked[cuts[bi]:cuts[bi + 1]] - bi * block_modes) for bi, bm in blocks]
     kept, x_rows, y_rows, moments = zip(*_map_blocks(_keyrate_block, args, workers))
 
     estimate = ChannelMoments.merge(moments).estimate(config.modulation_variance,
@@ -356,12 +373,9 @@ def _run_keyrate_report(config, workers):
     acceptance = sum(kept) / config.n
 
     x_rows, y_rows = np.concatenate(x_rows), np.concatenate(y_rows)
-    xs, ys = np.empty_like(x_rows), np.empty_like(y_rows)
-    xs[order], ys[order] = x_rows, y_rows  # back in picked order
-    summary = MomentSummary.from_triples(mode_triples(xs, ys))
+    summary = MomentSummary.from_triples(mode_triples(x_rows, y_rows))
     bound_over_c = berry_esseen_bound(summary, config.n)
 
-    # sigma_est takes the picked coordinates in ascending mode order.
     est = sigma_est(np.column_stack([x_rows.ravel(), y_rows.ravel()]))
     gap = np.abs(est.matrix - model.fourth_moment_matrix(modulation))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -430,11 +444,12 @@ def _invariant_selfcheck(seed, n=8, samples=16):
 
     x = rng.standard_normal(2 * n)
     y = rng.standard_normal(2 * n)
-    before = SampleBatch(x, y).invariant_triple()
-    worst = 0.0
-    for r in stack:
-        after = SampleBatch(x @ r.T, y @ r.T).invariant_triple()
-        worst = max(worst, *before.relative_deviations(after).values())
+    # (side, 1, 1, 2n), so that one product gives each vector's image v @ r.T
+    # under every element r, and one reduction every image's invariants.
+    pair = np.stack([x, y])[:, None, None]
+    before = InvariantTriple.from_coords(*pair[:, 0])
+    after = InvariantTriple.from_coords(*(pair @ stack.mT)[:, :, 0])
+    worst = np.max(list(before.relative_deviations(after).values()))
 
     witness_resid = 0.0
     for r in stack[:4]:

@@ -20,13 +20,6 @@ def mode_triples(x, y):
     return np.stack([(xs * xs).sum(axis=1), (ys * ys).sum(axis=1), (xs * ys).sum(axis=1)], axis=1)
 
 
-def mode_symplectic_products(x, y):
-    """Per-mode symplectic products x_{2k} y_{2k+1} - x_{2k+1} y_{2k}, shape (n,)."""
-    xs = np.asarray(x).reshape(-1, 2)
-    ys = np.asarray(y).reshape(-1, 2)
-    return xs[:, 0] * ys[:, 1] - xs[:, 1] * ys[:, 0]
-
-
 @dataclass(frozen=True)
 class SampleBatch:
     """One protocol round: Alice's and Bob's interleaved 2n-vectors."""
@@ -49,7 +42,7 @@ class SampleBatch:
         return self.x.size // 2
 
     def invariant_triple(self):
-        return InvariantTriple.from_batch(self)
+        return InvariantTriple.from_coords(self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -68,28 +61,31 @@ class InvariantTriple:
     symp_xy: float
 
     @classmethod
-    def from_batch(cls, batch):
-        # Summed from mode_triples, so sums of its rows reproduce these
-        # values with zero tolerance.
-        t = mode_triples(batch.x, batch.y)
-        w = mode_symplectic_products(batch.x, batch.y)
-        return cls(float(np.sum(t[:, 0])), float(np.sum(t[:, 1])),
-                   float(np.sum(t[:, 2])), float(np.sum(w)))
+    def from_coords(cls, x, y):
+        """The invariants of interleaved vectors x, y (..., 2n), one per leading index.
+
+        Summed per mode first, as :func:`mode_triples` rows are, so sums of
+        its rows reproduce these values with zero tolerance.
+        """
+        xs = np.reshape(x, np.shape(x)[:-1] + (-1, 2))
+        ys = np.reshape(y, np.shape(y)[:-1] + (-1, 2))
+        return cls((xs * xs).sum(axis=-1).sum(axis=-1), (ys * ys).sum(axis=-1).sum(axis=-1),
+                   (xs * ys).sum(axis=-1).sum(axis=-1),
+                   (xs[..., 0] * ys[..., 1] - xs[..., 1] * ys[..., 0]).sum(axis=-1))
 
     def relative_deviations(self, other):
         """Per-quantity |self - other| on the natural scale of each quantity.
 
         Norms are compared relative to themselves; the dot and symplectic
         products relative to the Cauchy-Schwarz scale |x||y|, which keeps
-        the comparison meaningful when they vanish.
+        the comparison meaningful when they vanish.  Works elementwise on
+        triples whose fields are arrays of one shape.
         """
-        cs_scale = max(np.sqrt(self.norm_x_sq * self.norm_y_sq),
-                       np.sqrt(other.norm_x_sq * other.norm_y_sq))
-        out = {}
-        for name, scale in (("norm_x_sq", max(self.norm_x_sq, other.norm_x_sq)),
-                            ("norm_y_sq", max(self.norm_y_sq, other.norm_y_sq)),
-                            ("dot_xy", cs_scale),
-                            ("symp_xy", cs_scale)):
-            diff = abs(getattr(self, name) - getattr(other, name))
-            out[name] = 0.0 if scale == 0.0 else diff / scale
-        return out
+        mine = np.array([self.norm_x_sq, self.norm_y_sq, self.dot_xy, self.symp_xy], dtype=float)
+        theirs = np.array([other.norm_x_sq, other.norm_y_sq, other.dot_xy, other.symp_xy], dtype=float)
+        # np.maximum, unlike max(), keeps a NaN, so a NaN quantity fails closed.
+        scale = np.maximum(mine, theirs)
+        scale[2:] = np.sqrt(np.maximum(mine[0] * mine[1], theirs[0] * theirs[1]))
+        # A zero scale means both quantities vanish: the deviation is 0.
+        dev = np.abs(mine - theirs) / np.where(scale == 0.0, np.inf, scale)
+        return dict(zip(("norm_x_sq", "norm_y_sq", "dot_xy", "symp_xy"), dev))

@@ -21,7 +21,7 @@ from .linalg import (
     phase_fixed_qr,
     unitary_to_symplectic,
 )
-from .samples import SampleBatch
+from .samples import InvariantTriple, SampleBatch
 
 WITNESS_TOL = 1e-8
 
@@ -42,25 +42,37 @@ def witness_transform(source, target, tol=WITNESS_TOL):
     product is required because the construction matches the full complex
     inner product of the mode amplitudes, whose imaginary part it is.
 
-    Construction: U = Q(a', b') Q(a, b)^H from the phase-fixed complete QR
-    of each complex amplitude pair.  With R's diagonal real and >= 0,
+    One pass over a complex stack (2, n, 2) that holds each pair's mode
+    amplitudes as columns [a b], source first.  The stack is scaled by the
+    power of two that brings the source's largest |entry| into [1/2, 1), so
+    squared norms neither underflow nor overflow; the scaling is exact and
+    U is linear, so U maps the given pair as it maps the scaled one.
+
+    Invariants: each pair's Gram entries |a|^2, |b|^2 and
+    <a|b> = x.y + i omega(x, y) give its :class:`InvariantTriple`, and
+    :meth:`InvariantTriple.relative_deviations` compares the two.
+
+    Construction: U = Q(a', b') Q(a, b)^H from one stacked phase-fixed
+    complete QR of both pairs.  With R's diagonal real and >= 0,
     R = [[|a|, <a|b>/|a|], [0, (|b|^2 - |<a|b>|^2/|a|^2)^(1/2)]] depends on
     the invariants alone, so U [a b] = Q(a', b') R = [a' b'] for every pair,
     colinear, zero or single-mode included.  The longer source vector goes
     first (in both pairs): LAPACK leaves q_1 = e_1 for a zero first column,
     which would make r_12 = b[0] instead of an invariant.
 
-    The checks and the QR see both pairs scaled by the power of two that
-    brings the source's largest |entry| into [1/2, 1), so squared norms
-    neither underflow nor overflow.  The scaling is exact and U is linear,
-    so U maps the given pair as it maps the scaled one.
+    Checks: U must be unitary (:func:`unitary_to_symplectic`), and the real
+    and imaginary parts of U [a b] - [a' b'], which are the coordinates of
+    the real mapping error, must stay within ``tol`` of max(|a|, |b|).
     """
     if source.x.size != target.x.size:
         raise InvalidDimensionError("source and target dimensions differ")
-    _, exp = np.frexp(max(np.max(np.abs(source.x)), np.max(np.abs(source.y))))
-    source = SampleBatch(np.ldexp(source.x, -exp), np.ldexp(source.y, -exp))
-    target = SampleBatch(np.ldexp(target.x, -exp), np.ldexp(target.y, -exp))
-    devs = source.invariant_triple().relative_deviations(target.invariant_triple())
+    coords = np.array([[source.x, source.y], [target.x, target.y]])
+    _, exp = np.frexp(np.abs(coords[0]).max())
+    # (pair, mode, side): columns [a b] of the source pair, then of the target pair.
+    pairs = complex_modes(np.ldexp(coords, -exp)).mT
+    src_inv, tgt_inv = (InvariantTriple(aa.real, bb.real, ab.real, ab.imag)
+                        for (aa, ab), (_, bb) in (pairs.conj().mT @ pairs).tolist())
+    devs = src_inv.relative_deviations(tgt_inv)
     # "not <=" so that a NaN deviation (an overflowed target) fails closed.
     bad = {name: dev for name, dev in devs.items() if not dev <= tol}
     if bad:
@@ -69,16 +81,15 @@ def witness_transform(source, target, tol=WITNESS_TOL):
             f"invariant mismatch: {worst} differs by relative {bad[worst]:.3e} (> {tol:.1e}); "
             f"all mismatches: {sorted(bad)}")
 
-    src = np.column_stack([complex_modes(source.x), complex_modes(source.y)])
-    tgt = np.column_stack([complex_modes(target.x), complex_modes(target.y)])
-    if np.linalg.norm(source.y) > np.linalg.norm(source.x):
-        src, tgt = src[:, ::-1], tgt[:, ::-1]
-    u = phase_fixed_qr(tgt) @ phase_fixed_qr(src).conj().T
+    if src_inv.norm_y_sq > src_inv.norm_x_sq:
+        pairs = pairs[..., ::-1]
+    q = phase_fixed_qr(pairs)
+    u = q[1] @ q[0].conj().T
 
     transform = unitary_to_symplectic(u)
-    scale = max(np.linalg.norm(source.x), np.linalg.norm(source.y), 1e-300)
-    resid = max(np.max(np.abs(transform.apply(source.x) - target.x)),
-                np.max(np.abs(transform.apply(source.y) - target.y))) / scale
+    scale = max(max(src_inv.norm_x_sq, src_inv.norm_y_sq) ** 0.5, 1e-300)
+    # Viewed as floats, the complex miss is the interleaved real one, R v - v'.
+    resid = np.abs((u @ pairs[0] - pairs[1]).view(np.float64)).max() / scale
     if not resid <= tol:
         raise RuntimeError(f"witness construction failed: mapping residual {resid:.3e} > {tol:.1e}")
     return transform

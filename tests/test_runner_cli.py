@@ -195,6 +195,32 @@ def test_keyrate_blocks_return_only_picked_rows(monkeypatch):
     assert rows == metrics["estimation_modes"]
 
 
+@pytest.mark.parametrize("n, m", [(10, 3), (30, 2), (8, 8)])
+def test_sorted_subset_is_uniform(n, m):
+    # Small n keeps every index and drops a uniform surplus; n = 30, m = 2
+    # runs the Bernoulli process (p < 1).  Every m-subset must be as likely.
+    from itertools import combinations
+
+    from scipy.stats import chisquare
+
+    rng = np.random.default_rng(1000 + n)
+    counts = dict.fromkeys(combinations(range(n), m), 0)
+    for _ in range(20 * len(counts) + 2000):
+        subset = runner._sorted_subset(rng, n, m)
+        assert np.all(np.diff(subset) > 0)
+        counts[tuple(subset.tolist())] += 1
+    if len(counts) > 1:
+        assert chisquare(list(counts.values())).pvalue > 1e-3
+
+
+def test_sorted_subset_is_sorted_distinct_and_in_range():
+    rng = np.random.default_rng(3)
+    for n, m in ((10**6, 10**5), (5000, 4999), (2**40, 1000)):
+        subset = runner._sorted_subset(rng, n, m)
+        assert len(subset) == m and subset[0] >= 0 and subset[-1] < n
+        assert np.all(np.diff(subset) > 0)
+
+
 def test_keyrate_report_matches_whole_array_reduction():
     # Reference: every block's draw concatenated and reduced as one array.
     cfg = ExperimentConfig(kind="keyrate-report", seed=5, n=runner.BLOCK_COORDS + 3,
@@ -207,8 +233,8 @@ def test_keyrate_report_matches_whole_array_reduction():
         xs.append(alice_modulate(modulation, rng, modes))
         ys.append(channel_and_heterodyne(xs[-1], model, rng))
     x, y = np.concatenate(xs), np.concatenate(ys)
-    picked = runner._stream_rng(cfg.seed, runner._S_KEYRATE_ANALYSIS, 0).choice(
-        cfg.n, size=metrics["estimation_modes"], replace=False)
+    picked = runner._sorted_subset(runner._stream_rng(cfg.seed, runner._S_KEYRATE_ANALYSIS, 0),
+                                   cfg.n, metrics["estimation_modes"])
     summary = MomentSummary.from_triples(mode_triples(x[picked], y[picked]))
     assert metrics["mode_moments"] == runner._summary_dict(summary)
     assert metrics["acceptance_fraction"] == postselect(x.ravel(), y.ravel(), cfg.region())[1]

@@ -16,7 +16,7 @@ from cvsym.protocol import (
     alice_modulate,
     channel_and_heterodyne,
 )
-from cvsym.samples import SampleBatch, mode_triples
+from cvsym.samples import InvariantTriple, SampleBatch, mode_triples
 from cvsym.stats import (
     KS_ASYMPTOTIC_MIN_N,
     BivariateMixture,
@@ -58,6 +58,13 @@ def test_triple_reduce_sums_are_exact():
     assert triples[:, 0].sum() == inv.norm_x_sq
     assert triples[:, 1].sum() == inv.norm_y_sq
     assert triples[:, 2].sum() == inv.dot_xy
+    # A stack of vectors reduces row by row exactly as each row does alone.
+    xs, ys = rng.standard_normal((2, 5, 40))
+    stacked = InvariantTriple.from_coords(xs, ys)
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        row = SampleBatch(x, y).invariant_triple()
+        for name in ("norm_x_sq", "norm_y_sq", "dot_xy", "symp_xy"):
+            assert getattr(stacked, name)[i] == getattr(row, name)
 
 
 def test_triple_reduce_two_modes():

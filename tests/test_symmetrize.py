@@ -1,14 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
 from cvsym.errors import ConfigError, InvalidDimensionError, PreconditionError
 from cvsym.linalg import (
+    complex_modes,
     haar_orthogonal_symplectic,
     haar_orthogonal_symplectic_stack,
     haar_unitary_stack,
     interleave_modes,
     orthogonality_residual,
+    phase_fixed_qr,
+    realify_stack,
     symplecticity_residual,
     unitary_to_symplectic,
 )
@@ -132,6 +137,68 @@ def test_witness_maps_related_pair_at_extreme_scales(scale):
     assert np.max(np.abs(witness.apply(source.y) - target.y)) <= 1e-8 * scale
 
 
+def _reference_witness_matrix(source, target):
+    """The witness built as two separate QRs of real-vector-built amplitude pairs."""
+    _, exp = np.frexp(max(np.max(np.abs(source.x)), np.max(np.abs(source.y))))
+    sx, sy, tx, ty = (np.ldexp(v, -exp) for v in (source.x, source.y, target.x, target.y))
+    src = np.column_stack([complex_modes(sx), complex_modes(sy)])
+    tgt = np.column_stack([complex_modes(tx), complex_modes(ty)])
+    if np.linalg.norm(sy) > np.linalg.norm(sx):
+        src, tgt = src[:, ::-1], tgt[:, ::-1]
+    return realify_stack(phase_fixed_qr(tgt) @ phase_fixed_qr(src).conj().T)
+
+
+def _reference_pairs(rng):
+    def complex_pair(n):
+        return (rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+    a, b = complex_pair(5)
+    zero = np.zeros(3)
+    cases = {"random": (a, b), "colinear": (a, (0.6 - 1.3j) * a),
+             "zero-x": (zero, complex_pair(3)[1]), "zero-y": (complex_pair(3)[0], zero),
+             "both zero": (zero, zero), "single-mode": complex_pair(1)}
+    for k in (12, 13, 14):
+        cases[f"near-colinear 1e-{k}"] = _near_colinear_amplitudes(5, k, rng)
+    for scale in (1e-200, 1e200):
+        cases[f"scale {scale:.0e}"] = tuple(scale * v for v in complex_pair(4))
+    for name, (a, b) in cases.items():
+        source = SampleBatch(interleave_modes(a), interleave_modes(b))
+        yield name, source, apply_symmetrization(source, haar_orthogonal_symplectic(len(a), rng))
+
+
+def test_witness_matches_reference_construction():
+    # The one-stack pass builds exactly the matrix of the two-QR construction.
+    for name, source, target in _reference_pairs(np.random.default_rng(21)):
+        witness = witness_transform(source, target)
+        assert np.array_equal(witness.matrix, _reference_witness_matrix(source, target)), name
+
+
+@pytest.mark.parametrize("name, value", [("norm_x_sq", 2.5), ("norm_y_sq", 3.5),
+                                         ("dot_xy", 1.2), ("symp_xy", 0.6)])
+def test_witness_names_each_mismatched_invariant_alone(name, value):
+    invariants = {"norm_x_sq": 2.0, "norm_y_sq": 3.0, "dot_xy": 1.0, "symp_xy": 0.8}
+    source = batch_with_invariants(4, **invariants, rng=np.random.default_rng(22))
+    target = batch_with_invariants(4, **{**invariants, name: value}, rng=np.random.default_rng(23))
+    with pytest.raises(PreconditionError, match=rf"mismatch: {name} .*all mismatches: \['{name}'\]"):
+        witness_transform(source, target)
+
+
+@pytest.mark.parametrize("zero_x", [False, True])
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_witness_rejects_nan_target_without_warning(side, zero_x):
+    # A zero source x once let a NaN target x through the invariant check.
+    rng = np.random.default_rng(24)
+    source = SampleBatch(0.0 * rng.standard_normal(6) if zero_x else rng.standard_normal(6),
+                         rng.standard_normal(6))
+    coords = {"x": source.x.copy(), "y": source.y.copy()}
+    coords[side][2] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="invariant mismatch"):
+            witness_transform(source, SampleBatch(coords["x"], coords["y"]))
+
+
 @pytest.mark.parametrize("scale", [1e160, 1e200])
 def test_witness_rejects_unrelated_pair_with_overflowing_norms(scale):
     # The squared norms overflow, so every invariant deviation is NaN.
@@ -164,20 +231,27 @@ def test_witness_zero_vector_degenerate_case():
         assert np.max(np.abs(witness.apply(source.y) - target.y)) <= 1e-8 * scale
 
 
+def _near_colinear_amplitudes(n, k, rng):
+    """(a, b) with 1 - |cos(a, b)|^2 = eps = 10^-k.
+
+    b = coef * |a| (sqrt(1 - eps) u + sqrt(eps) w) with u = a/|a| and w a
+    unit vector orthogonal to it.
+    """
+    eps = 10.0 ** -k
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    u = a / np.linalg.norm(a)
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    w -= np.vdot(u, w) * u
+    coef = complex(rng.standard_normal(), rng.standard_normal())
+    return a, coef * np.linalg.norm(a) * (np.sqrt(1.0 - eps) * u + np.sqrt(eps) * w / np.linalg.norm(w))
+
+
 @pytest.mark.parametrize("n", [2, 5, 20])
 @pytest.mark.parametrize("k", [12, 13, 14])
 def test_witness_near_colinear_pair(n, k):
-    # b = coef * |a| (sqrt(1 - eps) u + sqrt(eps) w) with u = a/|a| and w a
-    # unit vector orthogonal to it, so 1 - |cos(a, b)|^2 = eps = 10^-k.
     rng = np.random.default_rng(100 * n + k)
-    eps = 10.0 ** -k
     for _ in range(5):
-        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        u = a / np.linalg.norm(a)
-        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        w -= np.vdot(u, w) * u
-        coef = complex(rng.standard_normal(), rng.standard_normal())
-        b = coef * np.linalg.norm(a) * (np.sqrt(1.0 - eps) * u + np.sqrt(eps) * w / np.linalg.norm(w))
+        a, b = _near_colinear_amplitudes(n, k, rng)
         source = SampleBatch(interleave_modes(a), interleave_modes(b))
         target = apply_symmetrization(source, haar_orthogonal_symplectic(n, rng))
         assert _mapping_residual(witness_transform(source, target), source, target) <= 1e-8
