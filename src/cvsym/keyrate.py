@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCovarianceError, PreconditionError, require
+from .stats import Moments
 
 MIN_ESTIMATION_COORDS = 2000  # 10^3 modes
 
@@ -50,7 +51,7 @@ class ChannelMoments:
     ``mean`` and ``comoment`` (the centred sum of outer products) describe
     u = (e^2, e x, x^2) with e = y - ratio x.  Two summaries merge by
     shearing both to their common ratio, which is linear in u, and then by
-    the pairwise update of Chan, Golub & LeVeque.  Raw (x^2, xy, y^2)
+    :meth:`~cvsym.stats.Moments.merge`.  Raw (x^2, xy, y^2)
     moments would merge more simply but lose digits as the modulation
     variance grows, since e^2 is a small difference of large terms.
     """
@@ -89,14 +90,9 @@ class ChannelMoments:
         sxx = sum(p.count * p.mean[2] for p in parts)
         sxy = sum(p.count * (p.mean[1] + p.ratio * p.mean[2]) for p in parts)
         ratio = float(sxy / sxx) if sxx > 0.0 else 0.0
-        merged, *rest = (p.sheared(ratio) for p in parts)
-        for part in rest:
-            count = merged.count + part.count
-            delta = part.mean - merged.mean
-            merged = cls(count, ratio, merged.mean + delta * (part.count / count),
-                         merged.comoment + part.comoment
-                         + np.outer(delta, delta) * (merged.count * part.count / count))
-        return merged
+        sheared = [p.sheared(ratio) for p in parts]
+        merged = Moments.merge([Moments(p.count, p.mean, p.comoment) for p in sheared])
+        return cls(merged.count, ratio, merged.mean, merged.centred)
 
     def estimate(self, modulation_variance, beta):
         """The :class:`ChannelEstimate` of :func:`estimate_channel` from this summary."""

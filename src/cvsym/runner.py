@@ -36,16 +36,21 @@ from .protocol import (
 )
 from .report import ExperimentReport
 from .samples import InvariantTriple, SampleBatch, mode_triples
-from .stats import (
+# sigma_est stays bound here as well: cvbench/spans.py wraps it as a runner-level name.
+from .stats import (  # noqa: F401
     BivariateMixture,
+    Moments,
     MomentSummary,
+    SigmaEstimate,
     berry_esseen_bound,
     cholesky_2x2,
     columnwise_shape_stats,
     empirical_tv_3d,
+    fourth_moment_moments,
     scaled_estimation_errors,
     sigma_est,
     summarize_scaled_errors,
+    triple_moments,
 )
 from .symmetrize import (
     InvariantAuditReport,
@@ -340,13 +345,15 @@ def _sorted_subset(rng, n, m):
 
 
 def _keyrate_block(args):
-    """Kept-mode count, the picked modes' x and y rows, and the block's channel moments."""
+    """Kept-mode count, channel moments, and the triple and fourth-moment summaries of the picked modes."""
     seed, block_index, modes, model, modulation, region, picked = args
     rng = _stream_rng(seed, _S_KEYRATE, block_index)
     x = alice_modulate(modulation, rng, modes)
     y = channel_and_heterodyne(x, model, rng)
     mask, _ = postselect(x.ravel(), y.ravel(), region)
-    return int(np.count_nonzero(mask)), x[picked], y[picked], ChannelMoments.from_data(x, y)
+    x_rows, y_rows = x[picked], y[picked]
+    return (int(np.count_nonzero(mask)), ChannelMoments.from_data(x, y),
+            triple_moments(mode_triples(x_rows, y_rows)), fourth_moment_moments(x_rows, y_rows))
 
 
 def _run_keyrate_report(config, workers):
@@ -357,26 +364,25 @@ def _run_keyrate_report(config, workers):
     m_modes = max(4, int(np.ceil(config.estimation_fraction * config.n)))
     picked = _sorted_subset(analysis_rng, config.n, m_modes)
 
-    # Each block reduces its own data and returns only its picked modes, in
-    # ascending order; the parent holds O(estimation_fraction * n) values.
+    # Each block reduces its own data, its picked modes included, and returns
+    # O(1) summaries; merged in block order, they do not depend on the worker count.
     block_modes = BLOCK_COORDS // 2
     blocks = _blocks(config.n, block_modes)
     cuts = np.searchsorted(picked, block_modes * np.arange(len(blocks) + 1))
     region = config.region()
     args = [(config.seed, bi, bm, model, modulation, region,
              picked[cuts[bi]:cuts[bi + 1]] - bi * block_modes) for bi, bm in blocks]
-    kept, x_rows, y_rows, moments = zip(*_map_blocks(_keyrate_block, args, workers))
+    kept, moments, triples, products = zip(*_map_blocks(_keyrate_block, args, workers))
 
     estimate = ChannelMoments.merge(moments).estimate(config.modulation_variance,
                                                       beta=config.reconciliation_efficiency)
     rate = gaussian_keyrate(estimate)
     acceptance = sum(kept) / config.n
 
-    x_rows, y_rows = np.concatenate(x_rows), np.concatenate(y_rows)
-    summary = MomentSummary.from_triples(mode_triples(x_rows, y_rows))
+    summary = MomentSummary.from_parts(triples)
     bound_over_c = berry_esseen_bound(summary, config.n)
 
-    est = sigma_est(np.column_stack([x_rows.ravel(), y_rows.ravel()]))
+    est = SigmaEstimate.from_moments(Moments.merge(products))
     gap = np.abs(est.matrix - model.fourth_moment_matrix(modulation))
     with np.errstate(divide="ignore", invalid="ignore"):
         gap_in_se = np.where(est.stderr > 0, gap / est.stderr, 0.0)

@@ -51,9 +51,64 @@ def sigma_g_centered(a, b, c):
 
 
 @dataclass(frozen=True)
+class Moments:
+    """Count, mean and centred second-order sums of data; merges as one pass over all of it.
+
+    The data are the columns of (k, count) rows.  ``centred`` holds the
+    centred sums of products of every pair of rows, (k, k), or only each
+    row's centred sum of squares, (k,).  Every sum runs along a contiguous
+    row, where ``ndarray.sum`` adds pairwise; parts merge in order by the
+    pairwise update of Chan, Golub & LeVeque (Am. Stat. 37, 242 (1983)).
+    """
+
+    count: int
+    mean: np.ndarray
+    centred: np.ndarray
+
+    @classmethod
+    def of_rows(cls, rows, pairs=True):
+        """Moments of (k, count) rows; ``pairs=False`` keeps only the sums of squares."""
+        rows = np.asarray(rows, dtype=float)
+        k, count = rows.shape
+        if count == 0:
+            return cls(0, np.zeros(k), np.zeros((k, k) if pairs else k))
+        mean = rows.sum(axis=1) / count
+        dev = rows - mean[:, None]
+        if not pairs:
+            dev *= dev
+            return cls(count, mean, dev.sum(axis=1))
+        centred = np.empty((k, k))
+        for i in range(k):
+            for j in range(i + 1):
+                centred[i, j] = centred[j, i] = (dev[i] * dev[j]).sum()
+        return cls(count, mean, centred)
+
+    @classmethod
+    def merge(cls, parts):
+        """Moments of the concatenated data of ``parts``, merged in order; empty parts drop out."""
+        merged, *rest = [p for p in parts if p.count] or parts[:1]
+        for part in rest:
+            count = merged.count + part.count
+            delta = part.mean - merged.mean
+            spread = np.outer(delta, delta) if merged.centred.ndim == 2 else delta * delta
+            merged = cls(count, merged.mean + delta * (part.count / count),
+                         merged.centred + part.centred + spread * (merged.count * part.count / count))
+        return merged
+
+
+@dataclass(frozen=True)
 class SigmaEstimate:
     matrix: np.ndarray
     stderr: np.ndarray
+
+    @classmethod
+    def from_moments(cls, moments):
+        """Estimate and CLT standard errors from the :func:`fourth_moment_moments` of m coordinate pairs."""
+        m = moments.count
+        if m < 2:
+            raise PreconditionError(f"need at least 2 samples for an estimate, got {m}")
+        return cls(_fourth_moment_matrix(moments.mean),
+                   _fourth_moment_matrix(np.sqrt(moments.centred / (m - 1))) / np.sqrt(m))
 
 
 # Entries of the symmetric fourth-moment matrix as indices into its five
@@ -83,21 +138,22 @@ def _fourth_moment_matrix(values):
     return np.ascontiguousarray(np.moveaxis(values[_FOURTH_MOMENT_ENTRIES], (0, 1), (-2, -1)))
 
 
+def fourth_moment_moments(x, y):
+    """:class:`Moments` (squares only) of the five fourth-moment products of paired coordinates."""
+    return Moments.of_rows(_fourth_moment_products(np.ravel(x), np.ravel(y)), pairs=False)
+
+
 def sigma_est(samples):
     """Empirical fourth-moment matrix over coordinate pairs with CLT standard errors.
 
     ``samples`` is (m, 2): in the protocol, the fraction of the data
-    sacrificed for estimation.
+    sacrificed for estimation.  The one-part case of
+    :meth:`SigmaEstimate.from_moments`.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[1] != 2:
         raise InvalidDimensionError(f"expected (m, 2) samples, got {samples.shape}")
-    m = samples.shape[0]
-    if m < 2:
-        raise PreconditionError(f"need at least 2 samples for an estimate, got {m}")
-    products = _fourth_moment_products(samples[:, 0], samples[:, 1])
-    return SigmaEstimate(_fourth_moment_matrix(products.mean(axis=1)),
-                         _fourth_moment_matrix(products.std(axis=1, ddof=1)) / np.sqrt(m))
+    return SigmaEstimate.from_moments(fourth_moment_moments(samples[:, 0], samples[:, 1]))
 
 
 # Jacobi stops once no column pair has |cos angle| above the tolerance, within a few sweeps.
@@ -153,13 +209,23 @@ class MomentSummary:
         triples = np.asarray(triples, dtype=float)
         if triples.ndim != 2 or triples.shape[1] != 3:
             raise InvalidDimensionError(f"expected (m, 3) triples, got {triples.shape}")
-        mu = triples.mean(axis=0)
-        centered = triples - mu
-        cov = centered.T @ centered / triples.shape[0]
-        norm_sq = np.sum(triples * triples, axis=1)
-        third = float(np.mean(norm_sq * np.sqrt(norm_sq)))
+        return cls.from_parts([triple_moments(triples)])
+
+    @classmethod
+    def from_parts(cls, parts):
+        """Summary of the concatenated triples of :func:`triple_moments` parts, merged in order."""
+        moments = Moments.merge([part for part, _ in parts])
+        cov = moments.centred / moments.count
+        third = sum(cubes for _, cubes in parts) / moments.count
         spectrum = covariance_spectrum(cov)
-        return cls(mu, cov, third, 0.0 if spectrum is None else float(spectrum[0][0]))
+        return cls(moments.mean, cov, float(third), 0.0 if spectrum is None else float(spectrum[0][0]))
+
+
+def triple_moments(triples):
+    """Mergeable summary of (m, 3) triples: their :class:`Moments` and the sum of |V|^3."""
+    rows = np.array(np.asarray(triples, dtype=float).T, order="C")
+    norm_sq = rows[0] * rows[0] + rows[1] * rows[1] + rows[2] * rows[2]
+    return Moments.of_rows(rows), float((norm_sq * np.sqrt(norm_sq)).sum())
 
 
 def berry_esseen_bound(summary, n):
@@ -451,13 +517,22 @@ class BivariateMixture:
                 raise ValueError("correlation violates Cauchy-Schwarz")
 
     def draw(self, m, rng):
-        """(m, 2) pairs; one component draws no component labels."""
-        k = len(self.weights)
-        labels = rng.choice(k, size=m, p=np.asarray(self.weights)) if k > 1 else 0
+        """(m, 2) pairs; one component draws no component labels.
+
+        The labels are those of ``rng.choice(k, m, p=weights)``, which
+        searches one uniform draw in the normalized cumulative weights.
+        """
+        labels = 0
+        if len(self.weights) > 1:
+            cdf = np.cumsum(self.weights)
+            labels = np.searchsorted(cdf / cdf[-1], rng.random(m), side="right")
+        l11, l21, l22 = np.array([cholesky_2x2(*comp) for comp in self.components]).T
+        # Each pair takes the Cholesky factor (l11, l21, l22) of its component, in place.
         g = rng.standard_normal((m, 2))
-        # Each pair takes the Cholesky factor (l11, l21, l22) of its component.
-        l11, l21, l22 = np.array([cholesky_2x2(*comp) for comp in self.components]).T[:, labels]
-        return np.column_stack([l11 * g[:, 0], l21 * g[:, 0] + l22 * g[:, 1]])
+        g[:, 1] *= l22[labels]
+        g[:, 1] += l21[labels] * g[:, 0]
+        g[:, 0] *= l11[labels]
+        return g
 
     def fourth_moment_matrix(self):
         return sum(w * sigma_g(*comp) for w, comp in zip(self.weights, self.components))

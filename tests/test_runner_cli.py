@@ -25,7 +25,7 @@ from cvsym.protocol import (
 from cvsym.report import emit, parse_report
 from cvsym.runner import run
 from cvsym.samples import mode_triples
-from cvsym.stats import MomentSummary
+from cvsym.stats import MomentSummary, sigma_est
 
 
 def _small_sweep(seed=5):
@@ -169,9 +169,9 @@ def test_cli_import_loads_no_process_machinery():
     assert done.stdout.strip() == "[]"
 
 
-def test_keyrate_blocks_return_only_picked_rows(monkeypatch):
-    # What crosses back from a key-rate block is its picked modes' x and y
-    # rows plus O(1) numbers, never the block's coordinates.
+def test_keyrate_blocks_return_constant_size_summaries(monkeypatch):
+    # What crosses back from a key-rate block is O(1) numbers, whether it
+    # picked 1 % of its modes or all of them.
     returned = []
     real = runner._map_blocks
 
@@ -181,18 +181,15 @@ def test_keyrate_blocks_return_only_picked_rows(monkeypatch):
         return results
 
     monkeypatch.setattr(runner, "_map_blocks", spy)
-    cfg = ExperimentConfig(kind="keyrate-report", seed=5, n=3 * (runner.BLOCK_COORDS // 2) + 7,
-                           estimation_fraction=0.01)
-    metrics = run(cfg).metrics
-    assert len(returned) == 4
-    rows = 0
-    for args, result in returned:
-        picked = args[-1]
-        _, x_rows, y_rows, _ = result
-        assert x_rows.shape == y_rows.shape == (len(picked), 2)
-        assert len(pickle.dumps(result)) <= x_rows.nbytes + y_rows.nbytes + 1024
-        rows += len(picked)
-    assert rows == metrics["estimation_modes"]
+    for fraction in (0.01, 1.0):
+        returned.clear()
+        cfg = ExperimentConfig(kind="keyrate-report", seed=5, n=3 * (runner.BLOCK_COORDS // 2) + 7,
+                               estimation_fraction=fraction)
+        metrics = run(cfg).metrics
+        assert len(returned) == 4
+        for _, result in returned:
+            assert len(pickle.dumps(result)) <= 2048
+        assert sum(len(args[-1]) for args, _ in returned) == metrics["estimation_modes"]
 
 
 @pytest.mark.parametrize("n, m", [(10, 3), (30, 2), (8, 8)])
@@ -221,27 +218,127 @@ def test_sorted_subset_is_sorted_distinct_and_in_range():
         assert np.all(np.diff(subset) > 0)
 
 
-def test_keyrate_report_matches_whole_array_reduction():
-    # Reference: every block's draw concatenated and reduced as one array.
-    cfg = ExperimentConfig(kind="keyrate-report", seed=5, n=runner.BLOCK_COORDS + 3,
-                           postselection_rule="amplitude-threshold", postselection_threshold=2.0)
-    metrics = run(cfg).metrics
+def _whole_draw(cfg, m):
+    """Every key-rate block's draw concatenated, as x and y of shape (n, 2), and the picked modes."""
     model, modulation = cfg.channel(), ModulationParams(1, cfg.modulation_variance)
     xs, ys = [], []
     for block_index, modes in runner._blocks(cfg.n, runner.BLOCK_COORDS // 2):
         rng = runner._stream_rng(cfg.seed, runner._S_KEYRATE, block_index)
         xs.append(alice_modulate(modulation, rng, modes))
         ys.append(channel_and_heterodyne(xs[-1], model, rng))
-    x, y = np.concatenate(xs), np.concatenate(ys)
-    picked = runner._sorted_subset(runner._stream_rng(cfg.seed, runner._S_KEYRATE_ANALYSIS, 0),
-                                   cfg.n, metrics["estimation_modes"])
-    summary = MomentSummary.from_triples(mode_triples(x[picked], y[picked]))
-    assert metrics["mode_moments"] == runner._summary_dict(summary)
+    picked = runner._sorted_subset(runner._stream_rng(cfg.seed, runner._S_KEYRATE_ANALYSIS, 0), cfg.n, m)
+    return np.concatenate(xs), np.concatenate(ys), picked
+
+
+def _picked_triples(cfg, m):
+    x, y, picked = _whole_draw(cfg, m)
+    return mode_triples(x[picked], y[picked])
+
+
+def _assert_moments_close(got, want, rtol):
+    for field in ("mean", "covariance", "third_abs", "lambda_min"):
+        np.testing.assert_allclose(got[field], want[field], rtol=rtol, atol=0.0, err_msg=field)
+
+
+def test_keyrate_report_matches_whole_array_reduction():
+    # Reference: every block's draw concatenated and reduced as one array.
+    cfg = ExperimentConfig(kind="keyrate-report", seed=5, n=runner.BLOCK_COORDS + 3,
+                           postselection_rule="amplitude-threshold", postselection_threshold=2.0)
+    metrics = run(cfg).metrics
+    x, y, picked = _whole_draw(cfg, metrics["estimation_modes"])
+    # Blocks summarize their own picked modes and the parent merges them, so
+    # the sums run in another order than one pass over the gathered rows.
+    _assert_moments_close(metrics["mode_moments"],
+                          runner._summary_dict(MomentSummary.from_triples(mode_triples(x[picked], y[picked]))),
+                          rtol=1e-12)
+    est = sigma_est(np.column_stack([x[picked].ravel(), y[picked].ravel()]))
+    gap = np.abs(est.matrix - cfg.channel().fourth_moment_matrix(ModulationParams(1, cfg.modulation_variance)))
+    assert metrics["sigma_gap_max_se_units"] == pytest.approx((gap / est.stderr).max(), rel=1e-12)
     assert metrics["acceptance_fraction"] == postselect(x.ravel(), y.ravel(), cfg.region())[1]
     est = estimate_channel(x, y, cfg.modulation_variance, beta=cfg.reconciliation_efficiency)
     for field, name in (("transmittance_hat", "transmittance"), ("excess_noise_hat", "excess_noise"),
                         ("se_transmittance", "se_transmittance"), ("se_excess_noise", "se_excess_noise")):
         assert metrics[field] == pytest.approx(getattr(est, name), rel=1e-12), field
+
+
+def _long_double_summary(triples):
+    """Two-pass mean and covariance, E|V|^3 and lambda_min of (m, 3) triples in long double.
+
+    lambda_min comes from one-sided Jacobi on the centred data columns, which
+    never forms the covariance, so it keeps its relative accuracy where the
+    covariance's own float64 rounding moves lambda_min (about 1e-4 at V = 1e6).
+    """
+    rows = np.array(np.asarray(triples, dtype=np.longdouble).T)
+    norm_sq = np.einsum("ij,ij->j", rows, rows)
+    third = np.mean(norm_sq * np.sqrt(norm_sq))
+    mean = rows.mean(axis=1)
+    rows -= mean[:, None]
+    cov = rows @ rows.T / rows.shape[1]
+    for _ in range(12):
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            alpha, beta, gamma = rows[i] @ rows[i], rows[j] @ rows[j], rows[i] @ rows[j]
+            if abs(gamma) <= 1e-18 * np.sqrt(alpha * beta):
+                continue
+            zeta = (beta - alpha) / (2 * gamma)
+            t = np.copysign(1, zeta) / (abs(zeta) + np.sqrt(1 + zeta * zeta))
+            c = 1 / np.sqrt(1 + t * t)
+            rows[i], rows[j] = c * rows[i] - c * t * rows[j], c * t * rows[i] + c * rows[j]
+    lam = np.einsum("ij,ij->i", rows, rows).min() / rows.shape[1]
+    return {"mean": mean.astype(float), "covariance": cov.astype(float),
+            "third_abs": float(third), "lambda_min": float(lam)}
+
+
+def test_keyrate_mode_moments_match_long_double_reference():
+    # Two blocks at V = 4: every field within 1e-12 relative.
+    cfg = ExperimentConfig(kind="keyrate-report", seed=6, n=200_000)
+    metrics = run(cfg).metrics
+    want = _long_double_summary(_picked_triples(cfg, metrics["estimation_modes"]))
+    _assert_moments_close(metrics["mode_moments"], want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.7, 1.0])
+def test_keyrate_lambda_min_at_the_modulation_ceiling(t):
+    # At V = 1e6 the covariance's condition number is about V^2: rounding the
+    # exact covariance to float64 alone moves lambda_min by up to about 1e-4.
+    cfg = ExperimentConfig(kind="keyrate-report", seed=6, n=200_000, modulation_variance=1e6,
+                           transmittance=t, excess_noise=0.0)
+    metrics = run(cfg).metrics
+    want = _long_double_summary(_picked_triples(cfg, metrics["estimation_modes"]))
+    assert metrics["mode_moments"]["lambda_min"] == pytest.approx(want["lambda_min"], rel=1e-3)
+
+
+def test_keyrate_blocks_that_pick_no_mode(monkeypatch):
+    # Four picked modes over four blocks: at this seed some blocks pick none.
+    picks = []
+    real = runner._map_blocks
+
+    def spy(fn, args_list, workers):
+        picks.extend(len(args[-1]) for args in args_list)
+        return real(fn, args_list, workers)
+
+    monkeypatch.setattr(runner, "_map_blocks", spy)
+    cfg = ExperimentConfig(kind="keyrate-report", seed=5, n=3 * (runner.BLOCK_COORDS // 2) + 7,
+                           estimation_fraction=1e-6)
+    metrics = run(cfg).metrics
+    assert metrics["estimation_modes"] == sum(picks) == 4 and 0 in picks, picks
+    want = runner._summary_dict(MomentSummary.from_triples(_picked_triples(cfg, 4)))
+    _assert_moments_close(metrics["mode_moments"], want, rtol=1e-12)
+    assert json.dumps(run(cfg, workers=2).metrics, sort_keys=True) == json.dumps(metrics, sort_keys=True)
+
+
+def test_keyrate_peak_memory_does_not_grow_with_the_picked_modes():
+    # 4e6 modes, 4e5 of them picked: the picked indices take 3.2 MB and one
+    # block's arrays a few more; gathering the picked rows peaked at 92 MB.
+    import tracemalloc
+
+    cfg = ExperimentConfig(kind="keyrate-report", seed=5, n=4_000_000)
+    tracemalloc.start()
+    try:
+        run(cfg, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak / 2**20
 
 
 def test_sweep_starts_one_pool_for_every_grid_point(monkeypatch):

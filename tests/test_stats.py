@@ -21,13 +21,16 @@ from cvsym.stats import (
     KS_ASYMPTOTIC_MIN_N,
     BivariateMixture,
     GaussianBivariate,
+    Moments,
     MomentSummary,
+    SigmaEstimate,
     berry_esseen_bound,
     cholesky_2x2,
     columnwise_shape_stats,
     covariance_spectrum,
     empirical_tv_3d,
     estimation_error_mc,
+    fourth_moment_moments,
     gaussian_tv_1d,
     gaussian_tv_first_order,
     ks_null_mean,
@@ -36,6 +39,7 @@ from cvsym.stats import (
     sigma_g,
     sigma_g_centered,
     summarize_scaled_errors,
+    triple_moments,
     _equal_mass_edges,
     _inverse_sqrt,
     _ks_pvalues,
@@ -427,6 +431,57 @@ def test_mixture_draw_gives_each_pair_its_component_factor():
         sel = labels == j
         np.testing.assert_array_equal(pairs[sel, 0], l11 * g[sel, 0])
         np.testing.assert_array_equal(pairs[sel, 1], l21 * g[sel, 0] + l22 * g[sel, 1])
+
+
+@pytest.mark.parametrize("weights, components", [
+    ((1.0,), ((2.0, 3.0, 1.0),)),
+    ((0.7, 0.3), ((1.0, 2.0, 0.5), (1.0, 4.0, -1.0))),
+    ((0.5, 0.3, 0.2), ((1.0, 2.0, 0.5), (1.0, 4.0, -1.0), (3.0, 1.0, 1.7))),
+])
+def test_mixture_draw_matches_choice_and_column_stack(weights, components):
+    # The construction the draw replaced: labels from Generator.choice,
+    # gathered factor arrays and a column_stack.  Same draws, same bits.
+    law = BivariateMixture(weights, components)
+    rng = np.random.default_rng(28)
+    pairs = law.draw(20_000, rng)
+    old = np.random.default_rng(28)
+    k = len(weights)
+    labels = old.choice(k, size=20_000, p=np.asarray(weights)) if k > 1 else 0
+    g = old.standard_normal((20_000, 2))
+    l11, l21, l22 = np.array([cholesky_2x2(*comp) for comp in components]).T[:, labels]
+    np.testing.assert_array_equal(pairs, np.column_stack([l11 * g[:, 0], l21 * g[:, 0] + l22 * g[:, 1]]))
+    assert rng.bit_generator.state == old.bit_generator.state
+
+
+@pytest.mark.parametrize("pairs", [True, False])
+def test_moments_merge_matches_one_pass(pairs):
+    # Unequal parts, empty ones included, merged in order.
+    rows = np.random.default_rng(29).normal(3.0, [[1.0], [5.0], [0.2]], size=(3, 10_000))
+    cuts = [0, 0, 17, 4000, 4000, 9999, 10_000, 10_000]
+    merged = Moments.merge([Moments.of_rows(rows[:, lo:hi], pairs) for lo, hi in zip(cuts, cuts[1:])])
+    centred = rows - rows.mean(axis=1, keepdims=True)
+    want = centred @ centred.T if pairs else np.einsum("ij,ij->i", centred, centred)
+    assert merged.count == 10_000
+    np.testing.assert_allclose(merged.mean, rows.mean(axis=1), rtol=1e-13)
+    np.testing.assert_allclose(merged.centred, want, rtol=1e-12)
+    empty = Moments.of_rows(np.empty((3, 0)), pairs)
+    assert empty.count == 0 and not np.any(empty.mean) and not np.any(empty.centred)
+
+
+def test_summaries_are_the_one_part_merge():
+    law = BivariateMixture((0.7, 0.3), ((1.0, 2.0, 0.5), (1.0, 4.0, -1.0)))
+    pairs = law.draw(3000, np.random.default_rng(30))
+    x, y = pairs[:, 0], pairs[:, 1]
+    triples = mode_triples(x, y)
+    whole = MomentSummary.from_triples(triples)
+    parts = MomentSummary.from_parts([triple_moments(triples[lo:hi]) for lo, hi in ((0, 700), (700, 1500))])
+    for name in ("mean", "covariance", "third_abs", "lambda_min"):
+        np.testing.assert_allclose(getattr(parts, name), getattr(whole, name), rtol=1e-12, err_msg=name)
+    est = SigmaEstimate.from_moments(Moments.merge([fourth_moment_moments(x[:1000], y[:1000]),
+                                                    fourth_moment_moments(x[1000:], y[1000:])]))
+    want = sigma_est(pairs)
+    np.testing.assert_allclose(est.matrix, want.matrix, rtol=1e-12)
+    np.testing.assert_allclose(est.stderr, want.stderr, rtol=1e-12)
 
 
 def _fourth_moment_outer(pairs):

@@ -200,13 +200,27 @@ def test_witness_rejects_nan_target_without_warning(side, zero_x):
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e200])
-def test_witness_rejects_unrelated_pair_with_overflowing_norms(scale):
-    # The squared norms overflow, so every invariant deviation is NaN.
+def test_witness_rejects_unrelated_pair_at_huge_equal_scales(scale):
+    # Both pairs are scaled by the source's power of two first, so their
+    # squared norms stay finite and the mismatch is an ordinary one.
     rng = np.random.default_rng(11)
     source = SampleBatch(scale * rng.standard_normal(8), scale * rng.standard_normal(8))
     target = SampleBatch(scale * rng.standard_normal(8), scale * rng.standard_normal(8))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"relative \d"):
         witness_transform(source, target)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+def test_witness_rejects_target_whose_norms_overflow(scale):
+    # Scaled by the source's power of two, a source near 1 leaves the
+    # target's squared norms overflowing: every deviation is NaN.
+    rng = np.random.default_rng(11)
+    source = SampleBatch(rng.standard_normal(8), rng.standard_normal(8))
+    target = SampleBatch(scale * rng.standard_normal(8), scale * rng.standard_normal(8))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(PreconditionError) as err:
+        witness_transform(source, target)
+    assert "relative nan" in str(err.value)
+    assert "['dot_xy', 'norm_x_sq', 'norm_y_sq', 'symp_xy']" in str(err.value)
 
 
 def test_witness_requires_matching_symplectic_product():
