@@ -23,6 +23,9 @@ from .errors import DegenerateCovarianceError, PreconditionError, require
 from .stats import Moments
 
 MIN_ESTIMATION_COORDS = 2000  # 10^3 modes
+# A key rate splits its estimation modes over its blocks by hypergeometric
+# draws, and numpy draws those with fewer than 10^9 modes on each side.
+MAX_KEYRATE_MODES = 2 * (10**9 - 1)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 # estimate_channel stays bound here: cvbench/spans.py wraps it as a runner-level name.
-from .keyrate import ChannelMoments, estimate_channel, gaussian_keyrate  # noqa: F401
+from .keyrate import MAX_KEYRATE_MODES, ChannelMoments, estimate_channel, gaussian_keyrate  # noqa: F401
 from .linalg import (
     haar_orthogonal_symplectic_stack,
     orthogonality_residual,
@@ -66,10 +66,11 @@ from .symmetrize import (
 _S_SWEEP, _S_DIAG, _S_AUDIT, _S_DESIGN = 0, 2, 3, 4
 _S_KEYRATE, _S_KEYRATE_ANALYSIS, _S_ESTIMATION, _S_SELFCHECK = 5, 6, 7, 8
 
-# Float64 coordinates per block wherever work is drawn per coordinate or per
-# mode: 2 MiB per array, inside a per-core L2.  Blocks are fixed before
-# scheduling, so results depend on this budget but never on the worker count.
+# Float64 values a block keeps alive, 2 MiB (a per-core L2).  A phase-diffusion sweep block holds two
+# (trials, n) arrays; key-rate and estimation blocks hold about ten per mode or coordinate pair, so they
+# take BLOCK_MODES.  Blocks are fixed before scheduling: results depend on them, never on the worker count.
 BLOCK_COORDS = 1 << 18
+BLOCK_MODES = BLOCK_COORDS // 8
 
 
 def _stream_rng(seed, *key):
@@ -344,35 +345,72 @@ def _sorted_subset(rng, n, m):
             return np.delete(kept, rng.choice(len(kept), len(kept) - m, replace=False))
 
 
-def _keyrate_block(args):
-    """Kept-mode count, channel moments, and the triple and fourth-moment summaries of the picked modes."""
-    seed, block_index, modes, model, modulation, region, picked = args
+def _split_pick(rng, n, m, block):
+    """How many modes of each ``block``-mode block of range(n) a uniform m-subset holds.
+
+    A balanced binary tree of hypergeometric draws splits m between the two
+    halves of every range, as a uniform subset would, down to single blocks.
+    A split falls between blocks unless a side would then reach 10^9 modes,
+    numpy's limit; the block that straddles such a split sums both sides'
+    counts.  So n up to ``MAX_KEYRATE_MODES`` splits with O(blocks) draws.
+    """
+    counts = np.zeros(-(-n // block), dtype=np.int64)
+    most = MAX_KEYRATE_MODES // 2
+
+    def split(lo, hi, k):
+        first, last = lo // block, (hi - 1) // block
+        if k == 0 or first == last:
+            counts[first] += k
+            return
+        mid = min(max(block * ((first + last + 1) // 2), hi - most), lo + most)
+        left = int(rng.hypergeometric(mid - lo, hi - mid, k))
+        split(lo, mid, left)
+        split(mid, hi, k - left)
+
+    split(0, n, m)
+    return counts
+
+
+def _keyrate_args(config):
+    """Every key-rate block's arguments: its modes, and how many of them it picks for estimation."""
+    # Four modes at least: the covariance of fewer 3-d triples is singular.
+    m_modes = max(4, int(np.ceil(config.estimation_fraction * config.n)))
+    picks = _split_pick(_stream_rng(config.seed, _S_KEYRATE_ANALYSIS, 0), config.n, m_modes, BLOCK_MODES)
+    model, region = config.channel(), config.region()
+    modulation = ModulationParams(1, config.modulation_variance)
+    return [(config.seed, bi, bm, model, modulation, region, int(k))
+            for (bi, bm), k in zip(_blocks(config.n, BLOCK_MODES), picks)]
+
+
+def _keyrate_draw(args):
+    """A key-rate block's x and y, (modes, 2) each, and the index of its picked modes.
+
+    The block picks its modes from its own stream after its data, as an
+    ascending uniform subset; when it picks them all, the index is a slice.
+    """
+    seed, block_index, modes, model, modulation, _, picks = args
     rng = _stream_rng(seed, _S_KEYRATE, block_index)
     x = alice_modulate(modulation, rng, modes)
     y = channel_and_heterodyne(x, model, rng)
-    mask, _ = postselect(x.ravel(), y.ravel(), region)
-    x_rows, y_rows = x[picked], y[picked]
-    return (int(np.count_nonzero(mask)), ChannelMoments.from_data(x, y),
-            triple_moments(mode_triples(x_rows, y_rows)), fourth_moment_moments(x_rows, y_rows))
+    return x, y, _sorted_subset(rng, modes, picks) if picks < modes else slice(None)
+
+
+def _keyrate_block(args):
+    """Kept-mode count, channel moments, and the triple and fourth-moment summaries of the picked modes."""
+    x, y, picked = _keyrate_draw(args)
+    mask, _ = postselect(x.ravel(), y.ravel(), args[5])
+    kept, moments = int(np.count_nonzero(mask)), ChannelMoments.from_data(x, y)
+    x, y = x[picked], y[picked]
+    return kept, moments, triple_moments(mode_triples(x, y)), fourth_moment_moments(x, y)
 
 
 def _run_keyrate_report(config, workers):
-    model = config.channel()
-    modulation = ModulationParams(1, config.modulation_variance)
-    analysis_rng = _stream_rng(config.seed, _S_KEYRATE_ANALYSIS, 0)
-    # Four modes at least: the covariance of fewer 3-d triples is singular.
-    m_modes = max(4, int(np.ceil(config.estimation_fraction * config.n)))
-    picked = _sorted_subset(analysis_rng, config.n, m_modes)
-
-    # Each block reduces its own data, its picked modes included, and returns
-    # O(1) summaries; merged in block order, they do not depend on the worker count.
-    block_modes = BLOCK_COORDS // 2
-    blocks = _blocks(config.n, block_modes)
-    cuts = np.searchsorted(picked, block_modes * np.arange(len(blocks) + 1))
-    region = config.region()
-    args = [(config.seed, bi, bm, model, modulation, region,
-             picked[cuts[bi]:cuts[bi + 1]] - bi * block_modes) for bi, bm in blocks]
+    # Each block draws and reduces its own data, its picked modes included,
+    # and returns O(1) summaries; merged in block order, they do not depend
+    # on the worker count.
+    args = _keyrate_args(config)
     kept, moments, triples, products = zip(*_map_blocks(_keyrate_block, args, workers))
+    model, modulation = args[0][3:5]
 
     estimate = ChannelMoments.merge(moments).estimate(config.modulation_variance,
                                                       beta=config.reconciliation_efficiency)
@@ -403,7 +441,7 @@ def _run_keyrate_report(config, workers):
         "conditional_eigenvalue": rate.conditional_eigenvalue,
         "no_key": rate.no_key,
         "acceptance_fraction": acceptance,
-        "estimation_modes": m_modes,
+        "estimation_modes": sum(a[-1] for a in args),
         "be_bound_over_c": bound_over_c,
         "be_bound": config.be_constant * bound_over_c,
         "sigma_gap_max_se_units": float(gap_in_se.max()),
@@ -427,7 +465,7 @@ def _run_estimation_error(config, workers):
     weights, comps = model.mixture_components(ModulationParams(config.n, config.modulation_variance))
     law = BivariateMixture(tuple(weights), tuple(comps))
     m = config.est_m
-    args = [(config.seed, bi, bt, m, law) for bi, bt in _blocks(config.trials, max(1, BLOCK_COORDS // (2 * m)))]
+    args = [(config.seed, bi, bt, m, law) for bi, bt in _blocks(config.trials, max(1, BLOCK_MODES // m))]
     errors = np.concatenate(_map_blocks(_estimation_block, args, workers), axis=0)
     report = summarize_scaled_errors(errors, m)
     out = report.to_dict()

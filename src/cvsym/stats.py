@@ -15,7 +15,7 @@ quantitative bound is computed separately.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf, kolmogorov, ndtr
@@ -307,7 +307,8 @@ class TvDiagnostics:
     ks_max_corrected: float
 
     def to_dict(self):
-        return asdict(self)
+        # A shallow copy: empirical_tv_3d builds the ks_* dicts fresh for every result.
+        return dict(vars(self))
 
 
 # From this sample size on, KS p-values come from the Kolmogorov limit law;

@@ -18,8 +18,6 @@ from cvsym.protocol import (
     MAX_MODULATION_VARIANCE,
     MIN_MODULATION_VARIANCE,
     ModulationParams,
-    alice_modulate,
-    channel_and_heterodyne,
     postselect,
 )
 from cvsym.report import emit, parse_report
@@ -99,8 +97,8 @@ _SPLIT_CONFIGS = [
                      trials=[1000], perturbation="phase-diffusion", phase_sigma=0.3),
     ExperimentConfig(kind="invariant-audit", seed=5, n=3, trials=513),
     ExperimentConfig(kind="design-compare", seed=5, n=1, trials=1, design_samples=64),
-    ExperimentConfig(kind="keyrate-report", seed=5, n=runner.BLOCK_COORDS // 2 + 1),
-    ExperimentConfig(kind="estimation-error", seed=5, n=10, trials=runner.BLOCK_COORDS // 2000 + 1,
+    ExperimentConfig(kind="keyrate-report", seed=5, n=runner.BLOCK_MODES + 1),
+    ExperimentConfig(kind="estimation-error", seed=5, n=10, trials=runner.BLOCK_MODES // 1000 + 1,
                      est_m=1000, **_MIXTURE),
 ]
 
@@ -183,13 +181,13 @@ def test_keyrate_blocks_return_constant_size_summaries(monkeypatch):
     monkeypatch.setattr(runner, "_map_blocks", spy)
     for fraction in (0.01, 1.0):
         returned.clear()
-        cfg = ExperimentConfig(kind="keyrate-report", seed=5, n=3 * (runner.BLOCK_COORDS // 2) + 7,
+        cfg = ExperimentConfig(kind="keyrate-report", seed=5, n=3 * runner.BLOCK_MODES + 7,
                                estimation_fraction=fraction)
         metrics = run(cfg).metrics
         assert len(returned) == 4
         for _, result in returned:
             assert len(pickle.dumps(result)) <= 2048
-        assert sum(len(args[-1]) for args, _ in returned) == metrics["estimation_modes"]
+        assert sum(args[-1] for args, _ in returned) == metrics["estimation_modes"]
 
 
 @pytest.mark.parametrize("n, m", [(10, 3), (30, 2), (8, 8)])
@@ -218,20 +216,93 @@ def test_sorted_subset_is_sorted_distinct_and_in_range():
         assert np.all(np.diff(subset) > 0)
 
 
-def _whole_draw(cfg, m):
+@pytest.mark.parametrize("n, m, block, most", [(10, 3, 3, None), (9, 4, 2, None), (8, 3, 3, 4)])
+def test_split_pick_is_uniform(monkeypatch, n, m, block, most):
+    # The tree splits m over the blocks, and each block draws its share as a
+    # subset of its own modes: together, every m-subset must be as likely.
+    # A side limit of ``most`` modes moves the root split of n = 8 from 3
+    # to 4, inside the middle block, which then sums both sides' counts.
+    from itertools import combinations
+
+    from scipy.stats import chisquare
+
+    if most is not None:
+        monkeypatch.setattr(runner, "MAX_KEYRATE_MODES", 2 * most)
+    rng = np.random.default_rng(2000 + n)
+    counts = dict.fromkeys(combinations(range(n), m), 0)
+    for _ in range(20 * len(counts) + 2000):
+        shares = runner._split_pick(rng, n, m, block)
+        subset = np.concatenate([start + runner._sorted_subset(rng, min(block, n - start), k)
+                                 for start, k in zip(range(0, n, block), shares)])
+        counts[tuple(subset.tolist())] += 1
+    assert chisquare(list(counts.values())).pvalue > 1e-3
+
+
+def test_keyrate_mode_limit_is_the_reach_of_the_pick_split():
+    # numpy's hypergeometric draws take fewer than 1e9 modes on each side.
+    limit = runner.MAX_KEYRATE_MODES
+    ExperimentConfig(kind="keyrate-report", seed=1, n=limit).validate()
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(kind="keyrate-report", seed=1, n=limit + 1).validate()
+    assert err.value.fields == ["n"]
+    sizes = np.array([size for _, size in runner._blocks(limit, runner.BLOCK_MODES)])
+    rng = np.random.default_rng(4)
+    for m in (4, 10**8, limit):
+        shares = runner._split_pick(rng, limit, m, runner.BLOCK_MODES)
+        assert shares.sum() == m and np.all(shares <= sizes)
+    assert np.array_equal(shares, sizes)
+
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(kind="convergence-sweep", seed=5, n_grid=[300], trials=[1000],
+                     perturbation="phase-diffusion", phase_sigma=0.3),
+    ExperimentConfig(kind="convergence-sweep", seed=5, n_grid=[3000], trials=[1000],
+                     perturbation="phase-diffusion", phase_sigma=0.3),
+    ExperimentConfig(kind="keyrate-report", seed=5, n=100_000),
+    ExperimentConfig(kind="estimation-error", seed=5, n=10, trials=100, est_m=2000, **_MIXTURE),
+], ids=["phase-sweep-300", "phase-sweep-3000", "keyrate", "estimation-2000"])
+def test_one_pooled_block_peaks_within_the_block_budget(monkeypatch, cfg):
+    # One full-size block of each pooled fan-out, as the run lays it out,
+    # holds 2 to 2.6 MiB.  Key-rate and estimation blocks of 2^17 modes or
+    # coordinate pairs peaked at 10.5 and 9.9 MiB.
+    import tracemalloc
+
+    class Captured(Exception):
+        pass
+
+    first = []
+
+    def capture(fn, args_list, workers):
+        first.append((fn, args_list[0]))
+        raise Captured
+
+    monkeypatch.setattr(runner, "_map_blocks", capture)
+    with pytest.raises(Captured):
+        run(cfg)
+    fn, args = first[0]
+    tracemalloc.start()
+    try:
+        fn(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20, peak / 2**20
+
+
+def _whole_draw(cfg):
     """Every key-rate block's draw concatenated, as x and y of shape (n, 2), and the picked modes."""
-    model, modulation = cfg.channel(), ModulationParams(1, cfg.modulation_variance)
-    xs, ys = [], []
-    for block_index, modes in runner._blocks(cfg.n, runner.BLOCK_COORDS // 2):
-        rng = runner._stream_rng(cfg.seed, runner._S_KEYRATE, block_index)
-        xs.append(alice_modulate(modulation, rng, modes))
-        ys.append(channel_and_heterodyne(xs[-1], model, rng))
-    picked = runner._sorted_subset(runner._stream_rng(cfg.seed, runner._S_KEYRATE_ANALYSIS, 0), cfg.n, m)
-    return np.concatenate(xs), np.concatenate(ys), picked
+    xs, ys, picked, start = [], [], [], 0
+    for args in runner._keyrate_args(cfg):
+        x, y, rows = runner._keyrate_draw(args)
+        xs.append(x)
+        ys.append(y)
+        picked.append(start + np.arange(len(x))[rows])
+        start += len(x)
+    return np.concatenate(xs), np.concatenate(ys), np.concatenate(picked)
 
 
-def _picked_triples(cfg, m):
-    x, y, picked = _whole_draw(cfg, m)
+def _picked_triples(cfg):
+    x, y, picked = _whole_draw(cfg)
     return mode_triples(x[picked], y[picked])
 
 
@@ -245,7 +316,8 @@ def test_keyrate_report_matches_whole_array_reduction():
     cfg = ExperimentConfig(kind="keyrate-report", seed=5, n=runner.BLOCK_COORDS + 3,
                            postselection_rule="amplitude-threshold", postselection_threshold=2.0)
     metrics = run(cfg).metrics
-    x, y, picked = _whole_draw(cfg, metrics["estimation_modes"])
+    x, y, picked = _whole_draw(cfg)
+    assert len(picked) == metrics["estimation_modes"]
     # Blocks summarize their own picked modes and the parent merges them, so
     # the sums run in another order than one pass over the gathered rows.
     _assert_moments_close(metrics["mode_moments"],
@@ -292,7 +364,7 @@ def test_keyrate_mode_moments_match_long_double_reference():
     # Two blocks at V = 4: every field within 1e-12 relative.
     cfg = ExperimentConfig(kind="keyrate-report", seed=6, n=200_000)
     metrics = run(cfg).metrics
-    want = _long_double_summary(_picked_triples(cfg, metrics["estimation_modes"]))
+    want = _long_double_summary(_picked_triples(cfg))
     _assert_moments_close(metrics["mode_moments"], want, rtol=1e-12)
 
 
@@ -303,7 +375,7 @@ def test_keyrate_lambda_min_at_the_modulation_ceiling(t):
     cfg = ExperimentConfig(kind="keyrate-report", seed=6, n=200_000, modulation_variance=1e6,
                            transmittance=t, excess_noise=0.0)
     metrics = run(cfg).metrics
-    want = _long_double_summary(_picked_triples(cfg, metrics["estimation_modes"]))
+    want = _long_double_summary(_picked_triples(cfg))
     assert metrics["mode_moments"]["lambda_min"] == pytest.approx(want["lambda_min"], rel=1e-3)
 
 
@@ -313,32 +385,35 @@ def test_keyrate_blocks_that_pick_no_mode(monkeypatch):
     real = runner._map_blocks
 
     def spy(fn, args_list, workers):
-        picks.extend(len(args[-1]) for args in args_list)
+        picks.extend(args[-1] for args in args_list)
         return real(fn, args_list, workers)
 
     monkeypatch.setattr(runner, "_map_blocks", spy)
-    cfg = ExperimentConfig(kind="keyrate-report", seed=5, n=3 * (runner.BLOCK_COORDS // 2) + 7,
+    cfg = ExperimentConfig(kind="keyrate-report", seed=5, n=3 * runner.BLOCK_MODES + 7,
                            estimation_fraction=1e-6)
     metrics = run(cfg).metrics
     assert metrics["estimation_modes"] == sum(picks) == 4 and 0 in picks, picks
-    want = runner._summary_dict(MomentSummary.from_triples(_picked_triples(cfg, 4)))
+    want = runner._summary_dict(MomentSummary.from_triples(_picked_triples(cfg)))
     _assert_moments_close(metrics["mode_moments"], want, rtol=1e-12)
     assert json.dumps(run(cfg, workers=2).metrics, sort_keys=True) == json.dumps(metrics, sort_keys=True)
 
 
 def test_keyrate_peak_memory_does_not_grow_with_the_picked_modes():
-    # 4e6 modes, 4e5 of them picked: the picked indices take 3.2 MB and one
-    # block's arrays a few more; gathering the picked rows peaked at 92 MB.
+    # 4e6 modes, 4e5 or all of them picked: the run holds one block's arrays,
+    # about 2.6 MiB, or 6.1 MiB when its moment rows cover every mode, and
+    # O(1) numbers per block.  A pick drawn over all n modes took 16 bytes
+    # per picked mode, 61 MiB at fraction 1.
     import tracemalloc
 
-    cfg = ExperimentConfig(kind="keyrate-report", seed=5, n=4_000_000)
-    tracemalloc.start()
-    try:
-        run(cfg, workers=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20, peak / 2**20
+    for fraction in (0.1, 1.0):
+        cfg = ExperimentConfig(kind="keyrate-report", seed=5, n=4_000_000, estimation_fraction=fraction)
+        tracemalloc.start()
+        try:
+            run(cfg, workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, (fraction, peak / 2**20)
 
 
 def test_sweep_starts_one_pool_for_every_grid_point(monkeypatch):
@@ -688,6 +763,8 @@ def test_cli_rejects_mistyped_field(tmp_path, capsys, field_name, value):
     ({"kind": "design-compare", "n": 1, "design_size": 0}, "design_size"),
     # One decade over the ceiling; at 1e8 this sweep's reference covariance is singular.
     ({"kind": "convergence-sweep", "n_grid": [100, 1000], "modulation_variance": 1e7}, "modulation_variance"),
+    # The estimation pick's hypergeometric splits take fewer than 1e9 modes a side.
+    ({"kind": "keyrate-report", "n": 2 * 10 ** 9}, "n"),
 ])
 def test_cli_rejects_config_that_cannot_run(tmp_path, capsys, config, field_name):
     path = tmp_path / "config.json"
