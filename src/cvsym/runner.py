@@ -53,7 +53,7 @@ from .stats import (  # noqa: F401
     triple_moments,
 )
 from .symmetrize import (
-    InvariantAuditReport,
+    audit_report,
     batch_with_invariants,
     collect_audit_samples,
     finite_design_average,
@@ -290,7 +290,7 @@ def _run_invariant_audit(config, workers):
     parts = _map_blocks(_audit_block, args, workers)
     samples = {name: tuple(np.concatenate([part[name][side] for part in parts]) for side in (0, 1))
                for name in parts[0]}
-    out = InvariantAuditReport.from_samples(samples, config.trials).to_dict()
+    out = audit_report(samples, config.trials)
     nx, ny, dot, symp = invariants
     out["invariants_a"] = {"norm_x_sq": nx, "norm_y_sq": ny, "dot_xy": dot, "symp_xy": symp}
     out["invariants_b"] = {"norm_x_sq": nx, "norm_y_sq": ny, "dot_xy": dot, "symp_xy": -symp}
@@ -327,22 +327,8 @@ def _run_design_compare(config, workers):
 
 
 def _sorted_subset(rng, n, m):
-    """A uniform random m-subset of range(n), ascending, in O(m) memory.
-
-    Each index is kept with probability p, a Bernoulli process drawn as
-    geometric gaps, with p set so that at least m indices are kept but
-    fewer than ``draws`` (the last gap then passes n) with near certainty;
-    otherwise the process is redrawn.  Both rules see only the kept count,
-    and given that count the kept indices are a uniform subset, so dropping
-    a uniform choice of the surplus leaves a uniform m-subset.
-    """
-    p = min(1.0, (m + 4.0 * np.sqrt(m) + 16.0) / n)
-    draws = int(n * p + 5.0 * np.sqrt(n * p)) + 16
-    while True:
-        kept = np.cumsum(rng.geometric(p, size=draws)) - 1
-        kept = kept[:np.searchsorted(kept, n)]
-        if m <= len(kept) < draws:
-            return np.delete(kept, rng.choice(len(kept), len(kept) - m, replace=False))
+    """A uniform random m-subset of range(n), ascending."""
+    return np.sort(rng.choice(n, m, replace=False))
 
 
 def _split_pick(rng, n, m, block):

@@ -52,13 +52,14 @@ def sigma_g_centered(a, b, c):
 
 @dataclass(frozen=True)
 class Moments:
-    """Count, mean and centred second-order sums of data; merges as one pass over all of it.
+    """Count, mean and centred comoment of data; merges as one pass over all of it.
 
     The data are the columns of (k, count) rows.  ``centred`` holds the
-    centred sums of products of every pair of rows, (k, k), or only each
-    row's centred sum of squares, (k,).  Every sum runs along a contiguous
-    row, where ``ndarray.sum`` adds pairwise; parts merge in order by the
-    pairwise update of Chan, Golub & LeVeque (Am. Stat. 37, 242 (1983)).
+    (k, k) centred sums of products of every pair of rows.  Every sum runs
+    along a contiguous row, where ``ndarray.sum`` adds pairwise; parts merge
+    in order by the pairwise update of Chan, Golub & LeVeque (Am. Stat. 37,
+    242 (1983)).  :meth:`of_rows` centres the rows it is given in place, so
+    its callers pass rows they own.
     """
 
     count: int
@@ -66,21 +67,17 @@ class Moments:
     centred: np.ndarray
 
     @classmethod
-    def of_rows(cls, rows, pairs=True):
-        """Moments of (k, count) rows; ``pairs=False`` keeps only the sums of squares."""
-        rows = np.asarray(rows, dtype=float)
+    def of_rows(cls, rows):
+        """Moments of (k, count) float rows, centring them in place."""
         k, count = rows.shape
         if count == 0:
-            return cls(0, np.zeros(k), np.zeros((k, k) if pairs else k))
+            return cls(0, np.zeros(k), np.zeros((k, k)))
         mean = rows.sum(axis=1) / count
-        dev = rows - mean[:, None]
-        if not pairs:
-            dev *= dev
-            return cls(count, mean, dev.sum(axis=1))
+        rows -= mean[:, None]
         centred = np.empty((k, k))
         for i in range(k):
             for j in range(i + 1):
-                centred[i, j] = centred[j, i] = (dev[i] * dev[j]).sum()
+                centred[i, j] = centred[j, i] = (rows[i] * rows[j]).sum()
         return cls(count, mean, centred)
 
     @classmethod
@@ -90,9 +87,8 @@ class Moments:
         for part in rest:
             count = merged.count + part.count
             delta = part.mean - merged.mean
-            spread = np.outer(delta, delta) if merged.centred.ndim == 2 else delta * delta
-            merged = cls(count, merged.mean + delta * (part.count / count),
-                         merged.centred + part.centred + spread * (merged.count * part.count / count))
+            spread = np.outer(delta, delta) * (merged.count * part.count / count)
+            merged = cls(count, merged.mean + delta * (part.count / count), merged.centred + part.centred + spread)
         return merged
 
 
@@ -108,7 +104,7 @@ class SigmaEstimate:
         if m < 2:
             raise PreconditionError(f"need at least 2 samples for an estimate, got {m}")
         return cls(_fourth_moment_matrix(moments.mean),
-                   _fourth_moment_matrix(np.sqrt(moments.centred / (m - 1))) / np.sqrt(m))
+                   _fourth_moment_matrix(np.sqrt(np.diagonal(moments.centred) / (m - 1))) / np.sqrt(m))
 
 
 # Entries of the symmetric fourth-moment matrix as indices into its five
@@ -139,8 +135,8 @@ def _fourth_moment_matrix(values):
 
 
 def fourth_moment_moments(x, y):
-    """:class:`Moments` (squares only) of the five fourth-moment products of paired coordinates."""
-    return Moments.of_rows(_fourth_moment_products(np.ravel(x), np.ravel(y)), pairs=False)
+    """:class:`Moments` of the five fourth-moment products of paired coordinates."""
+    return Moments.of_rows(_fourth_moment_products(np.ravel(x), np.ravel(y)))
 
 
 def sigma_est(samples):
@@ -214,18 +210,20 @@ class MomentSummary:
     @classmethod
     def from_parts(cls, parts):
         """Summary of the concatenated triples of :func:`triple_moments` parts, merged in order."""
-        moments = Moments.merge([part for part, _ in parts])
-        cov = moments.centred / moments.count
-        third = sum(cubes for _, cubes in parts) / moments.count
+        moments = Moments.merge(parts)
+        cov = moments.centred[:3, :3] / moments.count
         spectrum = covariance_spectrum(cov)
-        return cls(moments.mean, cov, float(third), 0.0 if spectrum is None else float(spectrum[0][0]))
+        lambda_min = 0.0 if spectrum is None else float(spectrum[0][0])
+        return cls(moments.mean[:3], cov, float(moments.mean[3]), lambda_min)
 
 
 def triple_moments(triples):
-    """Mergeable summary of (m, 3) triples: their :class:`Moments` and the sum of |V|^3."""
-    rows = np.array(np.asarray(triples, dtype=float).T, order="C")
+    """Mergeable summary of (m, 3) triples: the :class:`Moments` of the rows (X, Y, Z, |V|^3)."""
+    rows = np.empty((4, len(triples)))
+    rows[:3] = np.asarray(triples, dtype=float).T
     norm_sq = rows[0] * rows[0] + rows[1] * rows[1] + rows[2] * rows[2]
-    return Moments.of_rows(rows), float((norm_sq * np.sqrt(norm_sq)).sum())
+    np.multiply(norm_sq, np.sqrt(norm_sq), out=rows[3])
+    return Moments.of_rows(rows)
 
 
 def berry_esseen_bound(summary, n):

@@ -8,7 +8,7 @@ a finite-design substitute for full Haar averaging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,39 +160,18 @@ def collect_audit_samples(pair, trials, rng):
     return {name: (fn(*mode0[0]), fn(*mode0[1])) for name, fn in default_audit_statistics().items()}
 
 
-@dataclass(frozen=True)
-class AuditResult:
-    statistic: float
-    pvalue: float
+def audit_report(samples, trials):
+    """Two-sample KS test per statistic of ``{name: (samples_a, samples_b)}``, as a report dict.
 
+    Fewer than 100 trials sets the ``underpowered`` flag.
+    """
+    from scipy.stats import ks_2samp  # imported here: scipy.stats dominates import time
 
-@dataclass(frozen=True)
-class InvariantAuditReport:
-    trials: int
-    underpowered: bool
-    results: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_samples(cls, samples, trials):
-        """Two-sample KS test per statistic of ``{name: (samples_a, samples_b)}``.
-
-        Fewer than 100 trials sets the ``underpowered`` flag.
-        """
-        from scipy.stats import ks_2samp  # imported here: scipy.stats dominates import time
-
-        results = {}
-        for name, (va, vb) in samples.items():
-            ks = ks_2samp(va, vb)
-            results[name] = AuditResult(float(ks.statistic), float(ks.pvalue))
-        return cls(trials=trials, underpowered=trials < 100, results=results)
-
-    def to_dict(self):
-        return {
-            "trials": self.trials,
-            "underpowered": self.underpowered,
-            "results": {k: {"ks_statistic": v.statistic, "pvalue": v.pvalue}
-                        for k, v in self.results.items()},
-        }
+    results = {}
+    for name, (va, vb) in samples.items():
+        ks = ks_2samp(va, vb)
+        results[name] = {"ks_statistic": float(ks.statistic), "pvalue": float(ks.pvalue)}
+    return {"trials": trials, "underpowered": trials < 100, "results": results}
 
 
 def roots_of_unity_design(count):

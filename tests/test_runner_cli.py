@@ -400,7 +400,7 @@ def test_keyrate_blocks_that_pick_no_mode(monkeypatch):
 
 def test_keyrate_peak_memory_does_not_grow_with_the_picked_modes():
     # 4e6 modes, 4e5 or all of them picked: the run holds one block's arrays,
-    # about 2.6 MiB, or 6.1 MiB when its moment rows cover every mode, and
+    # about 2.8 MiB, or 5.2 MiB when its moment rows cover every mode, and
     # O(1) numbers per block.  A pick drawn over all n modes took 16 bytes
     # per picked mode, 61 MiB at fraction 1.
     import tracemalloc
@@ -413,7 +413,7 @@ def test_keyrate_peak_memory_does_not_grow_with_the_picked_modes():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20, (fraction, peak / 2**20)
+        assert peak < 6 * 2**20, (fraction, peak / 2**20)
 
 
 def test_sweep_starts_one_pool_for_every_grid_point(monkeypatch):

@@ -455,17 +455,34 @@ def test_mixture_draw_matches_choice_and_column_stack(weights, components):
 
 @pytest.mark.parametrize("pairs", [True, False])
 def test_moments_merge_matches_one_pass(pairs):
-    # Unequal parts, empty ones included, merged in order.
+    # Unequal parts, empty ones included, merged in order; of_rows centres its rows in place.
+    # pairs=False checks only the diagonal, the sums of squares SigmaEstimate reads.
     rows = np.random.default_rng(29).normal(3.0, [[1.0], [5.0], [0.2]], size=(3, 10_000))
     cuts = [0, 0, 17, 4000, 4000, 9999, 10_000, 10_000]
-    merged = Moments.merge([Moments.of_rows(rows[:, lo:hi], pairs) for lo, hi in zip(cuts, cuts[1:])])
+    merged = Moments.merge([Moments.of_rows(rows[:, lo:hi].copy()) for lo, hi in zip(cuts, cuts[1:])])
     centred = rows - rows.mean(axis=1, keepdims=True)
+    got = merged.centred if pairs else np.diagonal(merged.centred)
     want = centred @ centred.T if pairs else np.einsum("ij,ij->i", centred, centred)
     assert merged.count == 10_000
     np.testing.assert_allclose(merged.mean, rows.mean(axis=1), rtol=1e-13)
-    np.testing.assert_allclose(merged.centred, want, rtol=1e-12)
-    empty = Moments.of_rows(np.empty((3, 0)), pairs)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+    empty = Moments.of_rows(np.empty((3, 0)))
     assert empty.count == 0 and not np.any(empty.mean) and not np.any(empty.centred)
+
+
+def test_summary_entry_points_leave_their_inputs_untouched():
+    # Moments.of_rows centres in place; the public entry points hand it rows of their own.
+    pairs = BivariateMixture((1.0,), ((1.0, 2.0, 0.5),)).draw(2000, np.random.default_rng(31))
+    triples = mode_triples(pairs[:, 0], pairs[:, 1])
+    x, y = pairs[:, 0].copy(), pairs[:, 1].copy()
+    inputs = (pairs, triples, x, y)
+    before = [a.copy() for a in inputs]
+    sigma_est(pairs)
+    MomentSummary.from_triples(triples)
+    triple_moments(triples)
+    fourth_moment_moments(x, y)
+    for got, want in zip(inputs, before):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_summaries_are_the_one_part_merge():

@@ -20,8 +20,8 @@ from cvsym.linalg import (
 from cvsym.samples import InvariantTriple, SampleBatch
 from cvsym.symmetrize import (
     MAX_DESIGN_DEGREE,
-    InvariantAuditReport,
     apply_symmetrization,
+    audit_report,
     batch_with_invariants,
     collect_audit_samples,
     default_audit_statistics,
@@ -290,15 +290,15 @@ def test_batch_with_invariants_rejects_cauchy_schwarz_violation():
 
 def _audit(pair, trials, seed):
     samples = collect_audit_samples(pair, trials, np.random.default_rng(seed))
-    return InvariantAuditReport.from_samples(samples, trials)
+    return audit_report(samples, trials)
 
 
 def test_audit_identical_ensembles_consistent_with_null():
     batch = batch_with_invariants(4, 8.0, 16.0, 3.0, 2.0)
     report = _audit((batch, batch), 600, 10)
-    assert not report.underpowered
-    for result in report.results.values():
-        assert result.pvalue > 0.01
+    assert not report["underpowered"]
+    for result in report["results"].values():
+        assert result["pvalue"] > 0.01
 
 
 def test_audit_fixed_rotation_related_ensembles_consistent_with_null():
@@ -306,8 +306,8 @@ def test_audit_fixed_rotation_related_ensembles_consistent_with_null():
     batch = batch_with_invariants(4, 8.0, 16.0, 3.0, 2.0)
     rotated = apply_symmetrization(batch, haar_orthogonal_symplectic(4, rng))
     report = _audit((batch, rotated), 600, 12)
-    for result in report.results.values():
-        assert result.pvalue > 0.01
+    for result in report["results"].values():
+        assert result["pvalue"] > 0.01
 
 
 def test_audit_opposite_symplectic_products_reports_measurement():
@@ -316,16 +316,16 @@ def test_audit_opposite_symplectic_products_reports_measurement():
     plus = batch_with_invariants(4, 8.0, 16.0, 3.0, 2.0)
     minus = batch_with_invariants(4, 8.0, 16.0, 3.0, -2.0)
     report = _audit((plus, minus), 400, 13)
-    assert set(report.results) == {"y_first_coord", "mode0_dot", "mode0_symplectic", "mode0_x_power"}
-    for result in report.results.values():
-        assert 0.0 <= result.statistic <= 1.0
-        assert 0.0 <= result.pvalue <= 1.0
+    assert set(report["results"]) == {"y_first_coord", "mode0_dot", "mode0_symplectic", "mode0_x_power"}
+    for result in report["results"].values():
+        assert 0.0 <= result["ks_statistic"] <= 1.0
+        assert 0.0 <= result["pvalue"] <= 1.0
 
 
 def test_audit_underpowered_flag():
     batch = batch_with_invariants(2, 1.0, 1.0, 0.0, 0.0)
     report = _audit((batch, batch), 50, 14)
-    assert report.underpowered
+    assert report["underpowered"]
 
 
 def _full_haar_mode0(batch, trials, rng, chunk=500):
@@ -401,8 +401,8 @@ def test_symmetrized_statistics_well_defined():
     batch_b = batch_with_invariants(5, 6.0, 14.0, 2.5, -1.5, rng=rng)
     assert np.max(np.abs(batch_a.x - batch_b.x)) > 0.1  # genuinely different vectors
     report = _audit((batch_a, batch_b), 1000, 31)
-    for name, result in report.results.items():
-        assert result.pvalue > 0.01, (name, result)
+    for name, result in report["results"].items():
+        assert result["pvalue"] > 0.01, (name, result)
 
 
 def test_identity_design_reproduces_raw_moments():
