@@ -50,19 +50,17 @@ class ChannelEstimate:
 class ChannelMoments:
     """Mergeable summary of paired coordinate data for the channel estimate.
 
-    Over ``count`` coordinates, ``ratio`` is sum(x y) / sum(x^2) and
-    ``mean`` and ``comoment`` (the centred sum of outer products) describe
+    A ratio plus a :class:`~cvsym.stats.Moments`: ``ratio`` is
+    sum(x y) / sum(x^2), and ``moments`` summarizes the rows
     u = (e^2, e x, x^2) with e = y - ratio x.  Two summaries merge by
     shearing both to their common ratio, which is linear in u, and then by
-    :meth:`~cvsym.stats.Moments.merge`.  Raw (x^2, xy, y^2)
-    moments would merge more simply but lose digits as the modulation
-    variance grows, since e^2 is a small difference of large terms.
+    :meth:`~cvsym.stats.Moments.merge`.  Raw (x^2, xy, y^2) moments would
+    merge more simply but lose digits as the modulation variance grows,
+    since e^2 is a small difference of large terms.
     """
 
-    count: int
     ratio: float
-    mean: np.ndarray
-    comoment: np.ndarray
+    moments: Moments
 
     @classmethod
     def from_data(cls, x, y):
@@ -77,42 +75,39 @@ class ChannelMoments:
         np.subtract(y, e, out=e)
         np.multiply(e, e, out=u[0])
         e *= x
-        mean = u.mean(axis=1)
-        u -= mean[:, None]
-        return cls(x.size, ratio, mean, np.einsum("ik,jk->ij", u, u))
+        return cls(ratio, Moments.of_rows(u))
 
     def sheared(self, ratio):
         """The same data summarized against ``ratio``: e' = e - (ratio - self.ratio) x."""
         d = ratio - self.ratio
         shear = np.array([[1.0, -2.0 * d, d * d], [0.0, 1.0, -d], [0.0, 0.0, 1.0]])
-        return ChannelMoments(self.count, ratio, shear @ self.mean, shear @ self.comoment @ shear.T)
+        m = self.moments
+        return ChannelMoments(ratio, Moments(m.count, shear @ m.mean, shear @ m.centred @ shear.T))
 
     @classmethod
     def merge(cls, parts):
         """One summary of the concatenated data of ``parts``, merged in order."""
-        sxx = sum(p.count * p.mean[2] for p in parts)
-        sxy = sum(p.count * (p.mean[1] + p.ratio * p.mean[2]) for p in parts)
+        sxx = sum(p.moments.count * p.moments.mean[2] for p in parts)
+        sxy = sum(p.moments.count * (p.moments.mean[1] + p.ratio * p.moments.mean[2]) for p in parts)
         ratio = float(sxy / sxx) if sxx > 0.0 else 0.0
-        sheared = [p.sheared(ratio) for p in parts]
-        merged = Moments.merge([Moments(p.count, p.mean, p.comoment) for p in sheared])
-        return cls(merged.count, ratio, merged.mean, merged.centred)
+        return cls(ratio, Moments.merge([p.sheared(ratio).moments for p in parts]))
 
     def estimate(self, modulation_variance, beta):
         """The :class:`ChannelEstimate` of :func:`estimate_channel` from this summary."""
-        count = self.count
+        count, mean, centred = self.moments.count, self.moments.mean, self.moments.centred
         if count < MIN_ESTIMATION_COORDS:
             raise PreconditionError(f"need at least {MIN_ESTIMATION_COORDS} coordinates, got {count}")
-        sxx = float(self.mean[2])
+        sxx = float(mean[2])
         if sxx == 0.0:
             raise DegenerateCovarianceError("<x^2> vanishes; transmittance is unidentifiable")
         ratio = self.ratio
         # The delta-method influence of each coordinate on the ratio is e x / <x^2>.
-        se_ratio = float(np.sqrt(self.comoment[1, 1] / count) / sxx / np.sqrt(count))
+        se_ratio = float(np.sqrt(centred[1, 1] / count) / sxx / np.sqrt(count))
         t_raw = ratio * ratio
         se_t = 2.0 * abs(ratio) * se_ratio
 
-        var_res = float(self.mean[0])
-        se_var = float(np.sqrt(self.comoment[0, 0] / count) / np.sqrt(count))
+        var_res = float(mean[0])
+        se_var = float(np.sqrt(centred[0, 0] / count) / np.sqrt(count))
         t_hat = min(max(t_raw, 0.0), 1.0)
         if t_raw > 0.0:
             xi_raw = 2.0 * (var_res - 1.0) / t_raw

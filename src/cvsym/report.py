@@ -40,20 +40,6 @@ class ExperimentReport:
             "meta": {"version": self.version, "wall_clock_s": self.wall_clock_s},
         }
 
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            config=ExperimentConfig.from_dict(data["config"]),
-            metrics=data["metrics"],
-            version=data["meta"]["version"],
-            wall_clock_s=data["meta"]["wall_clock_s"],
-        )
-
-
-def parse_report(path):
-    with open(path) as fh:
-        return ExperimentReport.from_dict(json.load(fh))
-
 
 def _write_csv(path, header, rows):
     path.parent.mkdir(parents=True, exist_ok=True)

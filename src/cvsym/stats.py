@@ -55,11 +55,12 @@ class Moments:
     """Count, mean and centred comoment of data; merges as one pass over all of it.
 
     The data are the columns of (k, count) rows.  ``centred`` holds the
-    (k, k) centred sums of products of every pair of rows.  Every sum runs
-    along a contiguous row, where ``ndarray.sum`` adds pairwise; parts merge
-    in order by the pairwise update of Chan, Golub & LeVeque (Am. Stat. 37,
-    242 (1983)).  :meth:`of_rows` centres the rows it is given in place, so
-    its callers pass rows they own.
+    (k, k) centred sums of products of every pair of rows.  Means add
+    pairwise; each comoment is one einsum contraction, which holds no
+    row-length temporary and calls no BLAS.  Parts merge in order by the
+    pairwise update of Chan, Golub & LeVeque (Am. Stat. 37, 242 (1983)).
+    :meth:`of_rows` centres the rows it is given in place, so its callers
+    pass rows they own.
     """
 
     count: int
@@ -69,16 +70,10 @@ class Moments:
     @classmethod
     def of_rows(cls, rows):
         """Moments of (k, count) float rows, centring them in place."""
-        k, count = rows.shape
-        if count == 0:
-            return cls(0, np.zeros(k), np.zeros((k, k)))
-        mean = rows.sum(axis=1) / count
+        count = rows.shape[1]
+        mean = rows.sum(axis=1) / max(count, 1)
         rows -= mean[:, None]
-        centred = np.empty((k, k))
-        for i in range(k):
-            for j in range(i + 1):
-                centred[i, j] = centred[j, i] = (rows[i] * rows[j]).sum()
-        return cls(count, mean, centred)
+        return cls(count, mean, np.einsum("ik,jk->ij", rows, rows))
 
     @classmethod
     def merge(cls, parts):

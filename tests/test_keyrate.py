@@ -81,9 +81,9 @@ def test_merged_blocks_match_two_pass_estimate(variance_a, t):
     cuts = [0, 5_000, 5_001, 40_000, 77_777, x.size]
     merged = ChannelMoments.merge([ChannelMoments.from_data(x[lo:hi], y[lo:hi])
                                    for lo, hi in zip(cuts, cuts[1:])])
-    count = merged.count
-    got = (merged.ratio, np.sqrt(merged.comoment[1, 1] / count) / merged.mean[2] / np.sqrt(count),
-           merged.mean[0], np.sqrt(merged.comoment[0, 0] / count) / np.sqrt(count))
+    count, mean, centred = merged.moments.count, merged.moments.mean, merged.moments.centred
+    got = (merged.ratio, np.sqrt(centred[1, 1] / count) / mean[2] / np.sqrt(count),
+           mean[0], np.sqrt(centred[0, 0] / count) / np.sqrt(count))
     rtol = 1e-10 if variance_a > 1e6 else 1e-12
     np.testing.assert_allclose(got, _two_pass_estimate(x, y), rtol=rtol)
     assert count == x.size
@@ -100,9 +100,11 @@ def test_merge_does_not_depend_on_the_ratio_parts_were_summarized_against():
     want = ChannelMoments.merge(parts)
     got = ChannelMoments.merge([parts[0].sheared(5.0), parts[1].sheared(-3.0)])
     assert got.ratio == pytest.approx(want.ratio, rel=1e-12)
+    got, want = got.moments, want.moments
+    assert got.count == want.count
     np.testing.assert_allclose(got.mean, want.mean, rtol=1e-12, atol=1e-12 * np.abs(want.mean).max())
-    np.testing.assert_allclose(got.comoment, want.comoment, rtol=1e-10,
-                               atol=1e-10 * np.abs(want.comoment).max())
+    np.testing.assert_allclose(got.centred, want.centred, rtol=1e-10,
+                               atol=1e-10 * np.abs(want.centred).max())
 
 
 def test_noiseless_channel_leaks_nothing():

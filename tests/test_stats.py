@@ -457,17 +457,35 @@ def test_mixture_draw_matches_choice_and_column_stack(weights, components):
 def test_moments_merge_matches_one_pass(pairs):
     # Unequal parts, empty ones included, merged in order; of_rows centres its rows in place.
     # pairs=False checks only the diagonal, the sums of squares SigmaEstimate reads.
-    rows = np.random.default_rng(29).normal(3.0, [[1.0], [5.0], [0.2]], size=(3, 10_000))
-    cuts = [0, 0, 17, 4000, 4000, 9999, 10_000, 10_000]
-    merged = Moments.merge([Moments.of_rows(rows[:, lo:hi].copy()) for lo, hi in zip(cuts, cuts[1:])])
-    centred = rows - rows.mean(axis=1, keepdims=True)
-    got = merged.centred if pairs else np.diagonal(merged.centred)
-    want = centred @ centred.T if pairs else np.einsum("ij,ij->i", centred, centred)
-    assert merged.count == 10_000
-    np.testing.assert_allclose(merged.mean, rows.mean(axis=1), rtol=1e-13)
-    np.testing.assert_allclose(got, want, rtol=1e-12)
-    empty = Moments.of_rows(np.empty((3, 0)))
-    assert empty.count == 0 and not np.any(empty.mean) and not np.any(empty.centred)
+    # Three rows as in a triple summary, eight as in a fourth-moment block summary.
+    for scales in ([1.0, 5.0, 0.2], [1.0, 5.0, 0.2, 30.0, 0.01, 2.0, 0.5, 1e3]):
+        k = len(scales)
+        rows = np.random.default_rng(29).normal(3.0, np.array(scales)[:, None], size=(k, 10_000))
+        cuts = [0, 0, 17, 4000, 4000, 9999, 10_000, 10_000]
+        merged = Moments.merge([Moments.of_rows(rows[:, lo:hi].copy()) for lo, hi in zip(cuts, cuts[1:])])
+        centred = rows - rows.mean(axis=1, keepdims=True)
+        got = merged.centred if pairs else np.diagonal(merged.centred)
+        want = centred @ centred.T if pairs else np.einsum("ij,ij->i", centred, centred)
+        assert merged.count == 10_000
+        np.testing.assert_allclose(merged.mean, rows.mean(axis=1), rtol=1e-13, err_msg=str(k))
+        np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=str(k))
+        empty = Moments.of_rows(np.empty((k, 0)))
+        assert empty.count == 0 and not np.any(empty.mean) and not np.any(empty.centred)
+
+
+@pytest.mark.parametrize("k", [3, 8])
+def test_moments_of_rows_holds_no_row_length_temporary(k):
+    # One 2^16-long row is 512 KiB; a product of two rows per pair would show as such a peak.
+    import tracemalloc
+
+    rows = np.random.default_rng(32).standard_normal((k, 2**16))
+    tracemalloc.start()
+    try:
+        Moments.of_rows(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**10, peak
 
 
 def test_summary_entry_points_leave_their_inputs_untouched():
