@@ -188,8 +188,8 @@ class ExperimentConfig:
             bad("n", f"must be >= {MIN_ESTIMATION_COORDS // 2}: the channel estimate needs "
                      f"{MIN_ESTIMATION_COORDS} coordinates, two per mode")
         elif self.kind == "keyrate-report" and self.n > MAX_KEYRATE_MODES:
-            bad("n", f"must be <= {MAX_KEYRATE_MODES}: the estimation modes are split over "
-                     "the blocks by hypergeometric draws of fewer than 10^9 modes a side")
+            bad("n", f"must be <= {MAX_KEYRATE_MODES}: the run gathers about 3 KB of block "
+                     "summaries per 2^15 modes")
         if self.kind == "design-compare":
             if self.design_kind not in ("roots-of-unity", "haar-sample"):
                 bad("design_kind", "must be roots-of-unity or haar-sample")

@@ -14,6 +14,7 @@ per-element Python loop in a kernel would hold the GIL and serialize them.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__
 # estimate_channel stays bound here: cvbench/spans.py wraps it as a runner-level name.
-from .keyrate import MAX_KEYRATE_MODES, ChannelMoments, estimate_channel, gaussian_keyrate  # noqa: F401
+from .keyrate import ChannelMoments, estimate_channel, gaussian_keyrate  # noqa: F401
 from .linalg import (
     haar_orthogonal_symplectic_stack,
     orthogonality_residual,
@@ -62,9 +63,9 @@ from .symmetrize import (
     witness_transform,
 )
 
-# Stream ids for SeedSequence spawn keys; id 1 (the retired moment pre-pass) stays unused.
+# Stream ids for SeedSequence spawn keys; retired ids 1 (moment pre-pass) and 6 (estimation split) stay unused.
 _S_SWEEP, _S_DIAG, _S_AUDIT, _S_DESIGN = 0, 2, 3, 4
-_S_KEYRATE, _S_KEYRATE_ANALYSIS, _S_ESTIMATION, _S_SELFCHECK = 5, 6, 7, 8
+_S_KEYRATE, _S_ESTIMATION, _S_SELFCHECK = 5, 7, 8
 
 # Float64 values a block keeps alive, 2 MiB (a per-core L2).  A phase-diffusion sweep block holds two
 # (trials, n) arrays; key-rate and estimation blocks hold about ten per mode or coordinate pair, so they
@@ -87,7 +88,8 @@ def _summary_dict(summary):
 
 
 def _map_blocks(fn, args_list, workers):
-    workers = min(workers, len(args_list))
+    # Each thread holds a block; more threads than CPUs or blocks only add memory.
+    workers = min(workers, len(args_list), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(args) for args in args_list]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -242,11 +244,11 @@ def _run_convergence_sweep(config, workers):
         row = {
             "n": n,
             "trials": int(trials),
-            "tv_estimate": diag.tv_estimate,
-            "tv_bias_bound": diag.tv_bias_bound,
-            "ks_max": diag.ks_max,
-            "ks_floor": diag.ks_floor,
-            "ks_max_corrected": diag.ks_max_corrected,
+            "tv_estimate": diag["tv_estimate"],
+            "tv_bias_bound": diag["tv_bias_bound"],
+            "ks_max": diag["ks_max"],
+            "ks_floor": diag["ks_floor"],
+            "ks_max_corrected": diag["ks_max_corrected"],
             "be_bound_over_c": bound_over_c,
             "be_bound": config.be_constant * bound_over_c,
             "skew_x": float(skew[0]), "skew_y": float(skew[1]), "skew_z": float(skew[2]),
@@ -254,7 +256,7 @@ def _run_convergence_sweep(config, workers):
             "se_skew": se_skew, "se_kurt": se_kurt,
             "acceptance_fraction": 1.0,
             "mode_moments": _summary_dict(mode_summary),
-            "ks_detail": diag.to_dict(),
+            "ks_detail": diag,
         }
         grid_rows.append(row)
 
@@ -326,59 +328,31 @@ def _run_design_compare(config, workers):
 # keyrate report
 
 
-def _sorted_subset(rng, n, m):
-    """A uniform random m-subset of range(n), ascending."""
-    return np.sort(rng.choice(n, m, replace=False))
-
-
-def _split_pick(rng, n, m, block):
-    """How many modes of each ``block``-mode block of range(n) a uniform m-subset holds.
-
-    A balanced binary tree of hypergeometric draws splits m between the two
-    halves of every range, as a uniform subset would, down to single blocks.
-    A split falls between blocks unless a side would then reach 10^9 modes,
-    numpy's limit; the block that straddles such a split sums both sides'
-    counts.  So n up to ``MAX_KEYRATE_MODES`` splits with O(blocks) draws.
-    """
-    counts = np.zeros(-(-n // block), dtype=np.int64)
-    most = MAX_KEYRATE_MODES // 2
-
-    def split(lo, hi, k):
-        first, last = lo // block, (hi - 1) // block
-        if k == 0 or first == last:
-            counts[first] += k
-            return
-        mid = min(max(block * ((first + last + 1) // 2), hi - most), lo + most)
-        left = int(rng.hypergeometric(mid - lo, hi - mid, k))
-        split(lo, mid, left)
-        split(mid, hi, k - left)
-
-    split(0, n, m)
-    return counts
-
-
 def _keyrate_args(config):
-    """Every key-rate block's arguments: its modes, and how many of them it picks for estimation."""
+    """Every key-rate block's arguments: its modes, and how many of its leading modes estimation summarizes.
+
+    The block of modes [s, e) of n takes floor(m e / n) - floor(m s / n) of
+    the m estimation modes, so the shares sum to m and none exceeds its
+    block.  Every mode is drawn independently, so a pick that never looks at
+    the data has the law of a uniform random one.
+    """
+    n = config.n
     # Four modes at least: the covariance of fewer 3-d triples is singular.
-    m_modes = max(4, int(np.ceil(config.estimation_fraction * config.n)))
-    picks = _split_pick(_stream_rng(config.seed, _S_KEYRATE_ANALYSIS, 0), config.n, m_modes, BLOCK_MODES)
+    m = max(4, int(np.ceil(config.estimation_fraction * n)))
     model, region = config.channel(), config.region()
     modulation = ModulationParams(1, config.modulation_variance)
-    return [(config.seed, bi, bm, model, modulation, region, int(k))
-            for (bi, bm), k in zip(_blocks(config.n, BLOCK_MODES), picks)]
+    return [(config.seed, bi, bm, model, modulation, region,
+             m * (bi * BLOCK_MODES + bm) // n - m * bi * BLOCK_MODES // n)
+            for bi, bm in _blocks(n, BLOCK_MODES)]
 
 
 def _keyrate_draw(args):
-    """A key-rate block's x and y, (modes, 2) each, and the index of its picked modes.
-
-    The block picks its modes from its own stream after its data, as an
-    ascending uniform subset; when it picks them all, the index is a slice.
-    """
+    """A key-rate block's x and y, (modes, 2) each, and the slice of its leading modes that estimation summarizes."""
     seed, block_index, modes, model, modulation, _, picks = args
     rng = _stream_rng(seed, _S_KEYRATE, block_index)
     x = alice_modulate(modulation, rng, modes)
     y = channel_and_heterodyne(x, model, rng)
-    return x, y, _sorted_subset(rng, modes, picks) if picks < modes else slice(None)
+    return x, y, slice(picks)
 
 
 def _keyrate_block(args):

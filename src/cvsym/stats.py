@@ -271,39 +271,6 @@ def _inverse_sqrt(cov):
     return (vecs / np.sqrt(vals)) @ vecs.T
 
 
-@dataclass(frozen=True)
-class TvDiagnostics:
-    """Histogram TV estimate plus KS statistics of a whitened 3-d sample against N(0, I_3).
-
-    ``tv_estimate`` compares equal-mass cell frequencies with exact
-    reference cell probabilities; ``tv_bias_bound`` is its plug-in bias
-    bound sqrt(K / N) for K = bins_per_axis^3 cells and N samples.
-    ``ks_corrected`` subtracts the finite-sample noise floor in quadrature:
-    sqrt(max(D^2 - floor^2, 0)) where ``ks_floor`` is the closed-form mean
-    null KS statistic at the same sample size (:func:`ks_null_mean`,
-    Marsaglia, Tsang & Wang 2003).  The raw statistic of a sample at true
-    distance well below the floor is dominated by the floor; the corrected
-    value tracks the distance.  ``ks_pvalues`` are exact below
-    ``KS_ASYMPTOTIC_MIN_N`` = 10^4 samples and from Kolmogorov's limit law
-    from there on.
-    """
-
-    tv_estimate: float
-    tv_bias_bound: float
-    bins_per_axis: int
-    sample_count: int
-    ks_raw: dict
-    ks_pvalues: dict
-    ks_corrected: dict
-    ks_floor: float
-    ks_max: float
-    ks_max_corrected: float
-
-    def to_dict(self):
-        # A shallow copy: empirical_tv_3d builds the ks_* dicts fresh for every result.
-        return dict(vars(self))
-
-
 # From this sample size on, KS p-values come from the Kolmogorov limit law;
 # against the exact law it is within 2.5 % relative at N = 1e4 for p in
 # [1e-8, 0.5], and the exact law costs O(N) per small p-value.
@@ -399,8 +366,19 @@ def empirical_tv_3d(samples, mean, cov, rng, bins_per_axis=None, projections=6):
       differences in 3-d are bias-dominated, so the KS statistics are the
       headline diagnostics.
     * KS: the three whitened axes and ``projections`` random unit
-      directions, each sorted once; p-values from :func:`_ks_pvalues`, null
-      floor from :func:`ks_null_mean`.
+      directions, each sorted once.
+
+    Returns a dict: ``tv_estimate`` with its plug-in bias bound
+    ``tv_bias_bound`` = sqrt(K / N) for K = ``bins_per_axis``^3 cells and
+    N = ``sample_count`` samples; ``ks_raw``, ``ks_pvalues`` and
+    ``ks_corrected`` by statistic, with their maxima ``ks_max`` and
+    ``ks_max_corrected``; and ``ks_floor``, the closed-form mean null KS
+    statistic at N (:func:`ks_null_mean`).  The p-values are exact below
+    ``KS_ASYMPTOTIC_MIN_N`` = 10^4 samples and from Kolmogorov's limit law
+    from there on.  A corrected statistic subtracts the floor in
+    quadrature, sqrt(max(D^2 - floor^2, 0)): the raw statistic of a sample
+    at a true distance well below the floor is dominated by the floor, the
+    corrected one tracks the distance.
 
     ``rng`` draws only the projection directions: 3 * projections standard
     normals.
@@ -448,11 +426,11 @@ def empirical_tv_3d(samples, mean, cov, rng, bins_per_axis=None, projections=6):
     ks_floor = ks_null_mean(count)
     ks_corrected = {name: float(np.sqrt(max(val * val - ks_floor * ks_floor, 0.0)))
                     for name, val in ks_raw.items()}
-    return TvDiagnostics(
-        tv_estimate=tv_estimate, tv_bias_bound=tv_bias_bound, bins_per_axis=bins,
-        sample_count=count, ks_raw=ks_raw, ks_pvalues=ks_pvalues,
-        ks_corrected=ks_corrected, ks_floor=ks_floor, ks_max=max(ks_raw.values()),
-        ks_max_corrected=max(ks_corrected.values()))
+    return {
+        "tv_estimate": tv_estimate, "tv_bias_bound": tv_bias_bound, "bins_per_axis": bins,
+        "sample_count": count, "ks_raw": ks_raw, "ks_pvalues": ks_pvalues,
+        "ks_corrected": ks_corrected, "ks_floor": ks_floor, "ks_max": max(ks_raw.values()),
+        "ks_max_corrected": max(ks_corrected.values())}
 
 
 def _scale_to_unit(centred, axis):

@@ -13,7 +13,7 @@ from cvsym import runner, symmetrize
 from cvsym.cli import main
 from cvsym.config import ExperimentConfig, dump_config, load_config
 from cvsym.errors import ConfigError
-from cvsym.keyrate import estimate_channel
+from cvsym.keyrate import MAX_KEYRATE_MODES, estimate_channel
 from cvsym.protocol import (
     MAX_MODULATION_VARIANCE,
     MIN_MODULATION_VARIANCE,
@@ -120,7 +120,9 @@ def test_run_is_worker_count_independent(monkeypatch):
         assert json.dumps(rep1.metrics, sort_keys=True) == json.dumps(rep2.metrics, sort_keys=True), cfg.kind
 
 
-def test_map_blocks_starts_no_more_workers_than_blocks(monkeypatch):
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """The ``max_workers`` of every pool ``_map_blocks`` asks for; the stub maps in-process and starts no thread."""
     started = []
 
     class RecordingPool:
@@ -137,9 +139,23 @@ def test_map_blocks_starts_no_more_workers_than_blocks(monkeypatch):
             return map(fn, args_list)
 
     monkeypatch.setattr(runner, "ThreadPoolExecutor", RecordingPool)
+    return started
+
+
+def test_map_blocks_starts_no_more_workers_than_blocks(recording_pool):
     assert runner._map_blocks(abs, [-1, -2, -3], 1000) == [1, 2, 3]
     assert runner._map_blocks(abs, [-1], 1000) == [1]
-    assert started == [3]
+    # On one CPU every block runs in-process and no pool is asked for.
+    cpus = os.cpu_count() or 1
+    assert recording_pool == ([min(3, cpus)] if cpus > 1 else [])
+
+
+def test_map_blocks_starts_no_more_workers_than_cpus(recording_pool):
+    # Each worker holds a block of about 2.5 MiB: a 10^9-mode key rate at
+    # --workers 100000 asked for 30,518 threads before the cap.
+    blocks = list(range(-64, 0))
+    assert runner._map_blocks(abs, blocks, 10**6) == [-b for b in blocks]
+    assert all(workers <= (os.cpu_count() or 1) for workers in recording_pool)
 
 
 def test_two_worker_runs_start_no_process(monkeypatch):
@@ -190,67 +206,20 @@ def test_keyrate_blocks_return_constant_size_summaries(monkeypatch):
         assert sum(args[-1] for args, _ in returned) == metrics["estimation_modes"]
 
 
-@pytest.mark.parametrize("n, m", [(10, 3), (30, 2), (8, 8)])
-def test_sorted_subset_is_uniform(n, m):
-    # Small n keeps every index and drops a uniform surplus; n = 30, m = 2
-    # runs the Bernoulli process (p < 1).  Every m-subset must be as likely.
-    from itertools import combinations
-
-    from scipy.stats import chisquare
-
-    rng = np.random.default_rng(1000 + n)
-    counts = dict.fromkeys(combinations(range(n), m), 0)
-    for _ in range(20 * len(counts) + 2000):
-        subset = runner._sorted_subset(rng, n, m)
-        assert np.all(np.diff(subset) > 0)
-        counts[tuple(subset.tolist())] += 1
-    if len(counts) > 1:
-        assert chisquare(list(counts.values())).pvalue > 1e-3
-
-
-def test_sorted_subset_is_sorted_distinct_and_in_range():
-    rng = np.random.default_rng(3)
-    for n, m in ((10**6, 10**5), (5000, 4999), (2**40, 1000)):
-        subset = runner._sorted_subset(rng, n, m)
-        assert len(subset) == m and subset[0] >= 0 and subset[-1] < n
-        assert np.all(np.diff(subset) > 0)
-
-
-@pytest.mark.parametrize("n, m, block, most", [(10, 3, 3, None), (9, 4, 2, None), (8, 3, 3, 4)])
-def test_split_pick_is_uniform(monkeypatch, n, m, block, most):
-    # The tree splits m over the blocks, and each block draws its share as a
-    # subset of its own modes: together, every m-subset must be as likely.
-    # A side limit of ``most`` modes moves the root split of n = 8 from 3
-    # to 4, inside the middle block, which then sums both sides' counts.
-    from itertools import combinations
-
-    from scipy.stats import chisquare
-
-    if most is not None:
-        monkeypatch.setattr(runner, "MAX_KEYRATE_MODES", 2 * most)
-    rng = np.random.default_rng(2000 + n)
-    counts = dict.fromkeys(combinations(range(n), m), 0)
-    for _ in range(20 * len(counts) + 2000):
-        shares = runner._split_pick(rng, n, m, block)
-        subset = np.concatenate([start + runner._sorted_subset(rng, min(block, n - start), k)
-                                 for start, k in zip(range(0, n, block), shares)])
-        counts[tuple(subset.tolist())] += 1
-    assert chisquare(list(counts.values())).pvalue > 1e-3
-
-
-def test_keyrate_mode_limit_is_the_reach_of_the_pick_split():
-    # numpy's hypergeometric draws take fewer than 1e9 modes on each side.
-    limit = runner.MAX_KEYRATE_MODES
+def test_keyrate_mode_limit_and_estimation_shares():
+    # A key rate gathers about 3 KB of block summaries per 2^15 modes before it merges them.
+    limit = MAX_KEYRATE_MODES
     ExperimentConfig(kind="keyrate-report", seed=1, n=limit).validate()
     with pytest.raises(ConfigError) as err:
         ExperimentConfig(kind="keyrate-report", seed=1, n=limit + 1).validate()
     assert err.value.fields == ["n"]
-    sizes = np.array([size for _, size in runner._blocks(limit, runner.BLOCK_MODES)])
-    rng = np.random.default_rng(4)
-    for m in (4, 10**8, limit):
-        shares = runner._split_pick(rng, limit, m, runner.BLOCK_MODES)
-        assert shares.sum() == m and np.all(shares <= sizes)
-    assert np.array_equal(shares, sizes)
+    # Each block's share of the m estimation modes is its proportional share, rounded.
+    for fraction, m in ((1e-12, 4), (0.05, 10**8), (1.0, limit)):
+        args = runner._keyrate_args(ExperimentConfig(kind="keyrate-report", seed=1, n=limit,
+                                                     estimation_fraction=fraction))
+        assert sum(a[-1] for a in args) == m
+        for _, _, size, *_, share in args:
+            assert share <= size and abs(share * limit - m * size) < limit
 
 
 @pytest.mark.parametrize("cfg", [
@@ -380,7 +349,7 @@ def test_keyrate_lambda_min_at_the_modulation_ceiling(t):
 
 
 def test_keyrate_blocks_that_pick_no_mode(monkeypatch):
-    # Four picked modes over four blocks: at this seed some blocks pick none.
+    # Four picked modes over eight blocks: every other block picks none.
     picks = []
     real = runner._map_blocks
 
@@ -389,13 +358,31 @@ def test_keyrate_blocks_that_pick_no_mode(monkeypatch):
         return real(fn, args_list, workers)
 
     monkeypatch.setattr(runner, "_map_blocks", spy)
-    cfg = ExperimentConfig(kind="keyrate-report", seed=5, n=3 * runner.BLOCK_MODES + 7,
+    cfg = ExperimentConfig(kind="keyrate-report", seed=5, n=7 * runner.BLOCK_MODES + 7,
                            estimation_fraction=1e-6)
     metrics = run(cfg).metrics
-    assert metrics["estimation_modes"] == sum(picks) == 4 and 0 in picks, picks
+    assert metrics["estimation_modes"] == 4 and picks == [0, 1, 0, 1, 0, 1, 0, 1], picks
     want = runner._summary_dict(MomentSummary.from_triples(_picked_triples(cfg)))
     _assert_moments_close(metrics["mode_moments"], want, rtol=1e-12)
     assert json.dumps(run(cfg, workers=2).metrics, sort_keys=True) == json.dumps(metrics, sort_keys=True)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_keyrate_pick_reads_neither_data_nor_keep_mask(seed):
+    # A postselected mixture keeps about 39 % of its modes.  The estimation
+    # modes are summarized whether kept or not: their mean triple is the
+    # exact mode mean, within 5 standard errors.
+    cfg = ExperimentConfig(kind="keyrate-report", seed=seed, n=100_000, estimation_fraction=0.1,
+                           perturbation="gaussian-mixture", modulation_variance=20.0,
+                           mixture_weights=[0.85, 0.15], mixture_transmittances=[0.9, 0.15],
+                           mixture_excess_noises=[0.01, 3.0],
+                           postselection_rule="amplitude-threshold", postselection_threshold=4.0)
+    metrics = run(cfg).metrics
+    assert 0.3 < metrics["acceptance_fraction"] < 0.5
+    exact = cfg.channel().mode_summary(ModulationParams(1, cfg.modulation_variance))
+    se = np.sqrt(np.diag(exact.covariance) / metrics["estimation_modes"])
+    z = (np.array(metrics["mode_moments"]["mean"]) - exact.mean) / se
+    assert np.all(np.abs(z) <= 5.0), z
 
 
 def test_keyrate_peak_memory_does_not_grow_with_the_picked_modes():
@@ -764,7 +751,7 @@ def test_cli_rejects_mistyped_field(tmp_path, capsys, field_name, value):
     ({"kind": "design-compare", "n": 1, "design_size": 0}, "design_size"),
     # One decade over the ceiling; at 1e8 this sweep's reference covariance is singular.
     ({"kind": "convergence-sweep", "n_grid": [100, 1000], "modulation_variance": 1e7}, "modulation_variance"),
-    # The estimation pick's hypergeometric splits take fewer than 1e9 modes a side.
+    # Over keyrate.MAX_KEYRATE_MODES: the gathered block summaries grow with n.
     ({"kind": "keyrate-report", "n": 2 * 10 ** 9}, "n"),
 ])
 def test_cli_rejects_config_that_cannot_run(tmp_path, capsys, config, field_name):

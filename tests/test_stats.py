@@ -278,9 +278,9 @@ def test_empirical_tv_null_case():
     chol = np.linalg.cholesky(cov)
     samples = rng.standard_normal((20_000, 3)) @ chol.T
     diag = empirical_tv_3d(samples, np.zeros(3), cov, np.random.default_rng(9))
-    assert diag.tv_estimate <= diag.tv_bias_bound
+    assert diag["tv_estimate"] <= diag["tv_bias_bound"]
     # joint null consistency across 9 dependent statistics: Bonferroni level
-    pvals = sorted(diag.ks_pvalues.values())
+    pvals = sorted(diag["ks_pvalues"].values())
     assert pvals[0] > 0.01 / len(pvals)
     assert pvals[len(pvals) // 2] > 0.01
 
@@ -289,7 +289,7 @@ def test_empirical_tv_disjoint_supports():
     rng = np.random.default_rng(10)
     samples = rng.standard_normal((20_000, 3)) + 5.0
     diag = empirical_tv_3d(samples, np.zeros(3), np.eye(3), np.random.default_rng(11))
-    assert diag.tv_estimate >= 0.95
+    assert diag["tv_estimate"] >= 0.95
 
 
 def test_empirical_tv_preconditions():
@@ -351,7 +351,7 @@ def test_edge_compare_cells_match_searchsorted(count, bins):
     samples = np.random.default_rng(count).integers(-3, 4, size=(count, 3)).astype(float)
     got = empirical_tv_3d(samples, np.zeros(3), np.eye(3), np.random.default_rng(0),
                           bins_per_axis=bins, projections=0)
-    bins = got.bins_per_axis
+    bins = got["bins_per_axis"]
     z = samples @ _inverse_sqrt(np.eye(3))
     cell, reference = np.zeros(count, dtype=np.int64), np.ones(1)
     for k in range(3):
@@ -360,7 +360,7 @@ def test_edge_compare_cells_match_searchsorted(count, bins):
         mass = np.diff(ndtr(np.concatenate(([-np.inf], edges, [np.inf]))))
         reference = np.multiply.outer(reference, mass).ravel()
     p_hat = np.bincount(cell, minlength=bins ** 3) / count
-    assert got.tv_estimate == 0.5 * float(np.abs(p_hat - reference).sum())
+    assert got["tv_estimate"] == 0.5 * float(np.abs(p_hat - reference).sum())
 
 
 def test_equal_mass_edges_match_np_quantile():
