@@ -3,9 +3,12 @@
 Seeding: every random stream derives from the master seed through
 ``SeedSequence(seed, spawn_key=(stream, ...))`` with fixed stream ids and
 block indices, so results are identical across runs and across worker
-counts.  Work is cut into fixed-size blocks before scheduling; workers only
-change how blocks are executed, never what a block computes, and gathered
-results are merged in block order.
+counts.  Work is cut into fixed-size blocks before scheduling, each a
+(stream key, args) pair; :func:`_map_blocks` calls a library kernel on each
+block's args and its own stream.  Workers only change how blocks are
+executed, never what a block computes, and gathered results are merged in
+block order.  A run looks its kernel up by module-level name when it starts,
+so a wrapper installed on that name sees every block's call.
 
 Workers are threads: block kernels are array-level numpy, which releases
 the GIL, so blocks overlap with no process start-up or pickling.  A
@@ -30,7 +33,6 @@ from .linalg import (
 )
 from .protocol import (
     ModulationParams,
-    PhaseDiffusion,
     alice_modulate,
     channel_and_heterodyne,
     postselect,
@@ -87,13 +89,18 @@ def _summary_dict(summary):
     }
 
 
-def _map_blocks(fn, args_list, workers):
+def _map_blocks(fn, seed, blocks, workers):
+    """``fn(*args, rng)`` for every (stream key, args) block, in block order, rng drawing the key's stream."""
+    def call(block):
+        key, args = block
+        return fn(*args, _stream_rng(seed, *key))
+
     # Each thread holds a block; more threads than CPUs or blocks only add memory.
-    workers = min(workers, len(args_list), os.cpu_count() or 1)
+    workers = min(workers, len(blocks), os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(args) for args in args_list]
+        return [call(block) for block in blocks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args_list))
+        return list(pool.map(call, blocks))
 
 
 def _blocks(total, block_size):
@@ -135,12 +142,10 @@ def wishart_triples(n, trials, weights, components, rng):
 
 
 def coordinate_triples(n, trials, model, modulation, rng):
-    """Per-trial totals (X^n, Y^n, Z^n) of n modes; ``modulation.n`` is n.
+    """Per-trial totals (X^n, Y^n, Z^n) of n modes under phase diffusion, drawn from their exact law.
 
-    Gaussian and mixture channels simulate every coordinate
-    (``alice_modulate`` then ``channel_and_heterodyne``).  Under phase
-    diffusion the totals are drawn from their exact law instead.  Write a
-    mode's input as x = r e and its noise in the frame (e, e_perp) as
+    Gaussian and mixture channels have :func:`wishart_triples` instead.
+    Write a mode's input as x = r e and its noise in the frame (e, e_perp) as
     (p, q) ~ N(0, s^2 I), s^2 = 1 + T xi / 2; then X = r^2,
     Z = sqrt(T) r^2 cos(phi) + r p and
     Y = T r^2 + 2 sqrt(T) r (p cos(phi) + q sin(phi)) + p^2 + q^2.  Summed
@@ -154,20 +159,9 @@ def coordinate_triples(n, trials, model, modulation, rng):
         X = sum r^2,  Z = sqrt(T) C + sqrt(X) p1,
         Y = T X + 2 sqrt(T) (C / sqrt(X) p1 + sqrt(X - C^2 / X) p2)
             + p1^2 + p2^2 + Q.
+
+    Only r^2 and cos(phi) are (trials, n) arrays.
     """
-    if isinstance(model.perturbation, PhaseDiffusion):
-        return _phase_diffusion_triples(n, trials, model, modulation, rng)
-    x = alice_modulate(modulation, rng, trials)
-    y = channel_and_heterodyne(x, model, rng)
-    return np.stack([
-        np.einsum("ij,ij->i", x, x),
-        np.einsum("ij,ij->i", y, y),
-        np.einsum("ij,ij->i", x, y),
-    ], axis=1)
-
-
-def _phase_diffusion_triples(n, trials, model, modulation, rng):
-    """The phase-diffusion law of :func:`coordinate_triples`; only r^2 and cos(phi) are (trials, n)."""
     t = model.transmittance
     noise_var = 1.0 + t * model.excess_noise / 2.0
     r2 = rng.standard_exponential((trials, n))
@@ -189,15 +183,6 @@ def _phase_diffusion_triples(n, trials, model, modulation, rng):
     return np.column_stack([x_tot, y_tot, z_tot])
 
 
-def _sweep_block(args):
-    seed, grid_index, block_index, n, trials, model, modulation = args
-    rng = _stream_rng(seed, _S_SWEEP, grid_index, block_index)
-    comps = model.mixture_components(modulation)
-    if comps is not None:
-        return wishart_triples(n, trials, comps[0], comps[1], rng)
-    return coordinate_triples(n, trials, model, modulation, rng)
-
-
 def _sweep_block_size(n, exact):
     return 1 << 18 if exact else max(1, BLOCK_COORDS // (2 * n))
 
@@ -217,17 +202,19 @@ def _run_convergence_sweep(config, workers):
     single_mode = ModulationParams(1, config.modulation_variance)
     mode_summary = model.mode_summary(single_mode)
     exact = model.mixture_components(single_mode) is not None
+    kernel = wishart_triples if exact else coordinate_triples
 
     # One pool for every grid point's blocks, so grid points overlap; the run
     # holds every point's totals, three floats per trial, at once.
     grid = list(zip(config.n_grid, config.trials_for_grid()))
-    args, cuts = [], [0]
+    blocks, cuts = [], [0]
     for grid_index, (n, trials) in enumerate(grid):
         modulation = ModulationParams(n, config.modulation_variance)
-        args += [(config.seed, grid_index, bi, n, bt, model, modulation)
-                 for bi, bt in _blocks(trials, _sweep_block_size(n, exact))]
-        cuts.append(len(args))
-    parts = _map_blocks(_sweep_block, args, workers)
+        law = model.mixture_components(modulation) if exact else (model, modulation)
+        blocks += [((_S_SWEEP, grid_index, bi), (n, bt, *law))
+                   for bi, bt in _blocks(trials, _sweep_block_size(n, exact))]
+        cuts.append(len(blocks))
+    parts = _map_blocks(kernel, config.seed, blocks, workers)
 
     grid_rows = []
     for grid_index, (n, trials) in enumerate(grid):
@@ -276,24 +263,14 @@ def _run_convergence_sweep(config, workers):
 # invariant audit
 
 
-def _audit_block(args):
-    seed, block_index, trials, n, invariants = args
-    nx, ny, dot, symp = invariants
-    batch_a = batch_with_invariants(n, nx, ny, dot, symp)
-    batch_b = batch_with_invariants(n, nx, ny, dot, -symp)
-    rng = _stream_rng(seed, _S_AUDIT, block_index)
-    return collect_audit_samples((batch_a, batch_b), trials, rng)
-
-
 def _run_invariant_audit(config, workers):
-    invariants = config.audit_invariants()
-    args = [(config.seed, bi, bt, config.n, invariants)
-            for bi, bt in _blocks(config.trials, 512)]
-    parts = _map_blocks(_audit_block, args, workers)
+    nx, ny, dot, symp = config.audit_invariants()
+    pair = tuple(batch_with_invariants(config.n, nx, ny, dot, s) for s in (symp, -symp))
+    blocks = [((_S_AUDIT, bi), (pair, bt)) for bi, bt in _blocks(config.trials, 512)]
+    parts = _map_blocks(collect_audit_samples, config.seed, blocks, workers)
     samples = {name: tuple(np.concatenate([part[name][side] for part in parts]) for side in (0, 1))
                for name in parts[0]}
     out = audit_report(samples, config.trials)
-    nx, ny, dot, symp = invariants
     out["invariants_a"] = {"norm_x_sq": nx, "norm_y_sq": ny, "dot_xy": dot, "symp_xy": symp}
     out["invariants_b"] = {"norm_x_sq": nx, "norm_y_sq": ny, "dot_xy": dot, "symp_xy": -symp}
     return out
@@ -328,8 +305,8 @@ def _run_design_compare(config, workers):
 # keyrate report
 
 
-def _keyrate_args(config):
-    """Every key-rate block's arguments: its modes, and how many of its leading modes estimation summarizes.
+def _keyrate_blocks(config):
+    """Every key-rate block: its stream key, then its modes and how many of its leading modes estimation summarizes.
 
     The block of modes [s, e) of n takes floor(m e / n) - floor(m s / n) of
     the m estimation modes, so the shares sum to m and none exceeds its
@@ -341,26 +318,18 @@ def _keyrate_args(config):
     m = max(4, int(np.ceil(config.estimation_fraction * n)))
     model, region = config.channel(), config.region()
     modulation = ModulationParams(1, config.modulation_variance)
-    return [(config.seed, bi, bm, model, modulation, region,
-             m * (bi * BLOCK_MODES + bm) // n - m * bi * BLOCK_MODES // n)
+    return [((_S_KEYRATE, bi), (bm, m * (bi * BLOCK_MODES + bm) // n - m * bi * BLOCK_MODES // n,
+                                model, modulation, region))
             for bi, bm in _blocks(n, BLOCK_MODES)]
 
 
-def _keyrate_draw(args):
-    """A key-rate block's x and y, (modes, 2) each, and the slice of its leading modes that estimation summarizes."""
-    seed, block_index, modes, model, modulation, _, picks = args
-    rng = _stream_rng(seed, _S_KEYRATE, block_index)
+def _keyrate_block(modes, picks, model, modulation, region, rng):
+    """Kept-mode count, channel moments, and the triple and fourth-moment summaries of the first ``picks`` modes."""
     x = alice_modulate(modulation, rng, modes)
     y = channel_and_heterodyne(x, model, rng)
-    return x, y, slice(picks)
-
-
-def _keyrate_block(args):
-    """Kept-mode count, channel moments, and the triple and fourth-moment summaries of the picked modes."""
-    x, y, picked = _keyrate_draw(args)
-    mask, _ = postselect(x.ravel(), y.ravel(), args[5])
+    mask, _ = postselect(x.ravel(), y.ravel(), region)
     kept, moments = int(np.count_nonzero(mask)), ChannelMoments.from_data(x, y)
-    x, y = x[picked], y[picked]
+    x, y = x[:picks], y[:picks]
     return kept, moments, triple_moments(mode_triples(x, y)), fourth_moment_moments(x, y)
 
 
@@ -368,9 +337,9 @@ def _run_keyrate_report(config, workers):
     # Each block draws and reduces its own data, its picked modes included,
     # and returns O(1) summaries; merged in block order, they do not depend
     # on the worker count.
-    args = _keyrate_args(config)
-    kept, moments, triples, products = zip(*_map_blocks(_keyrate_block, args, workers))
-    model, modulation = args[0][3:5]
+    blocks = _keyrate_blocks(config)
+    kept, moments, triples, products = zip(*_map_blocks(_keyrate_block, config.seed, blocks, workers))
+    model, modulation = blocks[0][1][2:4]
 
     estimate = ChannelMoments.merge(moments).estimate(config.modulation_variance,
                                                       beta=config.reconciliation_efficiency)
@@ -401,7 +370,7 @@ def _run_keyrate_report(config, workers):
         "conditional_eigenvalue": rate.conditional_eigenvalue,
         "no_key": rate.no_key,
         "acceptance_fraction": acceptance,
-        "estimation_modes": sum(a[-1] for a in args),
+        "estimation_modes": sum(args[1] for _, args in blocks),
         "be_bound_over_c": bound_over_c,
         "be_bound": config.be_constant * bound_over_c,
         "sigma_gap_max_se_units": float(gap_in_se.max()),
@@ -412,12 +381,6 @@ def _run_keyrate_report(config, workers):
 # estimation error
 
 
-def _estimation_block(args):
-    seed, block_index, trials, m, law = args
-    rng = _stream_rng(seed, _S_ESTIMATION, block_index)
-    return scaled_estimation_errors(law, m, trials, rng)
-
-
 def _run_estimation_error(config, workers):
     model = config.channel()
     # Conditioned on its channel component every coordinate pair is
@@ -425,8 +388,8 @@ def _run_estimation_error(config, workers):
     weights, comps = model.mixture_components(ModulationParams(config.n, config.modulation_variance))
     law = BivariateMixture(tuple(weights), tuple(comps))
     m = config.est_m
-    args = [(config.seed, bi, bt, m, law) for bi, bt in _blocks(config.trials, max(1, BLOCK_MODES // m))]
-    errors = np.concatenate(_map_blocks(_estimation_block, args, workers), axis=0)
+    blocks = [((_S_ESTIMATION, bi), (law, m, bt)) for bi, bt in _blocks(config.trials, max(1, BLOCK_MODES // m))]
+    errors = np.concatenate(_map_blocks(scaled_estimation_errors, config.seed, blocks, workers), axis=0)
     report = summarize_scaled_errors(errors, m)
     out = report.to_dict()
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -18,6 +18,8 @@ from cvsym.protocol import (
     MAX_MODULATION_VARIANCE,
     MIN_MODULATION_VARIANCE,
     ModulationParams,
+    alice_modulate,
+    channel_and_heterodyne,
     postselect,
 )
 from cvsym.report import emit
@@ -107,9 +109,9 @@ def test_run_is_worker_count_independent(monkeypatch):
     block_counts = []
     real = runner._map_blocks
 
-    def spy(fn, args_list, workers):
-        block_counts.append(len(args_list))
-        return real(fn, args_list, workers)
+    def spy(fn, seed, blocks, workers):
+        block_counts.append(len(blocks))
+        return real(fn, seed, blocks, workers)
 
     monkeypatch.setattr(runner, "_map_blocks", spy)
     for cfg in _SPLIT_CONFIGS:
@@ -142,9 +144,14 @@ def recording_pool(monkeypatch):
     return started
 
 
+def _negated(value, rng):
+    return -value
+
+
 def test_map_blocks_starts_no_more_workers_than_blocks(recording_pool):
-    assert runner._map_blocks(abs, [-1, -2, -3], 1000) == [1, 2, 3]
-    assert runner._map_blocks(abs, [-1], 1000) == [1]
+    blocks = [((0, i), (-i,)) for i in (1, 2, 3)]
+    assert runner._map_blocks(_negated, 0, blocks, 1000) == [1, 2, 3]
+    assert runner._map_blocks(_negated, 0, blocks[:1], 1000) == [1]
     # On one CPU every block runs in-process and no pool is asked for.
     cpus = os.cpu_count() or 1
     assert recording_pool == ([min(3, cpus)] if cpus > 1 else [])
@@ -153,8 +160,8 @@ def test_map_blocks_starts_no_more_workers_than_blocks(recording_pool):
 def test_map_blocks_starts_no_more_workers_than_cpus(recording_pool):
     # Each worker holds a block of about 2.5 MiB: a 10^9-mode key rate at
     # --workers 100000 asked for 30,518 threads before the cap.
-    blocks = list(range(-64, 0))
-    assert runner._map_blocks(abs, blocks, 10**6) == [-b for b in blocks]
+    blocks = [((0, i), (-i,)) for i in range(64)]
+    assert runner._map_blocks(_negated, 0, blocks, 10**6) == list(range(64))
     assert all(workers <= (os.cpu_count() or 1) for workers in recording_pool)
 
 
@@ -189,9 +196,9 @@ def test_keyrate_blocks_return_constant_size_summaries(monkeypatch):
     returned = []
     real = runner._map_blocks
 
-    def spy(fn, args_list, workers):
-        results = real(fn, args_list, workers)
-        returned.extend(zip(args_list, results))
+    def spy(fn, seed, blocks, workers):
+        results = real(fn, seed, blocks, workers)
+        returned.extend(zip(blocks, results))
         return results
 
     monkeypatch.setattr(runner, "_map_blocks", spy)
@@ -203,7 +210,7 @@ def test_keyrate_blocks_return_constant_size_summaries(monkeypatch):
         assert len(returned) == 4
         for _, result in returned:
             assert len(pickle.dumps(result)) <= 2048
-        assert sum(args[-1] for args, _ in returned) == metrics["estimation_modes"]
+        assert sum(args[1] for (_, args), _ in returned) == metrics["estimation_modes"]
 
 
 def test_keyrate_mode_limit_and_estimation_shares():
@@ -215,10 +222,10 @@ def test_keyrate_mode_limit_and_estimation_shares():
     assert err.value.fields == ["n"]
     # Each block's share of the m estimation modes is its proportional share, rounded.
     for fraction, m in ((1e-12, 4), (0.05, 10**8), (1.0, limit)):
-        args = runner._keyrate_args(ExperimentConfig(kind="keyrate-report", seed=1, n=limit,
-                                                     estimation_fraction=fraction))
-        assert sum(a[-1] for a in args) == m
-        for _, _, size, *_, share in args:
+        blocks = runner._keyrate_blocks(ExperimentConfig(kind="keyrate-report", seed=1, n=limit,
+                                                         estimation_fraction=fraction))
+        assert sum(args[1] for _, args in blocks) == m
+        for _, (size, share, *_) in blocks:
             assert share <= size and abs(share * limit - m * size) < limit
 
 
@@ -240,18 +247,19 @@ def test_one_pooled_block_peaks_within_the_block_budget(monkeypatch, cfg):
         pass
 
     first = []
+    real = runner._map_blocks
 
-    def capture(fn, args_list, workers):
-        first.append((fn, args_list[0]))
+    def capture(fn, seed, blocks, workers):
+        first.append((fn, seed, blocks[:1]))
         raise Captured
 
     monkeypatch.setattr(runner, "_map_blocks", capture)
     with pytest.raises(Captured):
         run(cfg)
-    fn, args = first[0]
+    fn, seed, block = first[0]
     tracemalloc.start()
     try:
-        fn(args)
+        real(fn, seed, block, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -261,12 +269,12 @@ def test_one_pooled_block_peaks_within_the_block_budget(monkeypatch, cfg):
 def _whole_draw(cfg):
     """Every key-rate block's draw concatenated, as x and y of shape (n, 2), and the picked modes."""
     xs, ys, picked, start = [], [], [], 0
-    for args in runner._keyrate_args(cfg):
-        x, y, rows = runner._keyrate_draw(args)
-        xs.append(x)
-        ys.append(y)
-        picked.append(start + np.arange(len(x))[rows])
-        start += len(x)
+    for key, (modes, picks, model, modulation, _) in runner._keyrate_blocks(cfg):
+        rng = runner._stream_rng(cfg.seed, *key)
+        xs.append(alice_modulate(modulation, rng, modes))
+        ys.append(channel_and_heterodyne(xs[-1], model, rng))
+        picked.append(start + np.arange(picks))
+        start += modes
     return np.concatenate(xs), np.concatenate(ys), np.concatenate(picked)
 
 
@@ -353,9 +361,9 @@ def test_keyrate_blocks_that_pick_no_mode(monkeypatch):
     picks = []
     real = runner._map_blocks
 
-    def spy(fn, args_list, workers):
-        picks.extend(args[-1] for args in args_list)
-        return real(fn, args_list, workers)
+    def spy(fn, seed, blocks, workers):
+        picks.extend(args[1] for _, args in blocks)
+        return real(fn, seed, blocks, workers)
 
     monkeypatch.setattr(runner, "_map_blocks", spy)
     cfg = ExperimentConfig(kind="keyrate-report", seed=5, n=7 * runner.BLOCK_MODES + 7,
@@ -407,9 +415,9 @@ def test_sweep_starts_one_pool_for_every_grid_point(monkeypatch):
     calls = []
     real = runner._map_blocks
 
-    def spy(fn, args_list, workers):
-        calls.append(len(args_list))
-        return real(fn, args_list, workers)
+    def spy(fn, seed, blocks, workers):
+        calls.append(len(blocks))
+        return real(fn, seed, blocks, workers)
 
     monkeypatch.setattr(runner, "_map_blocks", spy)
     cfg = ExperimentConfig(kind="convergence-sweep", seed=5, n_grid=[50, 2000], trials=[1000, 1000],
