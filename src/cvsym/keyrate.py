@@ -51,8 +51,10 @@ class ChannelMoments:
     """Mergeable summary of paired coordinate data for the channel estimate.
 
     A ratio plus a :class:`~cvsym.stats.Moments`: ``ratio`` is
-    sum(x y) / sum(x^2), and ``moments`` summarizes the rows
-    u = (e^2, e x, x^2) with e = y - ratio x.  Two summaries merge by
+    sum(x y) / sum(x^2), and ``moments`` summarizes one row per mode,
+    u = (|e|^2, e.x, |x|^2) with e = y - ratio x over the mode's two
+    quadratures.  Under a mixture channel a mode's quadratures share one
+    component, so only whole modes are independent.  Two summaries merge by
     shearing both to their common ratio, which is linear in u, and then by
     :meth:`~cvsym.stats.Moments.merge`.  Raw (x^2, xy, y^2) moments would
     merge more simply but lose digits as the modulation variance grows,
@@ -64,7 +66,7 @@ class ChannelMoments:
 
     @classmethod
     def from_data(cls, x, y):
-        """Summary of one block; einsum and ufunc reductions only, no BLAS."""
+        """Summary of one block of interleaved modes; einsum and ufunc reductions only, no BLAS."""
         x = np.asarray(x, dtype=float).ravel()
         y = np.asarray(y, dtype=float).ravel()
         u = np.empty((3, x.size))
@@ -75,7 +77,10 @@ class ChannelMoments:
         np.subtract(y, e, out=e)
         np.multiply(e, e, out=u[0])
         e *= x
-        return cls(ratio, Moments.of_rows(u))
+        # Each mode's two quadratures, added in place: a new array would outgrow the block budget.
+        rows = u[:, 0::2]
+        rows += u[:, 1::2]
+        return cls(ratio, Moments.of_rows(rows))
 
     def sheared(self, ratio):
         """The same data summarized against ``ratio``: e' = e - (ratio - self.ratio) x."""
@@ -95,24 +100,28 @@ class ChannelMoments:
     def estimate(self, modulation_variance, beta):
         """The :class:`ChannelEstimate` of :func:`estimate_channel` from this summary."""
         count, mean, centred = self.moments.count, self.moments.mean, self.moments.centred
-        if count < MIN_ESTIMATION_COORDS:
-            raise PreconditionError(f"need at least {MIN_ESTIMATION_COORDS} coordinates, got {count}")
+        if 2 * count < MIN_ESTIMATION_COORDS:
+            raise PreconditionError(f"need at least {MIN_ESTIMATION_COORDS} coordinates, got {2 * count}")
         sxx = float(mean[2])
         if sxx == 0.0:
             raise DegenerateCovarianceError("<x^2> vanishes; transmittance is unidentifiable")
         ratio = self.ratio
-        # The delta-method influence of each coordinate on the ratio is e x / <x^2>.
+        # The delta-method influence of each mode on the ratio is e.x / <|x|^2>.
         se_ratio = float(np.sqrt(centred[1, 1] / count) / sxx / np.sqrt(count))
         t_raw = ratio * ratio
         se_t = 2.0 * abs(ratio) * se_ratio
 
-        var_res = float(mean[0])
-        se_var = float(np.sqrt(centred[0, 0] / count) / np.sqrt(count))
+        # Per coordinate: half of each mode's |e|^2.
+        var_res = float(mean[0]) / 2.0
+        se_var = float(np.sqrt(centred[0, 0] / count) / np.sqrt(count)) / 2.0
         t_hat = min(max(t_raw, 0.0), 1.0)
         if t_raw > 0.0:
             xi_raw = 2.0 * (var_res - 1.0) / t_raw
-            # Ratio form: no square of t_raw, which overflows at tiny modulation variances.
-            se_xi = 2.0 / t_raw * np.hypot(se_var, (var_res - 1.0) * se_t / t_raw)
+            # xi = 2 (v - 1) / T, so se_xi = (2 / T) sqrt(se_v^2 + k^2 se_T^2 - 2 k cov(v, T)) with
+            # k = (v - 1) / T.  No t_raw^2 is formed: it overflows at tiny modulation variances.
+            k = (var_res - 1.0) / t_raw
+            cov_vt = ratio * float(centred[0, 1]) / count / count / sxx
+            se_xi = 2.0 / t_raw * np.sqrt(se_var * se_var + (k * se_t) ** 2 - 2.0 * k * cov_vt)
         else:
             xi_raw, se_xi = 0.0, float("inf")
         return ChannelEstimate(
@@ -126,11 +135,12 @@ def estimate_channel(x, y, modulation_variance, beta=0.95):
 
     T_hat = (<xy> / <x^2>)^2 and xi_hat solves the conditional-variance
     formula Var(y - sqrt(T) x) = 1 + T xi / 2.  Standard errors are
-    first-order (delta method) and ignore the T-xi error correlation.
+    first-order (delta method) over i.i.d. modes, the T-xi error
+    correlation included.  x and y interleave each mode's two quadratures.
     This is the one-block case of :class:`ChannelMoments`.
     """
-    if np.size(x) != np.size(y):
-        raise PreconditionError("x and y must have equal size")
+    if np.size(x) != np.size(y) or np.size(x) % 2:
+        raise PreconditionError("x and y must have equal, even size: two quadratures per mode")
     return ChannelMoments.from_data(x, y).estimate(modulation_variance, beta)
 
 

@@ -41,9 +41,6 @@ class SampleBatch:
     def n(self):
         return self.x.size // 2
 
-    def invariant_triple(self):
-        return InvariantTriple.from_coords(self.x, self.y)
-
 
 @dataclass(frozen=True)
 class InvariantTriple:

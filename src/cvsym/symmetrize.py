@@ -15,7 +15,6 @@ import numpy as np
 from .errors import InvalidDimensionError, PreconditionError, require
 from .linalg import (
     complex_modes,
-    haar_orthogonal_symplectic,
     haar_unitary_stack,
     interleave_modes,
     phase_fixed_qr,
@@ -95,12 +94,10 @@ def witness_transform(source, target, tol=WITNESS_TOL):
     return transform
 
 
-def batch_with_invariants(n, norm_x_sq, norm_y_sq, dot_xy, symp_xy, rng=None):
+def batch_with_invariants(n, norm_x_sq, norm_y_sq, dot_xy, symp_xy):
     """Construct a batch whose invariants take the prescribed values.
 
-    With an ``rng`` the batch is additionally rotated by a Haar-random
-    element of the group, randomizing its orientation without touching the
-    invariants.  Requires dot_xy^2 + symp_xy^2 <= norm_x_sq * norm_y_sq.
+    Requires dot_xy^2 + symp_xy^2 <= norm_x_sq * norm_y_sq.
     """
     cross = dot_xy * dot_xy + symp_xy * symp_xy
     # |y|^2 left for the second mode once the first carries dot and symp.
@@ -120,10 +117,7 @@ def batch_with_invariants(n, norm_x_sq, norm_y_sq, dot_xy, symp_xy, rng=None):
         b[0] = (dot_xy + 1j * symp_xy) / a[0]
         if residual > 0.0:
             b[1] = np.sqrt(residual)
-    batch = SampleBatch(interleave_modes(a), interleave_modes(b))
-    if rng is not None:
-        batch = apply_symmetrization(batch, haar_orthogonal_symplectic(n, rng))
-    return batch
+    return SampleBatch(interleave_modes(a), interleave_modes(b))
 
 
 def default_audit_statistics():

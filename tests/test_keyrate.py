@@ -10,7 +10,13 @@ from cvsym.keyrate import (
     gaussian_keyrate,
     two_mode_symplectic_eigenvalues,
 )
-from cvsym.protocol import ChannelModel, ModulationParams, alice_modulate, channel_and_heterodyne
+from cvsym.protocol import (
+    ChannelModel,
+    GaussianMixture,
+    ModulationParams,
+    alice_modulate,
+    channel_and_heterodyne,
+)
 
 
 def _simulated_estimate(t, xi, variance_a, n_modes, seed, beta=0.95):
@@ -53,20 +59,45 @@ def test_estimate_standard_errors_finite_at_tiny_modulation():
     assert np.isfinite(est.se_transmittance) and np.isfinite(est.se_excess_noise)
 
 
+def test_estimate_standard_errors_cover_a_mixture_channel():
+    # A mode's two quadratures share its mixture component, and T_hat and
+    # xi_hat errors are correlated: standard errors that treated coordinates
+    # as independent and dropped the correlation read sd(xi_hat) / SE = 1.20 here.
+    rng = np.random.default_rng(2024)
+    model = ChannelModel(0.7, 0.02, GaussianMixture((0.85, 0.15), (0.9, 0.15), (0.01, 3.0)))
+    modulation = ModulationParams(4000, 20.0)
+    estimates = []
+    for _ in range(1000):
+        x = alice_modulate(modulation, rng)
+        est = estimate_channel(x, channel_and_heterodyne(x, model, rng), 20.0)
+        estimates.append((est.transmittance, est.excess_noise, est.se_transmittance, est.se_excess_noise))
+    t, xi, se_t, se_xi = np.array(estimates).T
+    assert 0.9 <= t.std() / se_t.mean() <= 1.1
+    assert 0.9 <= xi.std() / se_xi.mean() <= 1.1
+
+
 def test_estimate_preconditions():
     rng = np.random.default_rng(3)
     with pytest.raises(PreconditionError):
         estimate_channel(rng.standard_normal(100), rng.standard_normal(100), 4.0)
+    # Rows are per mode: an odd coordinate count has no whole last mode.
+    with pytest.raises(PreconditionError, match="even"):
+        estimate_channel(rng.standard_normal(5001), rng.standard_normal(5001), 4.0)
     with pytest.raises(DegenerateCovarianceError):
         estimate_channel(np.zeros(5000), rng.standard_normal(5000), 4.0)
 
 
+def _per_mode(values):
+    return values.reshape(-1, 2).sum(axis=1)
+
+
 def _two_pass_estimate(x, y):
-    """(ratio, se_ratio, <e^2>, se of <e^2>) by whole-array two-pass formulas, e = y - ratio x."""
+    """(ratio, se_ratio, <|e|^2>, se of <|e|^2>) over modes by whole-array two-pass formulas, e = y - ratio x."""
     ratio = np.mean(x * y) / np.mean(x * x)
-    se_ratio = np.std((x * y - ratio * x * x) / np.mean(x * x)) / np.sqrt(x.size)
-    sq_residual = (y - ratio * x) ** 2
-    return ratio, se_ratio, np.mean(sq_residual), np.std(sq_residual) / np.sqrt(x.size)
+    modes = x.size // 2
+    se_ratio = np.std(_per_mode(x * y - ratio * x * x) / np.mean(_per_mode(x * x))) / np.sqrt(modes)
+    sq_residual = _per_mode((y - ratio * x) ** 2)
+    return ratio, se_ratio, np.mean(sq_residual), np.std(sq_residual) / np.sqrt(modes)
 
 
 @pytest.mark.parametrize("variance_a", [1e-100, 4.0, 1e6, 1e12])
@@ -78,7 +109,7 @@ def test_merged_blocks_match_two_pass_estimate(variance_a, t):
     # alice_modulate's draw, taken directly: 1e12 lies past ModulationParams' ceiling.
     x = rng.normal(0.0, np.sqrt(variance_a / 2.0), size=120_000)
     y = channel_and_heterodyne(x, ChannelModel(t, 0.02), rng)
-    cuts = [0, 5_000, 5_001, 40_000, 77_777, x.size]
+    cuts = [0, 5_000, 5_002, 40_000, 77_778, x.size]
     merged = ChannelMoments.merge([ChannelMoments.from_data(x[lo:hi], y[lo:hi])
                                    for lo, hi in zip(cuts, cuts[1:])])
     count, mean, centred = merged.moments.count, merged.moments.mean, merged.moments.centred
@@ -86,7 +117,7 @@ def test_merged_blocks_match_two_pass_estimate(variance_a, t):
            mean[0], np.sqrt(centred[0, 0] / count) / np.sqrt(count))
     rtol = 1e-10 if variance_a > 1e6 else 1e-12
     np.testing.assert_allclose(got, _two_pass_estimate(x, y), rtol=rtol)
-    assert count == x.size
+    assert count == x.size // 2
     whole, blocks = estimate_channel(x, y, variance_a), merged.estimate(variance_a, 0.95)
     for name in ("transmittance", "excess_noise", "se_transmittance", "se_excess_noise"):
         assert getattr(blocks, name) == pytest.approx(getattr(whole, name), rel=rtol, abs=0.0), name

@@ -122,6 +122,30 @@ def test_run_is_worker_count_independent(monkeypatch):
         assert json.dumps(rep1.metrics, sort_keys=True) == json.dumps(rep2.metrics, sort_keys=True), cfg.kind
 
 
+def test_every_stream_key_is_distinct_and_pinned(monkeypatch):
+    # A reordered or reused key passes every worker-count test while it
+    # changes every result; these keys are the seeding layout.
+    keys = []
+    real = runner._stream_rng
+
+    def spy(seed, *key):
+        keys.append(key)
+        return real(seed, *key)
+
+    monkeypatch.setattr(runner, "_stream_rng", spy)
+    for cfg in _SPLIT_CONFIGS:
+        layouts = []
+        for workers in (1, 2):
+            keys.clear()
+            run(cfg, workers=workers)
+            assert len(set(keys)) == len(keys), (cfg.kind, keys)
+            layouts.append(sorted(keys))
+        assert layouts[0] == layouts[1], cfg.kind
+    keys.clear()
+    run(ExperimentConfig(kind="keyrate-report", seed=5, n=2 * runner.BLOCK_MODES + 1), workers=2)
+    assert sorted(keys) == [(5, 0), (5, 1), (5, 2), (8,)]
+
+
 @pytest.fixture
 def recording_pool(monkeypatch):
     """The ``max_workers`` of every pool ``_map_blocks`` asks for; the stub maps in-process and starts no thread."""

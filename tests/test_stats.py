@@ -57,7 +57,7 @@ def test_triple_reduce_sums_are_exact():
     rng = np.random.default_rng(0)
     batch = SampleBatch(rng.standard_normal(40), rng.standard_normal(40))
     triples = mode_triples(batch.x, batch.y)
-    inv = batch.invariant_triple()
+    inv = InvariantTriple.from_coords(batch.x, batch.y)
     # Same arithmetic path: exact equality, no tolerance.
     assert triples[:, 0].sum() == inv.norm_x_sq
     assert triples[:, 1].sum() == inv.norm_y_sq
@@ -66,7 +66,7 @@ def test_triple_reduce_sums_are_exact():
     xs, ys = rng.standard_normal((2, 5, 40))
     stacked = InvariantTriple.from_coords(xs, ys)
     for i, (x, y) in enumerate(zip(xs, ys)):
-        row = SampleBatch(x, y).invariant_triple()
+        row = InvariantTriple.from_coords(x, y)
         for name in ("norm_x_sq", "norm_y_sq", "dot_xy", "symp_xy"):
             assert getattr(stacked, name)[i] == getattr(row, name)
 

@@ -37,6 +37,15 @@ def _random_batch(n, rng):
     return SampleBatch(rng.standard_normal(2 * n), rng.standard_normal(2 * n))
 
 
+def _invariants(batch):
+    return InvariantTriple.from_coords(batch.x, batch.y)
+
+
+def _rotated_batch_with_invariants(n, *invariants, rng):
+    """A batch with the given invariants, rotated by a Haar-random group element."""
+    return apply_symmetrization(batch_with_invariants(n, *invariants), haar_orthogonal_symplectic(n, rng))
+
+
 def test_identity_leaves_batch_unchanged():
     rng = np.random.default_rng(0)
     batch = _random_batch(3, rng)
@@ -58,9 +67,9 @@ def test_quarter_rotation_single_mode():
 def test_all_four_invariants_preserved_at_n100():
     rng = np.random.default_rng(1)
     batch = _random_batch(100, rng)
-    before = batch.invariant_triple()
+    before = _invariants(batch)
     out = apply_symmetrization(batch, haar_orthogonal_symplectic(100, rng))
-    assert max(before.relative_deviations(out.invariant_triple()).values()) <= 1e-10
+    assert max(before.relative_deviations(_invariants(out)).values()) <= 1e-10
 
 
 def test_dimension_mismatch_rejected():
@@ -178,8 +187,8 @@ def test_witness_matches_reference_construction():
                                          ("dot_xy", 1.2), ("symp_xy", 0.6)])
 def test_witness_names_each_mismatched_invariant_alone(name, value):
     invariants = {"norm_x_sq": 2.0, "norm_y_sq": 3.0, "dot_xy": 1.0, "symp_xy": 0.8}
-    source = batch_with_invariants(4, **invariants, rng=np.random.default_rng(22))
-    target = batch_with_invariants(4, **{**invariants, name: value}, rng=np.random.default_rng(23))
+    source = _rotated_batch_with_invariants(4, *invariants.values(), rng=np.random.default_rng(22))
+    target = _rotated_batch_with_invariants(4, *{**invariants, name: value}.values(), rng=np.random.default_rng(23))
     with pytest.raises(PreconditionError, match=rf"mismatch: {name} .*all mismatches: \['{name}'\]"):
         witness_transform(source, target)
 
@@ -273,8 +282,7 @@ def test_witness_near_colinear_pair(n, k):
 
 def test_batch_with_invariants_hits_requested_values():
     rng = np.random.default_rng(9)
-    batch = batch_with_invariants(5, 2.5, 4.0, 1.2, -0.7, rng=rng)
-    inv = batch.invariant_triple()
+    inv = _invariants(_rotated_batch_with_invariants(5, 2.5, 4.0, 1.2, -0.7, rng=rng))
     assert abs(inv.norm_x_sq - 2.5) <= 1e-10
     assert abs(inv.norm_y_sq - 4.0) <= 1e-10
     assert abs(inv.dot_xy - 1.2) <= 1e-10
@@ -340,8 +348,8 @@ def test_audit_row_sampler_matches_full_haar_path(n):
     # The audit draws one row per Haar element; rotating by whole elements
     # and reading mode 0 must give every statistic the same law.
     rng = np.random.default_rng(40 + n)
-    pair = (batch_with_invariants(n, 2.0 * n, 4.0 * n, 0.8 * n, 0.5 * n, rng=rng),
-            batch_with_invariants(n, 2.0 * n, 4.0 * n, 0.8 * n, -0.5 * n, rng=rng))
+    pair = (_rotated_batch_with_invariants(n, 2.0 * n, 4.0 * n, 0.8 * n, 0.5 * n, rng=rng),
+            _rotated_batch_with_invariants(n, 2.0 * n, 4.0 * n, 0.8 * n, -0.5 * n, rng=rng))
     trials = 2000
     sampled = collect_audit_samples(pair, trials, rng)
     for side, batch in enumerate(pair):
@@ -397,8 +405,8 @@ def test_symmetrized_statistics_well_defined():
     # Two unrelated batches sharing all four invariants produce statistically
     # indistinguishable symmetrized ensembles.
     rng = np.random.default_rng(30)
-    batch_a = batch_with_invariants(5, 6.0, 14.0, 2.5, -1.5, rng=rng)
-    batch_b = batch_with_invariants(5, 6.0, 14.0, 2.5, -1.5, rng=rng)
+    batch_a = _rotated_batch_with_invariants(5, 6.0, 14.0, 2.5, -1.5, rng=rng)
+    batch_b = _rotated_batch_with_invariants(5, 6.0, 14.0, 2.5, -1.5, rng=rng)
     assert np.max(np.abs(batch_a.x - batch_b.x)) > 0.1  # genuinely different vectors
     report = _audit((batch_a, batch_b), 1000, 31)
     for name, result in report["results"].items():
