@@ -6,14 +6,22 @@ Exit codes: 0 success, 2 configuration validation error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
+import os
 import sys
 
-from .config import EXPERIMENT_KINDS, load_config
-from .errors import ConfigError
-from .report import emit
-from .runner import run
+# One BLAS thread unless the environment sets a count: the CLI's parallelism is
+# --workers.  OpenBLAS reads these when numpy loads, and `cvsym` loads no numpy.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+from .config import EXPERIMENT_KINDS, load_config  # noqa: E402
+from .errors import ConfigError  # noqa: E402
+from .report import emit  # noqa: E402
+from .runner import run  # noqa: E402
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="cvsym",

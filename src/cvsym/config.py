@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -249,10 +248,3 @@ class ExperimentConfig:
 def load_config(path):
     with open(path) as fh:
         return ExperimentConfig.from_dict(json.load(fh))
-
-
-def dump_config(config, path):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
-    return path

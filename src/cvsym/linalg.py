@@ -34,11 +34,15 @@ def omega_apply(m):
 
 
 def complex_modes(v):
-    """Pack an interleaved real 2n-vector into its n complex mode amplitudes."""
-    v = np.asarray(v)
+    """Pack an interleaved real 2n-vector into its n complex mode amplitudes.
+
+    A complex128 view of ``v`` (of a contiguous float64 copy unless ``v`` is
+    one): no arithmetic, so every value, inf included, carries over exactly.
+    """
+    v = np.ascontiguousarray(v, dtype=np.float64)
     if v.shape[-1] % 2:
         raise InvalidDimensionError(f"interleaved vector length must be even, got {v.shape[-1]}")
-    return v[..., 0::2] + 1j * v[..., 1::2]
+    return v.view(np.complex128)
 
 
 def interleave_modes(a):
@@ -96,7 +100,7 @@ def phase_fixed_qr(z, mode="complete"):
     q, r = np.linalg.qr(z, mode=mode)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     mag = np.abs(d)
-    phases = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
+    phases = np.divide(d, mag, out=np.ones_like(d), where=mag > 0)
     q[..., :d.shape[-1]] *= phases[..., None, :]
     return q
 
@@ -114,8 +118,10 @@ def haar_unitary_stack(n, size, rng, k=None):
     k = n if k is None else k
     if not 1 <= k <= n:
         raise InvalidDimensionError(f"need 1 <= k <= n, got k = {k} columns of n = {n} modes")
-    z = rng.standard_normal((size, n, k)) + 1j * rng.standard_normal((size, n, k))
-    return phase_fixed_qr(z / np.sqrt(2.0), mode="reduced")
+    z = np.empty((size, n, k), dtype=complex)
+    z.real, z.imag = rng.standard_normal(z.shape), rng.standard_normal(z.shape)
+    z /= np.sqrt(2.0)
+    return phase_fixed_qr(z, mode="reduced")
 
 
 def realify_stack(u_stack):
@@ -145,17 +151,14 @@ def unitary_to_symplectic(u, tol=UNITARITY_TOL):
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] == 0:
         raise InvalidDimensionError(f"expected a square non-empty matrix, got shape {u.shape}")
-    res = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if res > tol:
+    gram = u.conj().T @ u
+    gram.reshape(-1)[::u.shape[0] + 1] -= 1.0  # U^H U - 1, in place
+    res = np.abs(gram).max()
+    if not res <= tol:  # a NaN residual fails too
         raise PreconditionError(f"matrix is not unitary: residual {res:.3e} > {tol:.1e}")
     return SymplecticOrthogonal(u.shape[0], realify_stack(u))
 
 
-def haar_orthogonal_symplectic(n, rng):
-    """Draw a Haar-distributed element of O(2n,R) ∩ Sp(2n,R) (isomorphic to U(n))."""
-    return unitary_to_symplectic(haar_unitary_stack(n, 1, rng)[0])
-
-
 def haar_orthogonal_symplectic_stack(n, size, rng):
-    """Stack version of :func:`haar_orthogonal_symplectic`, returns (size, 2n, 2n)."""
+    """``size`` Haar-distributed elements of O(2n,R) ∩ Sp(2n,R) (isomorphic to U(n)), (size, 2n, 2n)."""
     return realify_stack(haar_unitary_stack(n, size, rng))

@@ -18,6 +18,7 @@ excess-noise term.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ from .stats import MomentSummary, cholesky_2x2, covariance_spectrum, sigma_g, si
 # Below the floor the triples' Berry-Esseen bound leaves the float range.  Their covariance's
 # condition number grows as variance_a ** 2, and from 3e7 some T = 1 key rates find it degenerate.
 MIN_MODULATION_VARIANCE, MAX_MODULATION_VARIANCE = 1e-100, 1e6
+# Gauss-Legendre nodes and weights, computed once per count; the arrays are shared, so never written.
+_gauss_legendre = functools.cache(np.polynomial.legendre.leggauss)
 
 
 @dataclass(frozen=True)
@@ -144,9 +147,9 @@ class ChannelModel:
         mu, cov = self.mode_moments(modulation)
         spectrum = covariance_spectrum(cov)
         lam = 0.0 if spectrum is None else float(spectrum[0][0])
-        u, w_psi = np.polynomial.legendre.leggauss(n_psi)
+        u, w_psi = _gauss_legendre(n_psi)
         psi = np.pi / 4.0 * (u + 1.0)
-        w_psi *= 192.0 * np.pi / 4.0 * np.sin(2.0 * psi) / n_theta
+        w_psi = w_psi * (192.0 * np.pi / 4.0 * np.sin(2.0 * psi) / n_theta)
         theta = 2.0 * np.pi / n_theta * np.arange(n_theta)
         phi, w_phi = np.zeros(1), np.ones(1)
         if isinstance(self.perturbation, PhaseDiffusion):

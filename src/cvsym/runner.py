@@ -81,12 +81,7 @@ def _stream_rng(seed, *key):
 
 
 def _summary_dict(summary):
-    return {
-        "mean": summary.mean.tolist(),
-        "covariance": summary.covariance.tolist(),
-        "third_abs": summary.third_abs,
-        "lambda_min": summary.lambda_min,
-    }
+    return {name: np.asarray(value).tolist() for name, value in vars(summary).items()}
 
 
 def _map_blocks(fn, seed, blocks, workers):

@@ -8,6 +8,7 @@ a finite-design substitute for full Haar averaging.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,8 @@ def witness_transform(source, target, tol=WITNESS_TOL):
     inner product of the mode amplitudes, whose imaginary part it is.
 
     One pass over a complex stack (2, n, 2) that holds each pair's mode
-    amplitudes as columns [a b], source first.  The stack is scaled by the
+    amplitudes as columns [a b], source first; non-finite coordinates fail
+    the invariant check at once.  The stack is scaled by the
     power of two that brings the source's largest |entry| into [1/2, 1), so
     squared norms neither underflow nor overflow; the scaling is exact and
     U is linear, so U maps the given pair as it maps the scaled one.
@@ -66,7 +68,10 @@ def witness_transform(source, target, tol=WITNESS_TOL):
     if source.x.size != target.x.size:
         raise InvalidDimensionError("source and target dimensions differ")
     coords = np.array([[source.x, source.y], [target.x, target.y]])
-    _, exp = np.frexp(np.abs(coords[0]).max())
+    tops = np.abs(coords).max(axis=(1, 2)).tolist()  # each pair's largest |entry|
+    if not math.isfinite(sum(tops)):  # no invariants to match, and the Gram product would warn
+        raise PreconditionError(f"invariant mismatch: non-finite coordinates, largest |entries| {tops}")
+    _, exp = math.frexp(tops[0])
     # (pair, mode, side): columns [a b] of the source pair, then of the target pair.
     pairs = complex_modes(np.ldexp(coords, -exp)).mT
     src_inv, tgt_inv = (InvariantTriple(aa.real, bb.real, ab.real, ab.imag)
@@ -108,8 +113,7 @@ def batch_with_invariants(n, norm_x_sq, norm_y_sq, dot_xy, symp_xy):
             ("dot_xy", cross <= norm_x_sq * norm_y_sq * (1.0 + 1e-12) and np.isfinite(cross),
              "dot_xy^2 + symp_xy^2 exceeds the Cauchy-Schwarz budget or the float range"),
             ("n", n >= 2 or residual == 0.0, "must be >= 2 unless the pair is colinear"))
-    a = np.zeros(n, dtype=complex)
-    b = np.zeros(n, dtype=complex)
+    a, b = np.zeros((2, n), dtype=complex)
     if norm_x_sq == 0.0:
         b[0] = np.sqrt(norm_y_sq)
     else:
@@ -145,7 +149,7 @@ def collect_audit_samples(pair, trials, rng):
     So a trial draws one normalized complex Gaussian row per batch instead
     of a whole U.
     """
-    amps = np.array([[complex_modes(batch.x), complex_modes(batch.y)] for batch in pair])
+    amps = complex_modes(np.array([[batch.x, batch.y] for batch in pair]))
     shape = (2, trials, amps.shape[-1])
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     rows = z / np.linalg.norm(z, axis=-1, keepdims=True)
@@ -161,10 +165,8 @@ def audit_report(samples, trials):
     """
     from scipy.stats import ks_2samp  # imported here: scipy.stats dominates import time
 
-    results = {}
-    for name, (va, vb) in samples.items():
-        ks = ks_2samp(va, vb)
-        results[name] = {"ks_statistic": float(ks.statistic), "pvalue": float(ks.pvalue)}
+    tests = {name: ks_2samp(va, vb) for name, (va, vb) in samples.items()}
+    results = {name: {"ks_statistic": float(t.statistic), "pvalue": float(t.pvalue)} for name, t in tests.items()}
     return {"trials": trials, "underpowered": trials < 100, "results": results}
 
 
@@ -194,23 +196,14 @@ class DesignCompareReport:
     stderr_by_degree: dict
 
     def to_dict(self):
-        def _cplx(d):
-            return {k: [v.real, v.imag] for k, v in d.items()}
-        return {
-            "n": self.n,
-            "degree": self.degree,
-            "design_size": self.design_size,
-            "samples": self.samples,
-            "matched_count": self.matched_count,
-            "moments_design": _cplx(self.moments_design),
-            "moments_haar": _cplx(self.moments_haar),
-            "max_discrepancy_by_degree": dict(self.max_discrepancy_by_degree),
-            "stderr_by_degree": dict(self.stderr_by_degree),
-        }
+        """The fields, each complex moment as [real, imag]."""
+        return {name: {k: [v.real, v.imag] for k, v in value.items()} if name.startswith("moments_") else value
+                for name, value in vars(self).items()}
 
 
 # Monomials up to total degree 2 * degree are averaged one exponent pair at a
-# time, about 2 * degree ** 2 passes over the amplitudes per side.
+# time and conjugate pairs share one, so each side of each average takes
+# about degree ** 2 passes over its amplitudes.
 MAX_DESIGN_DEGREE = 8
 
 
@@ -259,35 +252,41 @@ def finite_design_average(sampler, design, degree, rng, samples=200):
         raise InvalidDimensionError("sampler output does not match the design's mode count")
     replicates = len(design)
     count = samples * replicates
-    bases = [np.array([complex_modes(getattr(batch, side)) for batch in batches]) for side in "xy"]
-    # (samples, replicates, n, side): each sample's pair under its matched Haar elements.
-    sym_haar_pairs = haar_rotated_pairs(np.stack(bases, axis=-1), replicates, rng)
+    # (side, samples, n): every sample's mode amplitudes, Alice's then Bob's.
+    amps = complex_modes(np.array([[batch.x for batch in batches], [batch.y for batch in batches]]))
+    # (kind, side) -> (samples, replicates, n): each sample pushed through every
+    # design element (both sides in one GEMM), then under its matched Haar elements.
+    pushed = ((amps.reshape(-1, n) @ design.reshape(-1, n).T).reshape(2, samples, replicates, n),
+              np.moveaxis(haar_rotated_pairs(amps.transpose(1, 2, 0), replicates, rng), -1, 0))
 
     exponents = _monomial_exponents(degree)
-    # (side, exponent, mode) arrays of the two averages and the Haar standard error.
-    shape = (2, len(exponents), n)
-    mean_d, mean_h, se = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex), np.empty(shape)
-    for s, base in enumerate(bases):
-        # (samples, replicates, n): each batch pushed through every element.
-        sym_design = np.einsum("rij,sj->sri", design, base)
-        sym_haar = sym_haar_pairs[..., s]
-        for e, (p, q) in enumerate(exponents):
-            term_d = sym_design ** p * np.conj(sym_design) ** q
-            term_h = sym_haar ** p * np.conj(sym_haar) ** q
-            mean_d[s, e] = term_d.mean(axis=(0, 1))
-            mean_h[s, e] = term_h.mean(axis=(0, 1))
-            se[s, e] = np.sqrt((term_h.real.var(axis=(0, 1)) + term_h.imag.var(axis=(0, 1))) / count)
+    # (kind, side, exponent, mode) averages and the Haar standard error.
+    mean = np.empty((2, 2, len(exponents), n), dtype=complex)
+    se = np.empty((2, len(exponents), n))
+    for kind, side in np.ndindex(2, 2):
+        sym = pushed[kind][side]
+        # numpy's complex power commutes exactly with conj, so a^p conj(a^q) is a^p conj(a)^q.
+        powers = [None, sym] + [sym ** k for k in range(2, 2 * degree + 1)]
+        # Reversed, so the conjugate (q, p) of each p < q entry, q - p entries on, is done first.
+        for e, (p, q) in reversed(list(enumerate(exponents))):
+            if p < q:  # a^p conj(a)^q is the exact conjugate of a^q conj(a)^p
+                mean[kind, side, e], se[side, e] = mean[kind, side, e + q - p].conj(), se[side, e + q - p]
+                continue
+            term = np.multiply(powers[p], powers[q].conj()) if q else powers[p]  # `*` may swap operands
+            mean[kind, side, e] = term.mean(axis=(0, 1))
+            if kind:
+                se[side, e] = np.sqrt((term.real.var(axis=(0, 1)) + term.imag.var(axis=(0, 1))) / count)
 
     keys = [f"{side}:{mode}:{p}:{q}" for side in "xy" for p, q in exponents for mode in range(n)]
     totals = np.array([p + q for p, q in exponents])
-    diff = mean_d - mean_h
+    diff = mean[0] - mean[1]
     # hypot, as Python's abs(complex), so each maximum is exactly |design - haar| of
     # a reported key; np.abs can differ in the last bit.
     disc = np.hypot(diff.real, diff.imag).max(axis=(0, 2))
     se_max = se.max(axis=(0, 2))
     return DesignCompareReport(
         n=n, degree=degree, design_size=replicates, samples=samples, matched_count=count,
-        moments_design=dict(zip(keys, mean_d.ravel().tolist())),
-        moments_haar=dict(zip(keys, mean_h.ravel().tolist())),
+        moments_design=dict(zip(keys, mean[0].ravel().tolist())),
+        moments_haar=dict(zip(keys, mean[1].ravel().tolist())),
         max_discrepancy_by_degree={d: float(disc[totals == d].max()) for d in range(1, 2 * degree + 1)},
         stderr_by_degree={d: float(se_max[totals == d].max()) for d in range(1, 2 * degree + 1)})

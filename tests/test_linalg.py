@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -5,7 +7,6 @@ from scipy import stats as sps
 from cvsym.errors import InvalidDimensionError, PreconditionError
 from cvsym.linalg import (
     complex_modes,
-    haar_orthogonal_symplectic,
     haar_orthogonal_symplectic_stack,
     haar_unitary_stack,
     interleave_modes,
@@ -14,6 +15,10 @@ from cvsym.linalg import (
     symplecticity_residual,
     unitary_to_symplectic,
 )
+
+
+def _haar_element(n, rng):
+    return unitary_to_symplectic(haar_unitary_stack(n, 1, rng)[0])
 
 
 def test_haar_unitary_single_mode_is_phase():
@@ -123,6 +128,36 @@ def test_unitary_to_symplectic_rejects_non_unitary():
     bad = np.array([[1.0, 0.1], [0.0, 1.0]], dtype=complex)
     with pytest.raises(PreconditionError):
         unitary_to_symplectic(bad)
+    # A NaN residual fails the check too, rather than passing "> tol".
+    with pytest.raises(PreconditionError, match="residual nan"):
+        unitary_to_symplectic(np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex))
+
+
+@pytest.mark.parametrize("n, size, k", [(1, 5, None), (3, 4, None), (6, 10, 2), (40, 3, 2)])
+def test_haar_unitary_stack_draws_are_the_ginibre_formula(n, size, k):
+    # The in-place Ginibre draw keeps the draw order and every value:
+    # the output is bit for bit the phase-fixed QR of (a + i b) / sqrt(2).
+    got = haar_unitary_stack(n, size, np.random.default_rng(n + size), k)
+    rng = np.random.default_rng(n + size)
+    shape = (size, n, n if k is None else k)
+    a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+    want = phase_fixed_qr((a + 1j * b) / np.sqrt(2.0), mode="reduced")
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+def test_complex_modes_is_an_exact_view():
+    v = np.array([1.0, np.inf, -np.inf, np.nan, -0.0, 2.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = complex_modes(v)
+    assert np.shares_memory(a, v)
+    assert np.array_equal(a.view(np.float64), v, equal_nan=True)
+    assert np.signbit(a[2].real)
+    # Lists, integers and strided input are copied to contiguous float64 first.
+    assert complex_modes([1, 2]).tolist() == [1 + 2j]
+    assert complex_modes(np.arange(8.0)[::2]).tolist() == [2j, 4 + 6j]
+    with pytest.raises(InvalidDimensionError):
+        complex_modes(np.ones(3))
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (0, 0), (2,), (1, 2, 2)])
@@ -143,7 +178,7 @@ def test_complex_real_consistency():
 
 def test_single_mode_group_is_planar_rotations():
     rng = np.random.default_rng(5)
-    r = haar_orthogonal_symplectic(1, rng).matrix
+    r = _haar_element(1, rng).matrix
     assert abs(r[0, 0] - r[1, 1]) < 1e-14
     assert abs(r[0, 1] + r[1, 0]) < 1e-14
     assert abs(np.linalg.det(r) - 1.0) < 1e-14
@@ -152,7 +187,7 @@ def test_single_mode_group_is_planar_rotations():
 def test_determinant_is_one():
     rng = np.random.default_rng(6)
     for n in (2, 5):
-        r = haar_orthogonal_symplectic(n, rng)
+        r = _haar_element(n, rng)
         assert abs(np.linalg.det(r.matrix) - 1.0) <= 1e-10
 
 
@@ -174,7 +209,7 @@ def test_group_closure_of_products():
     rng = np.random.default_rng(9)
     for n in (2, 6):
         u1, u2 = haar_unitary_stack(n, 2, rng)
-        prod = haar_orthogonal_symplectic(n, rng).matrix @ haar_orthogonal_symplectic(n, rng).matrix
+        prod = _haar_element(n, rng).matrix @ _haar_element(n, rng).matrix
         assert orthogonality_residual(prod) <= 1e-11
         assert symplecticity_residual(prod) <= 1e-11
         # The real image is a homomorphism: the image of U2 U1 is the product of the images.
@@ -186,7 +221,7 @@ def test_group_closure_of_products():
 def test_residual_helpers_match_definitions():
     rng = np.random.default_rng(10)
     n = 3
-    r = haar_orthogonal_symplectic(n, rng).matrix
+    r = _haar_element(n, rng).matrix
     omega = np.kron(np.eye(n), [[0, 1], [-1, 0]])
     assert abs(orthogonality_residual(r) - np.max(np.abs(r.T @ r - np.eye(2 * n)))) < 1e-15
     assert abs(symplecticity_residual(r) - np.max(np.abs(r.T @ omega @ r - omega))) < 1e-15

@@ -185,6 +185,17 @@ def test_mode_summary_quadrature_is_converged(model, variance):
     assert np.isfinite(third) and abs(doubled / third - 1.0) < 1e-12
 
 
+def test_mode_summary_repeats_bit_for_bit():
+    # The Gauss-Legendre table is computed once and shared by every call; a
+    # call that scaled its weights in place would move every later summary.
+    model, mod = ChannelModel(0.7, 0.02, PhaseDiffusion(0.3)), ModulationParams(1, 4.0)
+    first = model.mode_summary(mod)
+    model.mode_summary(ModulationParams(1, 9.0))
+    second = model.mode_summary(mod)
+    assert first.third_abs == second.third_abs
+    assert np.array_equal(first.covariance, second.covariance)
+
+
 @pytest.mark.parametrize("perturbation", [None, MIXTURE, PhaseDiffusion(0.3)])
 def test_mode_summary_bound_is_finite_at_smallest_modulation(perturbation):
     # The covariance is graded: Var X = variance_a^2 = 1e-200 next to O(1)

@@ -11,7 +11,7 @@ import pytest
 
 from cvsym import runner, symmetrize
 from cvsym.cli import main
-from cvsym.config import ExperimentConfig, dump_config, load_config
+from cvsym.config import ExperimentConfig, load_config
 from cvsym.errors import ConfigError
 from cvsym.keyrate import MAX_KEYRATE_MODES, estimate_channel
 from cvsym.protocol import (
@@ -26,6 +26,12 @@ from cvsym.report import emit
 from cvsym.runner import run
 from cvsym.samples import mode_triples
 from cvsym.stats import MomentSummary, sigma_est
+
+
+def _write_config(cfg, path):
+    with open(path, "w") as fh:
+        json.dump(cfg.to_dict(), fh)
+    return path
 
 
 def _small_sweep(seed=5):
@@ -66,7 +72,7 @@ def test_config_validation_names_every_object_rule():
 
 def test_config_roundtrip(tmp_path):
     cfg = _small_sweep()
-    path = dump_config(cfg, tmp_path / "config.json")
+    path = _write_config(cfg, tmp_path / "config.json")
     assert load_config(path) == cfg
 
 
@@ -718,7 +724,7 @@ def test_every_report_carries_invariant_checks():
 
 def test_cli_full_run(tmp_path, capsys):
     cfg = _small_sweep()
-    cfg_path = dump_config(cfg, tmp_path / "config.json")
+    cfg_path = _write_config(cfg, tmp_path / "config.json")
     code = main(["convergence-sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert code == 0
     assert (tmp_path / "out" / "report.json").exists()
@@ -728,7 +734,7 @@ def test_cli_full_run(tmp_path, capsys):
 def test_cli_validation_error_exit_code(tmp_path, capsys):
     cfg = ExperimentConfig(kind="convergence-sweep", seed=1, n_grid=[10], trials=10,
                            excess_noise=-1.0)
-    path = Path(dump_config(cfg, tmp_path / "bad.json"))
+    path = Path(_write_config(cfg, tmp_path / "bad.json"))
     code = main(["convergence-sweep", "--config", str(path)])
     assert code == 2
     assert "excess_noise" in capsys.readouterr().err
@@ -738,7 +744,7 @@ def test_cli_validation_error_loads_no_scipy_stats(tmp_path):
     # scipy.stats is most of the import time; only KS p-values need it.
     cfg = ExperimentConfig(kind="convergence-sweep", seed=1, n_grid=[10], trials=10,
                            excess_noise=-1.0)
-    path = dump_config(cfg, tmp_path / "bad.json")
+    path = _write_config(cfg, tmp_path / "bad.json")
     script = ("import sys\n"
               "from cvsym.cli import main\n"
               f"code = main(['convergence-sweep', '--config', {str(path)!r}])\n"
@@ -797,7 +803,7 @@ def test_cli_rejects_config_that_cannot_run(tmp_path, capsys, config, field_name
 def test_cli_rejects_estimation_error_under_phase_diffusion(tmp_path, capsys):
     cfg = ExperimentConfig(kind="estimation-error", seed=1, n=1, trials=20, est_m=10,
                            perturbation="phase-diffusion", phase_sigma=0.3)
-    path = dump_config(cfg, tmp_path / "config.json")
+    path = _write_config(cfg, tmp_path / "config.json")
     assert main(["estimation-error", "--config", str(path)]) == 2
     assert "perturbation" in capsys.readouterr().err
 
@@ -813,14 +819,14 @@ def test_cli_rejects_non_object_config(tmp_path, capsys, top_level):
 def test_cli_rejects_postselected_sweep(tmp_path, capsys):
     cfg = ExperimentConfig(kind="convergence-sweep", seed=1, n_grid=[10], trials=10,
                            postselection_rule="amplitude-threshold", postselection_threshold=1.0)
-    path = dump_config(cfg, tmp_path / "config.json")
+    path = _write_config(cfg, tmp_path / "config.json")
     assert main(["convergence-sweep", "--config", str(path)]) == 2
     assert "postselection_rule" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_cli_rejects_nonpositive_workers(tmp_path, capsys, workers):
-    cfg_path = dump_config(_small_sweep(), tmp_path / "config.json")
+    cfg_path = _write_config(_small_sweep(), tmp_path / "config.json")
     code = main(["convergence-sweep", "--config", str(cfg_path), "--workers", workers,
                  "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
@@ -830,14 +836,14 @@ def test_cli_rejects_nonpositive_workers(tmp_path, capsys, workers):
 
 
 def test_cli_kind_mismatch(tmp_path, capsys):
-    cfg_path = dump_config(_small_sweep(), tmp_path / "config.json")
+    cfg_path = _write_config(_small_sweep(), tmp_path / "config.json")
     code = main(["keyrate-report", "--config", str(cfg_path)])
     assert code == 2
     assert "kind" in capsys.readouterr().err
 
 
 def test_cli_seed_override_changes_metrics(tmp_path):
-    cfg_path = dump_config(_small_sweep(seed=5), tmp_path / "config.json")
+    cfg_path = _write_config(_small_sweep(seed=5), tmp_path / "config.json")
     assert main(["convergence-sweep", "--config", str(cfg_path),
                  "--out", str(tmp_path / "a"), "--format", "json"]) == 0
     assert main(["convergence-sweep", "--config", str(cfg_path), "--seed", "99",
@@ -849,7 +855,7 @@ def test_cli_seed_override_changes_metrics(tmp_path):
 
 
 def test_cli_unwritable_output_is_runtime_error(tmp_path, capsys):
-    cfg_path = dump_config(_small_sweep(), tmp_path / "config.json")
+    cfg_path = _write_config(_small_sweep(), tmp_path / "config.json")
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     code = main(["convergence-sweep", "--config", str(cfg_path),
@@ -858,7 +864,7 @@ def test_cli_unwritable_output_is_runtime_error(tmp_path, capsys):
 
 
 def test_cli_json_only_format(tmp_path):
-    cfg_path = dump_config(_small_sweep(), tmp_path / "config.json")
+    cfg_path = _write_config(_small_sweep(), tmp_path / "config.json")
     out = tmp_path / "out"
     assert main(["convergence-sweep", "--config", str(cfg_path),
                  "--out", str(out), "--format", "json"]) == 0

@@ -7,7 +7,6 @@ from scipy import stats as sps
 from cvsym.errors import ConfigError, InvalidDimensionError, PreconditionError
 from cvsym.linalg import (
     complex_modes,
-    haar_orthogonal_symplectic,
     haar_orthogonal_symplectic_stack,
     haar_unitary_stack,
     interleave_modes,
@@ -33,6 +32,10 @@ from cvsym.symmetrize import (
 )
 
 
+def _haar_element(n, rng):
+    return unitary_to_symplectic(haar_unitary_stack(n, 1, rng)[0])
+
+
 def _random_batch(n, rng):
     return SampleBatch(rng.standard_normal(2 * n), rng.standard_normal(2 * n))
 
@@ -43,7 +46,7 @@ def _invariants(batch):
 
 def _rotated_batch_with_invariants(n, *invariants, rng):
     """A batch with the given invariants, rotated by a Haar-random group element."""
-    return apply_symmetrization(batch_with_invariants(n, *invariants), haar_orthogonal_symplectic(n, rng))
+    return apply_symmetrization(batch_with_invariants(n, *invariants), _haar_element(n, rng))
 
 
 def test_identity_leaves_batch_unchanged():
@@ -68,14 +71,14 @@ def test_all_four_invariants_preserved_at_n100():
     rng = np.random.default_rng(1)
     batch = _random_batch(100, rng)
     before = _invariants(batch)
-    out = apply_symmetrization(batch, haar_orthogonal_symplectic(100, rng))
+    out = apply_symmetrization(batch, _haar_element(100, rng))
     assert max(before.relative_deviations(_invariants(out)).values()) <= 1e-10
 
 
 def test_dimension_mismatch_rejected():
     rng = np.random.default_rng(2)
     with pytest.raises(InvalidDimensionError):
-        apply_symmetrization(_random_batch(3, rng), haar_orthogonal_symplectic(2, rng))
+        apply_symmetrization(_random_batch(3, rng), _haar_element(2, rng))
 
 
 def test_composition_matches_product():
@@ -107,7 +110,7 @@ def test_witness_colinear_pair():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(6)
     source = SampleBatch(x, 2.0 * x)
-    r0 = haar_orthogonal_symplectic(3, rng)
+    r0 = _haar_element(3, rng)
     target = apply_symmetrization(source, r0)
     witness = witness_transform(source, target)
     assert _mapping_residual(witness, source, target) <= 1e-8
@@ -118,7 +121,7 @@ def test_witness_sampled_oracle_general_case():
     worst = 0.0
     for _ in range(200):
         source = _random_batch(5, rng)
-        target = apply_symmetrization(source, haar_orthogonal_symplectic(5, rng))
+        target = apply_symmetrization(source, _haar_element(5, rng))
         witness = witness_transform(source, target)
         worst = max(worst, _mapping_residual(witness, source, target))
         assert orthogonality_residual(witness.matrix) <= 1e-12
@@ -140,7 +143,7 @@ def test_witness_maps_related_pair_at_extreme_scales(scale):
     # so the witness must still be found and map it.
     rng = np.random.default_rng(12)
     source = SampleBatch(scale * rng.standard_normal(8), scale * rng.standard_normal(8))
-    target = apply_symmetrization(source, haar_orthogonal_symplectic(4, rng))
+    target = apply_symmetrization(source, _haar_element(4, rng))
     witness = witness_transform(source, target)
     assert np.max(np.abs(witness.apply(source.x) - target.x)) <= 1e-8 * scale
     assert np.max(np.abs(witness.apply(source.y) - target.y)) <= 1e-8 * scale
@@ -173,7 +176,7 @@ def _reference_pairs(rng):
         cases[f"scale {scale:.0e}"] = tuple(scale * v for v in complex_pair(4))
     for name, (a, b) in cases.items():
         source = SampleBatch(interleave_modes(a), interleave_modes(b))
-        yield name, source, apply_symmetrization(source, haar_orthogonal_symplectic(len(a), rng))
+        yield name, source, apply_symmetrization(source, _haar_element(len(a), rng))
 
 
 def test_witness_matches_reference_construction():
@@ -196,16 +199,20 @@ def test_witness_names_each_mismatched_invariant_alone(name, value):
 @pytest.mark.parametrize("zero_x", [False, True])
 @pytest.mark.parametrize("side", ["x", "y"])
 def test_witness_rejects_nan_target_without_warning(side, zero_x):
-    # A zero source x once let a NaN target x through the invariant check.
+    # A zero source x once let a NaN target x through the invariant check;
+    # an infinite coordinate made the Gram product warn.  Either side fails.
     rng = np.random.default_rng(24)
     source = SampleBatch(0.0 * rng.standard_normal(6) if zero_x else rng.standard_normal(6),
                          rng.standard_normal(6))
-    coords = {"x": source.x.copy(), "y": source.y.copy()}
-    coords[side][2] = np.nan
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(PreconditionError, match="invariant mismatch"):
-            witness_transform(source, SampleBatch(coords["x"], coords["y"]))
+    for value in (np.nan, np.inf, -np.inf):
+        coords = {"x": source.x.copy(), "y": source.y.copy()}
+        coords[side][2] = value
+        bad = SampleBatch(coords["x"], coords["y"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pair in ((source, bad), (bad, source)):
+                with pytest.raises(PreconditionError, match="invariant mismatch"):
+                    witness_transform(*pair)
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e200])
@@ -247,7 +254,7 @@ def test_witness_zero_vector_degenerate_case():
     for n, zero_x, zero_y in cases * 20:
         x, y = rng.standard_normal(2 * n), rng.standard_normal(2 * n)
         source = SampleBatch(0.0 * x if zero_x else x, 0.0 * y if zero_y else y)
-        target = apply_symmetrization(source, haar_orthogonal_symplectic(n, rng))
+        target = apply_symmetrization(source, _haar_element(n, rng))
         witness = witness_transform(source, target)
         scale = max(np.linalg.norm(x), np.linalg.norm(y))
         assert np.max(np.abs(witness.apply(source.x) - target.x)) <= 1e-8 * scale
@@ -276,7 +283,7 @@ def test_witness_near_colinear_pair(n, k):
     for _ in range(5):
         a, b = _near_colinear_amplitudes(n, k, rng)
         source = SampleBatch(interleave_modes(a), interleave_modes(b))
-        target = apply_symmetrization(source, haar_orthogonal_symplectic(n, rng))
+        target = apply_symmetrization(source, _haar_element(n, rng))
         assert _mapping_residual(witness_transform(source, target), source, target) <= 1e-8
 
 
@@ -312,7 +319,7 @@ def test_audit_identical_ensembles_consistent_with_null():
 def test_audit_fixed_rotation_related_ensembles_consistent_with_null():
     rng = np.random.default_rng(11)
     batch = batch_with_invariants(4, 8.0, 16.0, 3.0, 2.0)
-    rotated = apply_symmetrization(batch, haar_orthogonal_symplectic(4, rng))
+    rotated = apply_symmetrization(batch, _haar_element(4, rng))
     report = _audit((batch, rotated), 600, 12)
     for result in report["results"].values():
         assert result["pvalue"] > 0.01
@@ -464,6 +471,65 @@ def test_haar_sample_design_self_consistency():
         p, q = map(int, key.split(":")[2:])
         worst[p + q] = max(worst.get(p + q, 0.0), abs(value - report.moments_haar[key]))
     assert worst == report.max_discrepancy_by_degree
+
+
+def _design_case(kind, degree):
+    """(sampler, design, seed, samples) of a small design comparison."""
+    n, size = (3, 6) if kind == "haar" else (1, 5)
+    design = haar_design(n, size, np.random.default_rng(60)) if kind == "haar" else roots_of_unity_design(size)
+
+    def sampler(r):
+        return SampleBatch(r.standard_normal(2 * n), r.standard_normal(2 * n))
+    return sampler, design, 61 + degree, 7
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["haar", "roots"])
+def test_design_report_is_conjugate_symmetric(kind, degree):
+    sampler, design, seed, samples = _design_case(kind, degree)
+    report = finite_design_average(sampler, design, degree, np.random.default_rng(seed), samples=samples)
+    for moments in (report.moments_design, report.moments_haar):
+        lower = [key for key in moments if int(key.split(":")[2]) < int(key.split(":")[3])]
+        # Two sides, n modes and p = q at each even total up to 2 degree stay on the diagonal.
+        assert len(lower) == (len(moments) - 2 * design.shape[-1] * degree) // 2
+        for key in lower:
+            side, mode, p, q = key.split(":")
+            assert moments[key] == moments[f"{side}:{mode}:{q}:{p}"].conjugate(), key
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["haar", "roots"])
+def test_design_average_matches_an_einsum_reference(kind, degree):
+    # Every key computed directly: an einsum push through the design, the same
+    # Haar draws, and a^p conj(a)^q with its own standard error for p < q too.
+    sampler, design, seed, samples = _design_case(kind, degree)
+    report = finite_design_average(sampler, design, degree, np.random.default_rng(seed), samples=samples)
+    rng = np.random.default_rng(seed)
+    batches = [sampler(rng) for _ in range(samples)]
+    bases = [np.array([complex_modes(getattr(b, side)) for b in batches]) for side in "xy"]
+    haar = haar_rotated_pairs(np.stack(bases, axis=-1), len(design), rng)
+    ref_design, ref_haar, ref_se, size = {}, {}, {}, {}
+    for s, side in enumerate("xy"):
+        pushed = np.einsum("rij,sj->sri", design, bases[s])
+        for total in range(1, 2 * degree + 1):
+            for p in range(total + 1):
+                q = total - p
+                terms = [a ** p * np.conj(a) ** q for a in (pushed, haar[..., s])]
+                for mode in range(design.shape[-1]):
+                    key = f"{side}:{mode}:{p}:{q}"
+                    ref_design[key], ref_haar[key] = (t[..., mode].mean() for t in terms)
+                    ref_se[key] = np.sqrt((terms[1][..., mode].real.var() + terms[1][..., mode].imag.var())
+                                          / terms[1][..., mode].size)
+                    # Relative to the averaged |monomial|: odd roots-of-unity moments are rounding noise.
+                    size[total] = max(size.get(total, 0.0), *(np.abs(t[..., mode]).mean() for t in terms))
+    for got, ref in ((report.moments_design, ref_design), (report.moments_haar, ref_haar)):
+        assert list(got) == list(ref)
+        for total in range(1, 2 * degree + 1):
+            keys = [key for key in ref if sum(map(int, key.split(":")[2:])) == total]
+            assert max(abs(got[key] - ref[key]) for key in keys) <= 1e-12 * size[total], total
+    for total, se in report.stderr_by_degree.items():
+        want = max(v for key, v in ref_se.items() if sum(map(int, key.split(":")[2:])) == total)
+        assert abs(se - want) <= 1e-12 * want, total
 
 
 def test_design_validation():
