@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError
-from .keyrate import MAX_KEYRATE_MODES, MIN_ESTIMATION_COORDS, ChannelEstimate
+from .keyrate import MIN_ESTIMATION_COORDS, ChannelEstimate
 from .protocol import ChannelModel, GaussianMixture, ModulationParams, PhaseDiffusion, PostselectionRegion
 from .stats import MIN_TV_SAMPLES, GaussianBivariate, scaled_estimation_errors
 from .symmetrize import batch_with_invariants, require_design
@@ -186,9 +186,6 @@ class ExperimentConfig:
         if self.kind == "keyrate-report" and 2 * self.n < MIN_ESTIMATION_COORDS:
             bad("n", f"must be >= {MIN_ESTIMATION_COORDS // 2}: the channel estimate needs "
                      f"{MIN_ESTIMATION_COORDS} coordinates, two per mode")
-        elif self.kind == "keyrate-report" and self.n > MAX_KEYRATE_MODES:
-            bad("n", f"must be <= {MAX_KEYRATE_MODES}: the run gathers about 3 KB of block "
-                     "summaries per 2^15 modes")
         if self.kind == "design-compare":
             if self.design_kind not in ("roots-of-unity", "haar-sample"):
                 bad("design_kind", "must be roots-of-unity or haar-sample")

@@ -23,9 +23,6 @@ from .errors import DegenerateCovarianceError, PreconditionError, require
 from .stats import Moments
 
 MIN_ESTIMATION_COORDS = 2000  # 10^3 modes
-# A key rate gathers about 3 KB of summaries per 2^15-mode block before it
-# merges them, so its memory grows with n: 10^9 modes peaked at 164 MB.
-MAX_KEYRATE_MODES = 2 * (10**9 - 1)
 
 
 @dataclass(frozen=True)

@@ -123,15 +123,15 @@ def _null_nonfinite(value, path, flagged):
 
 
 def _strict_json(data):
-    """``data`` as strict JSON text: a non-finite float becomes null, and its
-    dotted path is listed in ``meta.nonfinite``."""
+    """``data`` as compact strict JSON text, which CPython encodes in C: a non-finite
+    float becomes null, and its dotted path is listed in ``meta.nonfinite``."""
     try:
-        return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(data, sort_keys=True, allow_nan=False, separators=(",", ":")) + "\n"
     except ValueError:
         flagged = []
         data = {k: _null_nonfinite(v, k, flagged) for k, v in data.items()}
         data["meta"] = {**data["meta"], "nonfinite": sorted(flagged)}
-        return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(data, sort_keys=True, allow_nan=False, separators=(",", ":")) + "\n"
 
 
 def emit(report, out_dir, formats=("json", "csv")):

@@ -6,9 +6,9 @@ block indices, so results are identical across runs and across worker
 counts.  Work is cut into fixed-size blocks before scheduling, each a
 (stream key, args) pair; :func:`_map_blocks` calls a library kernel on each
 block's args and its own stream.  Workers only change how blocks are
-executed, never what a block computes, and gathered results are merged in
-block order.  A run looks its kernel up by module-level name when it starts,
-so a wrapper installed on that name sees every block's call.
+executed, never what a block computes; results are consumed in block order
+as they arrive.  A run looks its kernel up by module-level name when it
+starts, so a wrapper installed on that name sees every block's call.
 
 Workers are threads: block kernels are array-level numpy, which releases
 the GIL, so blocks overlap with no process start-up or pickling.  A
@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain, islice
 
 import numpy as np
 
@@ -85,23 +86,34 @@ def _summary_dict(summary):
 
 
 def _map_blocks(fn, seed, blocks, workers):
-    """``fn(*args, rng)`` for every (stream key, args) block, in block order, rng drawing the key's stream."""
+    """Yield ``fn(*args, rng)`` for every (stream key, args) block in block order, rng drawing the key's stream.
+
+    One worker runs each block on the calling thread when its result is asked for; a pool keeps at most
+    2 x workers blocks submitted but unconsumed, and joins its threads before an error reaches the caller."""
     def call(block):
         key, args = block
         return fn(*args, _stream_rng(seed, *key))
 
     # Each thread holds a block; more threads than CPUs or blocks only add memory.
-    workers = min(workers, len(blocks), os.cpu_count() or 1)
+    blocks = iter(blocks)
+    head = list(islice(blocks, min(workers, os.cpu_count() or 1)))
+    workers, blocks = len(head), chain(head, blocks)
     if workers <= 1:
-        return [call(block) for block in blocks]
+        yield from map(call, blocks)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(call, blocks))
+        pending = []
+        for block in blocks:
+            pending.append(pool.submit(call, block))
+            if len(pending) == 2 * workers:
+                yield pending.pop(0).result()
+        for future in pending:
+            yield future.result()
 
 
 def _blocks(total, block_size):
-    """(block index, block length) pairs covering ``total`` items in order."""
-    return [(index, min(block_size, total - start))
-            for index, start in enumerate(range(0, total, block_size))]
+    """(block index, block length) pairs covering ``total`` items in order, made as they are read."""
+    return ((index, min(block_size, total - start)) for index, start in enumerate(range(0, total, block_size)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,20 +212,23 @@ def _run_convergence_sweep(config, workers):
     kernel = wishart_triples if exact else coordinate_triples
 
     # One pool for every grid point's blocks, so grid points overlap; the run
-    # holds every point's totals, three floats per trial, at once.
+    # holds one point's totals, three floats per trial, at a time.
     grid = list(zip(config.n_grid, config.trials_for_grid()))
-    blocks, cuts = [], [0]
+    blocks = []
     for grid_index, (n, trials) in enumerate(grid):
         modulation = ModulationParams(n, config.modulation_variance)
         law = model.mixture_components(modulation) if exact else (model, modulation)
         blocks += [((_S_SWEEP, grid_index, bi), (n, bt, *law))
                    for bi, bt in _blocks(trials, _sweep_block_size(n, exact))]
-        cuts.append(len(blocks))
     parts = _map_blocks(kernel, config.seed, blocks, workers)
 
     grid_rows = []
     for grid_index, (n, trials) in enumerate(grid):
-        totals = np.concatenate(parts[cuts[grid_index]:cuts[grid_index + 1]], axis=0)
+        size = _sweep_block_size(n, exact)
+        # A lone block is the totals; more are written into place as they arrive.
+        totals = next(parts) if trials <= size else np.empty((trials, 3))
+        for start in range(0, trials, size) if trials > size else ():
+            totals[start:start + size] = next(parts)
 
         diag = empirical_tv_3d(totals, n * mode_summary.mean, n * mode_summary.covariance,
                                _stream_rng(config.seed, _S_DIAG, grid_index))
@@ -262,7 +277,7 @@ def _run_invariant_audit(config, workers):
     nx, ny, dot, symp = config.audit_invariants()
     pair = tuple(batch_with_invariants(config.n, nx, ny, dot, s) for s in (symp, -symp))
     blocks = [((_S_AUDIT, bi), (pair, bt)) for bi, bt in _blocks(config.trials, 512)]
-    parts = _map_blocks(collect_audit_samples, config.seed, blocks, workers)
+    parts = list(_map_blocks(collect_audit_samples, config.seed, blocks, workers))
     samples = {name: tuple(np.concatenate([part[name][side] for part in parts]) for side in (0, 1))
                for name in parts[0]}
     out = audit_report(samples, config.trials)
@@ -301,7 +316,7 @@ def _run_design_compare(config, workers):
 
 
 def _keyrate_blocks(config):
-    """Every key-rate block: its stream key, then its modes and how many of its leading modes estimation summarizes.
+    """Every key-rate block, lazily: its stream key, then its modes and how many of its leading modes it summarizes.
 
     The block of modes [s, e) of n takes floor(m e / n) - floor(m s / n) of
     the m estimation modes, so the shares sum to m and none exceeds its
@@ -313,9 +328,9 @@ def _keyrate_blocks(config):
     m = max(4, int(np.ceil(config.estimation_fraction * n)))
     model, region = config.channel(), config.region()
     modulation = ModulationParams(1, config.modulation_variance)
-    return [((_S_KEYRATE, bi), (bm, m * (bi * BLOCK_MODES + bm) // n - m * bi * BLOCK_MODES // n,
+    return (((_S_KEYRATE, bi), (bm, m * (bi * BLOCK_MODES + bm) // n - m * bi * BLOCK_MODES // n,
                                 model, modulation, region))
-            for bi, bm in _blocks(n, BLOCK_MODES)]
+            for bi, bm in _blocks(n, BLOCK_MODES))
 
 
 def _keyrate_block(modes, picks, model, modulation, region, rng):
@@ -330,21 +345,23 @@ def _keyrate_block(modes, picks, model, modulation, region, rng):
 
 def _run_keyrate_report(config, workers):
     # Each block draws and reduces its own data, its picked modes included,
-    # and returns O(1) summaries; merged in block order, they do not depend
-    # on the worker count.
-    blocks = _keyrate_blocks(config)
-    kept, moments, triples, products = zip(*_map_blocks(_keyrate_block, config.seed, blocks, workers))
-    model, modulation = blocks[0][1][2:4]
+    # and returns O(1) summaries; folded in block order as they arrive, they
+    # do not depend on the worker count, and the run holds O(workers) of them.
+    parts = _map_blocks(_keyrate_block, config.seed, _keyrate_blocks(config), workers)
+    kept, moments, triples, products = next(parts)
+    for part_kept, part_moments, part_triples, part_products in parts:
+        kept, moments = kept + part_kept, ChannelMoments.merge([moments, part_moments])
+        triples, products = Moments.merge([triples, part_triples]), Moments.merge([products, part_products])
+    model, modulation = config.channel(), ModulationParams(1, config.modulation_variance)
 
-    estimate = ChannelMoments.merge(moments).estimate(config.modulation_variance,
-                                                      beta=config.reconciliation_efficiency)
+    estimate = moments.estimate(config.modulation_variance, beta=config.reconciliation_efficiency)
     rate = gaussian_keyrate(estimate)
-    acceptance = sum(kept) / config.n
+    acceptance = kept / config.n
 
-    summary = MomentSummary.from_parts(triples)
+    summary = MomentSummary.from_parts([triples])
     bound_over_c = berry_esseen_bound(summary, config.n)
 
-    est = SigmaEstimate.from_moments(Moments.merge(products))
+    est = SigmaEstimate.from_moments(products)
     gap = np.abs(est.matrix - model.fourth_moment_matrix(modulation))
     with np.errstate(divide="ignore", invalid="ignore"):
         gap_in_se = np.where(est.stderr > 0, gap / est.stderr, 0.0)
@@ -365,7 +382,7 @@ def _run_keyrate_report(config, workers):
         "conditional_eigenvalue": rate.conditional_eigenvalue,
         "no_key": rate.no_key,
         "acceptance_fraction": acceptance,
-        "estimation_modes": sum(args[1] for _, args in blocks),
+        "estimation_modes": triples.count,
         "be_bound_over_c": bound_over_c,
         "be_bound": config.be_constant * bound_over_c,
         "sigma_gap_max_se_units": float(gap_in_se.max()),
@@ -384,7 +401,7 @@ def _run_estimation_error(config, workers):
     law = BivariateMixture(tuple(weights), tuple(comps))
     m = config.est_m
     blocks = [((_S_ESTIMATION, bi), (law, m, bt)) for bi, bt in _blocks(config.trials, max(1, BLOCK_MODES // m))]
-    errors = np.concatenate(_map_blocks(scaled_estimation_errors, config.seed, blocks, workers), axis=0)
+    errors = np.concatenate(list(_map_blocks(scaled_estimation_errors, config.seed, blocks, workers)), axis=0)
     report = summarize_scaled_errors(errors, m)
     out = report.to_dict()
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -389,8 +389,11 @@ def empirical_tv_3d(samples, mean, cov, rng, bins_per_axis=None, projections=6):
     count = samples.shape[0]
     if count < MIN_TV_SAMPLES:
         raise PreconditionError(f"need >= {MIN_TV_SAMPLES} samples, got {count}")
-    whiten = _inverse_sqrt(np.asarray(cov, dtype=float))
-    z = (samples - np.asarray(mean, dtype=float)) @ whiten
+    whiten, mean = _inverse_sqrt(np.asarray(cov, dtype=float)), np.asarray(mean, dtype=float)
+    # Whitened in slabs of 2^15 rows or more, bit for bit the whole product, with no full-size samples - mean.
+    z, cuts = np.empty((count, 3)), [*range(0, max(count - (1 << 15), 0) + 1, 1 << 15), count]
+    for lo, hi in zip(cuts, cuts[1:]):
+        np.matmul(samples[lo:hi] - mean, whiten, out=z[lo:hi])
 
     bins = int(bins_per_axis or np.ceil(count ** 0.2))
     steps = _ks_steps(count)
@@ -399,14 +402,14 @@ def empirical_tv_3d(samples, mean, cov, rng, bins_per_axis=None, projections=6):
     reference = np.ones(1)
     ks_raw = {}
     for k in range(3):
-        row = np.ascontiguousarray(z[:, k])
-        values[:] = row
+        values[:] = z[:, k]
         values.sort()
         ks_raw[f"axis{k}"] = _ks_statistic_sorted(values, steps)
         edges = _equal_mass_edges(values, bins)
+        values[:] = z[:, k]  # unsorted again, so the cell counts read a contiguous row
         cell *= bins
-        for edge in edges:  # the index searchsorted(edges, row, side="right") gives
-            cell += row >= edge
+        for edge in edges:  # the index searchsorted(edges, values, side="right") gives
+            cell += values >= edge
         mass = np.diff(ndtr(np.concatenate(([-np.inf], edges, [np.inf]))))
         reference = np.multiply.outer(reference, mass).ravel()
     total_bins = bins ** 3

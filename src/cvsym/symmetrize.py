@@ -69,7 +69,7 @@ def witness_transform(source, target, tol=WITNESS_TOL):
         raise InvalidDimensionError("source and target dimensions differ")
     coords = np.array([[source.x, source.y], [target.x, target.y]])
     tops = np.abs(coords).max(axis=(1, 2)).tolist()  # each pair's largest |entry|
-    if not math.isfinite(sum(tops)):  # no invariants to match, and the Gram product would warn
+    if not all(map(math.isfinite, tops)):  # no invariants to match, and the Gram product would warn
         raise PreconditionError(f"invariant mismatch: non-finite coordinates, largest |entries| {tops}")
     _, exp = math.frexp(tops[0])
     # (pair, mode, side): columns [a b] of the source pair, then of the target pair.
@@ -151,8 +151,9 @@ def collect_audit_samples(pair, trials, rng):
     """
     amps = complex_modes(np.array([[batch.x, batch.y] for batch in pair]))
     shape = (2, trials, amps.shape[-1])
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    rows = z / np.linalg.norm(z, axis=-1, keepdims=True)
+    rows = np.empty(shape, dtype=complex)
+    rows.real, rows.imag = rng.standard_normal(shape), rng.standard_normal(shape)
+    rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
     # (batch, side, trials, 2): the mode-0 coordinates of every symmetrized batch.
     mode0 = interleave_modes((amps @ rows.swapaxes(-1, -2))[..., None])
     return {name: (fn(*mode0[0]), fn(*mode0[1])) for name, fn in default_audit_statistics().items()}

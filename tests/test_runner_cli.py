@@ -3,7 +3,10 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
+import time
 import warnings
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,7 @@ from cvsym import runner, symmetrize
 from cvsym.cli import main
 from cvsym.config import ExperimentConfig, load_config
 from cvsym.errors import ConfigError
-from cvsym.keyrate import MAX_KEYRATE_MODES, estimate_channel
+from cvsym.keyrate import estimate_channel
 from cvsym.protocol import (
     MAX_MODULATION_VARIANCE,
     MIN_MODULATION_VARIANCE,
@@ -116,6 +119,7 @@ def test_run_is_worker_count_independent(monkeypatch):
     real = runner._map_blocks
 
     def spy(fn, seed, blocks, workers):
+        blocks = list(blocks)
         block_counts.append(len(blocks))
         return real(fn, seed, blocks, workers)
 
@@ -167,8 +171,10 @@ def recording_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, args_list):
-            return map(fn, args_list)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(runner, "ThreadPoolExecutor", RecordingPool)
     return started
@@ -180,8 +186,8 @@ def _negated(value, rng):
 
 def test_map_blocks_starts_no_more_workers_than_blocks(recording_pool):
     blocks = [((0, i), (-i,)) for i in (1, 2, 3)]
-    assert runner._map_blocks(_negated, 0, blocks, 1000) == [1, 2, 3]
-    assert runner._map_blocks(_negated, 0, blocks[:1], 1000) == [1]
+    assert list(runner._map_blocks(_negated, 0, blocks, 1000)) == [1, 2, 3]
+    assert list(runner._map_blocks(_negated, 0, blocks[:1], 1000)) == [1]
     # On one CPU every block runs in-process and no pool is asked for.
     cpus = os.cpu_count() or 1
     assert recording_pool == ([min(3, cpus)] if cpus > 1 else [])
@@ -191,8 +197,72 @@ def test_map_blocks_starts_no_more_workers_than_cpus(recording_pool):
     # Each worker holds a block of about 2.5 MiB: a 10^9-mode key rate at
     # --workers 100000 asked for 30,518 threads before the cap.
     blocks = [((0, i), (-i,)) for i in range(64)]
-    assert runner._map_blocks(_negated, 0, blocks, 10**6) == list(range(64))
+    assert list(runner._map_blocks(_negated, 0, blocks, 10**6)) == list(range(64))
     assert all(workers <= (os.cpu_count() or 1) for workers in recording_pool)
+
+
+def _slow_identity(value, rng):
+    # Later blocks finish first, so an unordered map would yield them first.
+    time.sleep(0.002 * (value % 3))
+    return value
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_blocks_yields_in_block_order(workers):
+    blocks = [((0, i), (i,)) for i in range(20)]
+    assert list(runner._map_blocks(_slow_identity, 0, blocks, workers)) == list(range(20))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_blocks_keeps_at_most_two_blocks_per_worker_unconsumed(workers):
+    started, lock = [], threading.Lock()
+
+    def counting(value, rng):
+        with lock:
+            started.append(value)
+        return value
+
+    blocks = [((0, i), (i,)) for i in range(40)]
+    for consumed, value in enumerate(runner._map_blocks(counting, 0, blocks, workers)):
+        assert value == consumed
+        time.sleep(0.002)  # the pool runs ahead as far as it may
+        with lock:
+            assert len(started) <= consumed + 2 * workers, (consumed, len(started))
+    assert sorted(started) == list(range(40))
+
+
+def test_map_blocks_error_propagates_and_stops_the_pool():
+    ran = []
+
+    def failing(value, rng):
+        ran.append(value)
+        if value == 3:
+            raise ValueError("block 3 failed")
+        time.sleep(0.01)
+        return value
+
+    before = set(threading.enumerate())
+    blocks = [((0, i), (i,)) for i in range(200)]
+    with pytest.raises(ValueError, match="block 3 failed"):
+        for _ in runner._map_blocks(failing, 0, blocks, 2):
+            pass
+    # The pool's threads are joined before the error reaches the caller, and
+    # no block starts past the 2 x workers - 1 submitted ahead of block 3.
+    assert set(threading.enumerate()) <= before
+    assert max(ran) <= 3 + 2 * 2 - 1, ran
+
+
+@pytest.mark.parametrize("cfg", [
+    # One-block and multi-block grid points in one sweep: 1000 trials of n = 50
+    # fit one phase block, of n = 2000 65 trials do; exact blocks hold 2^18 trials.
+    ExperimentConfig(kind="convergence-sweep", seed=9, n_grid=[50, 2000, 3000], trials=[1000, 1000, 1200],
+                     perturbation="phase-diffusion", phase_sigma=0.3),
+    ExperimentConfig(kind="convergence-sweep", seed=9, n_grid=[50, 100, 200], trials=[1000, (1 << 18) + 5, 2000]),
+], ids=["phase", "exact"])
+def test_sweep_with_multi_block_grid_points_is_worker_count_independent(cfg):
+    one = run(cfg, workers=1).metrics
+    assert json.dumps(one, sort_keys=True) == json.dumps(run(cfg, workers=2).metrics, sort_keys=True)
+    assert [row["trials"] for row in one["grid"]] == cfg.trials_for_grid()
 
 
 def test_two_worker_runs_start_no_process(monkeypatch):
@@ -227,9 +297,10 @@ def test_keyrate_blocks_return_constant_size_summaries(monkeypatch):
     real = runner._map_blocks
 
     def spy(fn, seed, blocks, workers):
-        results = real(fn, seed, blocks, workers)
+        blocks = list(blocks)
+        results = list(real(fn, seed, blocks, workers))
         returned.extend(zip(blocks, results))
-        return results
+        return iter(results)
 
     monkeypatch.setattr(runner, "_map_blocks", spy)
     for fraction in (0.01, 1.0):
@@ -244,16 +315,16 @@ def test_keyrate_blocks_return_constant_size_summaries(monkeypatch):
 
 
 def test_keyrate_mode_limit_and_estimation_shares():
-    # A key rate gathers about 3 KB of block summaries per 2^15 modes before it merges them.
-    limit = MAX_KEYRATE_MODES
-    ExperimentConfig(kind="keyrate-report", seed=1, n=limit).validate()
-    with pytest.raises(ConfigError) as err:
-        ExperimentConfig(kind="keyrate-report", seed=1, n=limit + 1).validate()
-    assert err.value.fields == ["n"]
+    # A key rate folds its block summaries as they arrive, so n has no cap below the float range,
+    # and its blocks are made as they are read: the first of 10^15 modes' comes at once.
+    ExperimentConfig(kind="keyrate-report", seed=1, n=10**15).validate()
+    first = next(runner._keyrate_blocks(ExperimentConfig(kind="keyrate-report", seed=1, n=10**15)))
+    assert first[0] == (5, 0) and first[1][:2] == (runner.BLOCK_MODES, runner.BLOCK_MODES // 10)
     # Each block's share of the m estimation modes is its proportional share, rounded.
+    limit = 2 * (10**9 - 1)
     for fraction, m in ((1e-12, 4), (0.05, 10**8), (1.0, limit)):
-        blocks = runner._keyrate_blocks(ExperimentConfig(kind="keyrate-report", seed=1, n=limit,
-                                                         estimation_fraction=fraction))
+        blocks = list(runner._keyrate_blocks(ExperimentConfig(kind="keyrate-report", seed=1, n=limit,
+                                                              estimation_fraction=fraction)))
         assert sum(args[1] for _, args in blocks) == m
         for _, (size, share, *_) in blocks:
             assert share <= size and abs(share * limit - m * size) < limit
@@ -280,7 +351,7 @@ def test_one_pooled_block_peaks_within_the_block_budget(monkeypatch, cfg):
     real = runner._map_blocks
 
     def capture(fn, seed, blocks, workers):
-        first.append((fn, seed, blocks[:1]))
+        first.append((fn, seed, [next(iter(blocks))]))
         raise Captured
 
     monkeypatch.setattr(runner, "_map_blocks", capture)
@@ -289,7 +360,7 @@ def test_one_pooled_block_peaks_within_the_block_budget(monkeypatch, cfg):
     fn, seed, block = first[0]
     tracemalloc.start()
     try:
-        real(fn, seed, block, 1)
+        list(real(fn, seed, block, 1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -392,6 +463,7 @@ def test_keyrate_blocks_that_pick_no_mode(monkeypatch):
     real = runner._map_blocks
 
     def spy(fn, seed, blocks, workers):
+        blocks = list(blocks)
         picks.extend(args[1] for _, args in blocks)
         return real(fn, seed, blocks, workers)
 
@@ -446,6 +518,7 @@ def test_sweep_starts_one_pool_for_every_grid_point(monkeypatch):
     real = runner._map_blocks
 
     def spy(fn, seed, blocks, workers):
+        blocks = list(blocks)
         calls.append(len(blocks))
         return real(fn, seed, blocks, workers)
 
@@ -652,9 +725,9 @@ def test_validation_runs_no_design_average(monkeypatch):
 def test_report_json_is_strict_and_flags_nonfinite(tmp_path):
     rep = run(ExperimentConfig(kind="design-compare", seed=4, n=1, trials=1, design_samples=8))
     emit(rep, tmp_path / "finite")
-    # A finite report is written as before: plain json.dumps, no flag.
+    # A finite report is written as before: plain compact json.dumps, no flag.
     finite_text = (tmp_path / "finite" / "report.json").read_text()
-    assert finite_text == json.dumps(rep.to_dict(), indent=2, sort_keys=True) + "\n"
+    assert finite_text == json.dumps(rep.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
     rep.metrics["se_excess_noise"] = float("inf")
     rep.metrics["grid"] = [{"tv": 0.5}, {"tv": float("nan")}]
@@ -789,8 +862,8 @@ def test_cli_rejects_mistyped_field(tmp_path, capsys, field_name, value):
     ({"kind": "design-compare", "n": 1, "design_size": 0}, "design_size"),
     # One decade over the ceiling; at 1e8 this sweep's reference covariance is singular.
     ({"kind": "convergence-sweep", "n_grid": [100, 1000], "modulation_variance": 1e7}, "modulation_variance"),
-    # Over keyrate.MAX_KEYRATE_MODES: the gathered block summaries grow with n.
-    ({"kind": "keyrate-report", "n": 2 * 10 ** 9}, "n"),
+    # Past the float range, the one upper limit on a key rate's n.
+    ({"kind": "keyrate-report", "n": 10 ** 309}, "n"),
 ])
 def test_cli_rejects_config_that_cannot_run(tmp_path, capsys, config, field_name):
     path = tmp_path / "config.json"

@@ -149,6 +149,23 @@ def test_witness_maps_related_pair_at_extreme_scales(scale):
     assert np.max(np.abs(witness.apply(source.y) - target.y)) <= 1e-8 * scale
 
 
+@pytest.mark.parametrize("top", [1e307, 1.5e308])
+def test_witness_maps_related_pair_near_the_float_maximum(top):
+    # Largest |entries| 1.5e308 and 1.57e308: their sum overflowed, and the
+    # finite pair was rejected as having non-finite coordinates.
+    rng = np.random.default_rng(12)
+    unit = SampleBatch(rng.standard_normal(8), rng.standard_normal(8))
+    related = apply_symmetrization(unit, _haar_element(4, rng))
+    scale = top / max(np.abs(unit.x).max(), np.abs(unit.y).max())
+    source = SampleBatch(scale * unit.x, scale * unit.y)
+    target = SampleBatch(scale * related.x, scale * related.y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        witness = witness_transform(source, target)
+        miss = max(np.abs(witness.apply(source.x) - target.x).max(), np.abs(witness.apply(source.y) - target.y).max())
+    assert miss <= 1e-12 * top
+
+
 def _reference_witness_matrix(source, target):
     """The witness built as two separate QRs of real-vector-built amplitude pairs."""
     _, exp = np.frexp(max(np.max(np.abs(source.x)), np.max(np.abs(source.y))))
@@ -364,6 +381,22 @@ def test_audit_row_sampler_matches_full_haar_path(n):
         for name, fn in default_audit_statistics().items():
             pvalue = sps.ks_2samp(sampled[name][side], fn(x, y)).pvalue
             assert pvalue > 0.01, (side, name, pvalue)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_audit_rows_are_the_normalized_complex_gaussian_draw(seed):
+    # The rows are drawn in place; they are bit for bit the normalized
+    # standard_normal(shape) + 1j * standard_normal(shape) of the same stream.
+    pair = (batch_with_invariants(5, 2.0, 3.0, 0.4, 0.3), batch_with_invariants(5, 2.0, 3.0, 0.4, -0.3))
+    sampled = collect_audit_samples(pair, 300, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((2, 300, 5)) + 1j * rng.standard_normal((2, 300, 5))
+    rows = z / np.linalg.norm(z, axis=-1, keepdims=True)
+    amps = complex_modes(np.array([[b.x, b.y] for b in pair]))
+    mode0 = interleave_modes((amps @ rows.swapaxes(-1, -2))[..., None])
+    for name, fn in default_audit_statistics().items():
+        for side in (0, 1):
+            assert np.array_equal(sampled[name][side], fn(*mode0[side])), (name, side)
 
 
 def _design_pair(kind, n, rng):
