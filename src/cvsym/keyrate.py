@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCovarianceError, PreconditionError, require
-from .stats import Moments
+from .stats import Moments, block_array
 
 MIN_ESTIMATION_COORDS = 2000  # 10^3 modes
 
@@ -63,10 +63,10 @@ class ChannelMoments:
 
     @classmethod
     def from_data(cls, x, y):
-        """Summary of one block of interleaved modes; einsum and ufunc reductions only, no BLAS."""
+        """Summary of one block of interleaved modes, reduced in the block array "rows"; no BLAS."""
         x = np.asarray(x, dtype=float).ravel()
         y = np.asarray(y, dtype=float).ravel()
-        u = np.empty((3, x.size))
+        u = block_array("rows", (3, x.size))
         np.multiply(x, x, out=u[2])
         sxx = u[2].sum()
         ratio = float(np.einsum("i,i->", x, y) / sxx) if sxx > 0.0 else 0.0

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimensionError, require
-from .stats import MomentSummary, cholesky_2x2, covariance_spectrum, sigma_g, sigma_g_centered
+from .stats import MomentSummary, block_array, cholesky_2x2, covariance_spectrum, sigma_g, sigma_g_centered
 
 # Below the floor the triples' Berry-Esseen bound leaves the float range.  Their covariance's
 # condition number grows as variance_a ** 2, and from 3e7 some T = 1 key rates find it degenerate.
@@ -195,58 +195,52 @@ class ChannelModel:
         return self._gaussian_components(modulation)
 
 
-def alice_modulate(params, rng, trials=None):
+def alice_modulate(params, rng, trials=None, out=None):
     """Draw Alice's interleaved 2n-vector of i.i.d. centered Gaussian coordinates.
 
-    With ``trials`` the draw is a (trials, 2n) stack of such vectors.
+    With ``trials`` the draw is a (trials, 2n) stack of such vectors, in ``out`` if given.
     """
     size = 2 * params.n if trials is None else (trials, 2 * params.n)
     # The values of rng.normal(0, scale), which is loc + scale * z, without its broadcasting pass.
-    x = rng.standard_normal(size)
+    x = rng.standard_normal(size, out=out)
     x *= np.sqrt(params.variance_a / 2.0)
     return x
 
 
-def _stacked(x):
-    x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    x = np.atleast_2d(x)
-    if x.shape[-1] % 2:
-        raise InvalidDimensionError("interleaved vectors must have even length")
-    return x, squeeze
-
-
-def channel_and_heterodyne(x, model, rng):
+def channel_and_heterodyne(x, model, rng, out=None):
     """Bob's heterodyne outcomes for input x; supports stacked inputs (..., 2n).
 
     Implements the package noise convention documented in the module
     docstring.  For stacked inputs all per-mode draws are vectorized;
     draw order is fixed, so results are reproducible for a given rng.
+    Outcomes of a stacked input go to ``out`` if given; sqrt(T) x is formed in block rows.
     """
-    x, squeeze = _stacked(x)
-    trials, two_n = x.shape
-    n = two_n // 2
+    x = np.asarray(x, dtype=float)
+    squeeze, x = x.ndim == 1, np.atleast_2d(x)
+    if x.shape[-1] % 2:
+        raise InvalidDimensionError("interleaved vectors must have even length")
+    trials, n = x.shape[0], x.shape[1] // 2
     t, xi = model.transmittance, model.excess_noise
     if isinstance(model.perturbation, GaussianMixture):
         mix = model.perturbation
         comp = rng.choice(len(mix.weights), size=(trials, n), p=np.array(mix.weights))
         t = np.repeat(np.array(mix.transmittances)[comp], 2, axis=1)
         xi = np.repeat(np.array(mix.excess_noises)[comp], 2, axis=1)
+    signal = block_array("rows", x.shape)
     if isinstance(model.perturbation, PhaseDiffusion):
         phi = rng.standard_normal((trials, n))
         phi *= model.perturbation.sigma
         cos, sin = np.cos(phi), np.sin(phi, out=phi)
         # In place; IEEE + and * commute, so this equals cos x0 - sin x1 and
         # sin x0 + cos x1 bit for bit.
-        signal = np.empty_like(x)
         np.multiply(cos, x[:, 0::2], out=signal[:, 0::2])
         signal[:, 0::2] -= sin * x[:, 1::2]
         np.multiply(sin, x[:, 0::2], out=signal[:, 1::2])
         signal[:, 1::2] += cos * x[:, 1::2]
         signal *= np.sqrt(t)
     else:
-        signal = np.sqrt(t) * x
-    y = rng.standard_normal(x.shape)
+        np.multiply(np.sqrt(t), x, out=signal)
+    y = rng.standard_normal(x.shape, out=out)
     y *= np.sqrt(1.0 + t * xi / 2.0)
     y += signal
     return y[0] if squeeze else y

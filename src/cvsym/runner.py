@@ -13,11 +13,15 @@ starts, so a wrapper installed on that name sees every block's call.
 Workers are threads: block kernels are array-level numpy, which releases
 the GIL, so blocks overlap with no process start-up or pickling.  A
 per-element Python loop in a kernel would hold the GIL and serialize them.
+Each worker thread's blocks take their working arrays from one block store
+(:func:`~cvsym.stats.block_array`) that lives as long as the fan-out, so a
+one-worker run keeps the main thread's heap from block to block.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from itertools import chain, islice
@@ -47,6 +51,8 @@ from .stats import (  # noqa: F401
     MomentSummary,
     SigmaEstimate,
     berry_esseen_bound,
+    block_array,
+    block_store,
     cholesky_2x2,
     columnwise_shape_stats,
     empirical_tv_3d,
@@ -70,9 +76,9 @@ from .symmetrize import (
 _S_SWEEP, _S_DIAG, _S_AUDIT, _S_DESIGN = 0, 2, 3, 4
 _S_KEYRATE, _S_ESTIMATION, _S_SELFCHECK = 5, 7, 8
 
-# Float64 values a block keeps alive, 2 MiB (a per-core L2).  A phase-diffusion sweep block holds two
-# (trials, n) arrays; key-rate and estimation blocks hold about ten per mode or coordinate pair, so they
-# take BLOCK_MODES.  Blocks are fixed before scheduling: results depend on them, never on the worker count.
+# Float64 values a block keeps alive, 2 MiB (a per-core L2).  A phase-diffusion sweep block holds its (trials, n)
+# r^2 and a chunk of cos(phi); key-rate and estimation blocks hold up to ten values per mode or coordinate pair,
+# so they take BLOCK_MODES.  Blocks are fixed before scheduling: results depend on them, never on the workers.
 BLOCK_COORDS = 1 << 18
 BLOCK_MODES = BLOCK_COORDS // 8
 
@@ -89,10 +95,14 @@ def _map_blocks(fn, seed, blocks, workers):
     """Yield ``fn(*args, rng)`` for every (stream key, args) block in block order, rng drawing the key's stream.
 
     One worker runs each block on the calling thread when its result is asked for; a pool keeps at most
-    2 x workers blocks submitted but unconsumed, and joins its threads before an error reaches the caller."""
+    2 x workers blocks submitted but unconsumed, and joins its threads before an error reaches the caller.
+    Each worker thread runs its blocks in its own block store (``stats.block_array``), dropped with the fan-out."""
+    stores = {}
+
     def call(block):
         key, args = block
-        return fn(*args, _stream_rng(seed, *key))
+        with block_store(stores.setdefault(threading.get_ident(), {})):
+            return fn(*args, _stream_rng(seed, *key))
 
     # Each thread holds a block; more threads than CPUs or blocks only add memory.
     blocks = iter(blocks)
@@ -135,16 +145,17 @@ def wishart_triples(n, trials, weights, components, rng):
     for m, (a, b, c) in zip(counts, components):
         l11, l21, l22 = cholesky_2x2(a, b, c)
         nonzero = m > 0
-        c11 = 2.0 * rng.standard_gamma(m, size=trials)
-        c22 = 2.0 * rng.standard_gamma(np.maximum(m - 0.5, 0.0), size=trials) * nonzero
-        z21 = rng.standard_normal(trials) * nonzero
-        a11 = np.sqrt(c11)
-        b11 = l11 * a11
-        b21 = l21 * a11 + l22 * z21
-        b22 = l22 * np.sqrt(c22)
-        out[:, 0] += b11 * b11
-        out[:, 2] += b11 * b21
-        out[:, 1] += b21 * b21 + b22 * b22
+        a11 = rng.standard_gamma(m, size=trials)
+        a11 *= 2.0
+        np.sqrt(a11, out=a11)
+        b22 = l22 * np.sqrt(2.0 * rng.standard_gamma(np.maximum(m - 0.5, 0.0), size=trials) * nonzero)
+        b21 = l22 * (rng.standard_normal(trials) * nonzero)
+        b21 += l21 * a11
+        a11 *= l11  # b11
+        product = a11 * a11  # one buffer for the three column updates
+        out[:, 0] += product
+        out[:, 2] += np.multiply(a11, b21, out=product)
+        out[:, 1] += np.add(np.multiply(b21, b21, out=product), np.multiply(b22, b22, out=b22), out=product)
     return out
 
 
@@ -167,17 +178,21 @@ def coordinate_triples(n, trials, model, modulation, rng):
         Y = T X + 2 sqrt(T) (C / sqrt(X) p1 + sqrt(X - C^2 / X) p2)
             + p1^2 + p2^2 + Q.
 
-    Only r^2 and cos(phi) are (trials, n) arrays.
+    Only r^2 is a (trials, n) array; cos(phi) comes in row chunks.
     """
     t = model.transmittance
     noise_var = 1.0 + t * model.excess_noise / 2.0
-    r2 = rng.standard_exponential((trials, n))
+    r2 = rng.standard_exponential(out=block_array("r2", (trials, n)))
     r2 *= modulation.variance_a
-    cos_phi = rng.standard_normal((trials, n))
-    cos_phi *= model.perturbation.sigma
-    np.cos(cos_phi, out=cos_phi)
+    # cos(phi) in row chunks of about BLOCK_MODES values, drawn in order as one draw; only a one-trial block
+    # has a one-row chunk, since einsum sums a lone row of over 8192 values in another order.
+    chunk, c = max(2, BLOCK_MODES // n), np.empty(trials)
+    cuts = [*range(0, max(trials - 1, 1), chunk), trials]
+    for lo, hi in zip(cuts, cuts[1:]):
+        cos_phi = rng.standard_normal(out=block_array("cos_phi", (hi - lo, n)))
+        cos_phi *= model.perturbation.sigma
+        np.einsum("ij,ij->i", r2[lo:hi], np.cos(cos_phi, out=cos_phi), out=c[lo:hi])
     x_tot = r2.sum(axis=1)
-    c = np.einsum("ij,ij->i", r2, cos_phi)
     p1, p2 = np.sqrt(noise_var) * rng.standard_normal((2, trials))
     q = 2.0 * noise_var * rng.standard_gamma(n - 1.0, size=trials)
 
@@ -335,8 +350,8 @@ def _keyrate_blocks(config):
 
 def _keyrate_block(modes, picks, model, modulation, region, rng):
     """Kept-mode count, channel moments, and the triple and fourth-moment summaries of the first ``picks`` modes."""
-    x = alice_modulate(modulation, rng, modes)
-    y = channel_and_heterodyne(x, model, rng)
+    x = alice_modulate(modulation, rng, modes, out=block_array("x", (modes, 2)))
+    y = channel_and_heterodyne(x, model, rng, out=block_array("y", x.shape))
     mask, _ = postselect(x.ravel(), y.ravel(), region)
     kept, moments = int(np.count_nonzero(mask)), ChannelMoments.from_data(x, y)
     x, y = x[:picks], y[:picks]

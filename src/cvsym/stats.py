@@ -15,6 +15,9 @@ quantitative bound is computed separately.
 
 from __future__ import annotations
 
+import contextlib
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +51,36 @@ def sigma_g_centered(a, b, c):
         [2 * c * c, 2 * b * b, 2 * b * c],
         [2 * a * c, 2 * b * c, a * b + c * c],
     ])
+
+
+# The calling thread's block arrays by name while it runs a block (runner._map_blocks).
+_block_store = threading.local()
+
+
+@contextlib.contextmanager
+def block_store(arrays):
+    """Make the dict ``arrays`` the calling thread's block store for the body."""
+    saved, _block_store.arrays = getattr(_block_store, "arrays", None), arrays
+    try:
+        yield
+    finally:
+        _block_store.arrays = saved
+
+
+def block_array(name, shape):
+    """A float64 array of ``shape``: in a block store the name's one buffer, the largest asked for, else fresh.
+
+    A buffer is a private anonymous mapping (POSIX), unseen by tracemalloc, so a dropped store gives its pages
+    back to the kernel; a freed malloc chunk would stay in its thread's arena.  Linux maps it populated."""
+    arrays, size = getattr(_block_store, "arrays", None), math.prod(shape)
+    if arrays is None:
+        return np.empty(shape)
+    if len(arrays.get(name, ())) < max(size, 1):
+        import mmap  # only fan-outs need it
+        arrays.pop(name, None)  # unmapped before its successor is mapped
+        flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
+        arrays[name] = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1), flags=flags), dtype=float)
+    return arrays[name][:size].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -107,18 +140,6 @@ class SigmaEstimate:
 _FOURTH_MOMENT_ENTRIES = np.array([[0, 2, 3], [2, 1, 4], [3, 4, 2]])
 
 
-def _fourth_moment_products(x, y):
-    """The five distinct fourth-moment products of coordinate arrays, stacked first: (5, ...)."""
-    x2, y2, xy = x * x, y * y, x * y
-    out = np.empty((5,) + x2.shape)
-    np.multiply(x2, x2, out=out[0])
-    np.multiply(y2, y2, out=out[1])
-    np.multiply(x2, y2, out=out[2])
-    np.multiply(x2, xy, out=out[3])
-    np.multiply(y2, xy, out=out[4])
-    return out
-
-
 def _fourth_moment_matrix(values):
     """Symmetric (..., 3, 3) matrices from (5, ...) values of the five distinct products.
 
@@ -130,8 +151,18 @@ def _fourth_moment_matrix(values):
 
 
 def fourth_moment_moments(x, y):
-    """:class:`Moments` of the five fourth-moment products of paired coordinates."""
-    return Moments.of_rows(_fourth_moment_products(np.ravel(x), np.ravel(y)))
+    """:class:`Moments` of the five fourth-moment products of paired coordinates, formed in block rows."""
+    x, y = np.ravel(x), np.ravel(y)
+    rows = block_array("rows", (5, x.size))  # x^2, y^2 and xy wait in rows 0, 4 and 3
+    np.multiply(x, y, out=rows[3])
+    np.multiply(y, y, out=rows[4])
+    np.multiply(x, x, out=rows[0])
+    np.multiply(rows[0], rows[4], out=rows[2])
+    np.multiply(rows[4], rows[4], out=rows[1])
+    rows[4] *= rows[3]
+    rows[3] *= rows[0]
+    rows[0] *= rows[0]
+    return Moments.of_rows(rows)
 
 
 def sigma_est(samples):
@@ -214,7 +245,7 @@ class MomentSummary:
 
 def triple_moments(triples):
     """Mergeable summary of (m, 3) triples: the :class:`Moments` of the rows (X, Y, Z, |V|^3)."""
-    rows = np.empty((4, len(triples)))
+    rows = block_array("rows", (4, len(triples)))
     rows[:3] = np.asarray(triples, dtype=float).T
     norm_sq = rows[0] * rows[0] + rows[1] * rows[1] + rows[2] * rows[2]
     np.multiply(norm_sq, np.sqrt(norm_sq), out=rows[3])
@@ -290,18 +321,17 @@ def ks_null_mean(count):
     return float(np.sqrt(np.pi / 2.0) * np.log(2.0) / np.sqrt(count) - 1.0 / (6.0 * count))
 
 
-def _ks_steps(count):
-    """Empirical CDF just after and just before each order statistic, as kstest forms them, and a block length.
+def _ks_block(count):
+    """The block length of :func:`_ks_statistic_sorted`'s pruned scan of ``count`` values, 0 for none.
 
     A block of about sqrt(N) / 6 values overstates its exact values by about
     1 / (6 sqrt(N)); below 5000 values one full pass beats the pruned scan.
     """
-    block = round(np.sqrt(count) / 6.0) if count >= 5000 else 0
-    return np.arange(1.0, count + 1) / count, np.arange(0.0, count) / count, block
+    return round(np.sqrt(count) / 6.0) if count >= 5000 else 0
 
 
-def _ks_statistic_sorted(sorted_values, steps):
-    """Two-sided KS distance of ascending values from N(0, 1); ``steps`` is ``_ks_steps(N)``.
+def _ks_statistic_sorted(sorted_values, block):
+    """Two-sided KS distance of ascending values from N(0, 1); ``block`` is ``_ks_block(N)``.
 
     Bit for bit the value of ``scipy.stats.kstest(values, "norm")``, but ndtr
     runs first at block end points and past the last whole block.  Phi is
@@ -309,19 +339,21 @@ def _ks_statistic_sorted(sorted_values, steps):
     Phi(last) - before[first]; only blocks reaching the best exact value so
     far are evaluated in full.
     """
-    after, before, block = steps
-    head = len(sorted_values) - len(sorted_values) % block if block else 0
-    cdf = ndtr(sorted_values[head:])
-    best = max((after[head:] - cdf).max(initial=0.0), (cdf - before[head:]).max(initial=0.0))
+    count = len(sorted_values)
+    head = count - count % block if block else 0
+
+    def distance(index, cdf):  # from the empirical CDF after[i] = (i + 1) / N and before[i] = i / N, as kstest's
+        return max(((index + 1.0) / count - cdf).max(initial=0.0), (cdf - index / count).max(initial=0.0))
+
+    best = distance(np.arange(head, count), ndtr(sorted_values[head:]))
     if head:
-        values, after, before = (a[:head].reshape(-1, block) for a in (sorted_values, after, before))
-        ends = ndtr(values[:, ::block - 1])
-        best = max(best, (after[:, ::block - 1] - ends).max(), (ends - before[:, ::block - 1]).max())
-        reach = np.maximum(after[:, -1] - ends[:, 0], ends[:, 1] - before[:, 0])
+        values, ends = sorted_values[:head].reshape(-1, block), np.arange(0, head, block)[:, None] + [0, block - 1]
+        end_cdf = ndtr(values[:, ::block - 1])
+        best = max(best, distance(ends, end_cdf))
+        reach = np.maximum((ends[:, 1] + 1.0) / count - end_cdf[:, 0], end_cdf[:, 1] - ends[:, 0] / count)
         # The slack covers ndtr's rounding: at adjacent floats it can step down an ulp.
-        pick = reach >= best - 1e-12
-        cdf = ndtr(values[pick])
-        best = max(best, (after[pick] - cdf).max(initial=0.0), (cdf - before[pick]).max(initial=0.0))
+        pick = np.flatnonzero(reach >= best - 1e-12)
+        best = max(best, distance(pick[:, None] * block + np.arange(block), ndtr(values[pick])))
     return float(best)
 
 
@@ -396,7 +428,7 @@ def empirical_tv_3d(samples, mean, cov, rng, bins_per_axis=None, projections=6):
         np.matmul(samples[lo:hi] - mean, whiten, out=z[lo:hi])
 
     bins = int(bins_per_axis or np.ceil(count ** 0.2))
-    steps = _ks_steps(count)
+    block = _ks_block(count)
     values = np.empty(count)  # every statistic sorts into this buffer
     cell = np.zeros(count, dtype=np.int64)
     reference = np.ones(1)
@@ -404,7 +436,7 @@ def empirical_tv_3d(samples, mean, cov, rng, bins_per_axis=None, projections=6):
     for k in range(3):
         values[:] = z[:, k]
         values.sort()
-        ks_raw[f"axis{k}"] = _ks_statistic_sorted(values, steps)
+        ks_raw[f"axis{k}"] = _ks_statistic_sorted(values, block)
         edges = _equal_mass_edges(values, bins)
         values[:] = z[:, k]  # unsorted again, so the cell counts read a contiguous row
         cell *= bins
@@ -422,7 +454,7 @@ def empirical_tv_3d(samples, mean, cov, rng, bins_per_axis=None, projections=6):
         direction /= np.linalg.norm(direction)
         np.matmul(z, direction, out=values)
         values.sort()
-        ks_raw[f"proj{j}"] = _ks_statistic_sorted(values, steps)
+        ks_raw[f"proj{j}"] = _ks_statistic_sorted(values, block)
 
     pvalues = _ks_pvalues(list(ks_raw.values()), count)
     ks_pvalues = {name: float(p) for name, p in zip(ks_raw, pvalues)}
@@ -491,8 +523,8 @@ class BivariateMixture:
             if c * c > a * b:
                 raise ValueError("correlation violates Cauchy-Schwarz")
 
-    def draw(self, m, rng):
-        """(m, 2) pairs; one component draws no component labels.
+    def draw(self, m, rng, out=None):
+        """(m, 2) pairs, in ``out`` if given; one component draws no component labels.
 
         The labels are those of ``rng.choice(k, m, p=weights)``, which
         searches one uniform draw in the normalized cumulative weights.
@@ -503,7 +535,7 @@ class BivariateMixture:
             labels = np.searchsorted(cdf / cdf[-1], rng.random(m), side="right")
         l11, l21, l22 = np.array([cholesky_2x2(*comp) for comp in self.components]).T
         # Each pair takes the Cholesky factor (l11, l21, l22) of its component, in place.
-        g = rng.standard_normal((m, 2))
+        g = rng.standard_normal((m, 2), out=out)
         g[:, 1] *= l22[labels]
         g[:, 1] += l21[labels] * g[:, 0]
         g[:, 0] *= l11[labels]
@@ -535,20 +567,27 @@ class EstimationErrorReport:
                 for name, value in vars(self).items()}
 
 
-# Fewest and most samples per estimate in the estimation-error study.  A
-# trial holds 64 bytes per sample at once (five fourth-moment products and
-# three second-order ones), so the cap keeps one trial under 80 MB.
+# Fewest and most samples per estimate in the estimation-error study.  A trial holds 48 bytes
+# per sample at its peak, its draws and two product rows (32) and, while a mixture draws, its
+# component labels and one product (16), so the cap keeps one trial at 48 MiB.
 MIN_ESTIMATION_SAMPLES, MAX_ESTIMATION_SAMPLES = 10, 1 << 20
 
 
 def scaled_estimation_errors(model, m, trials, rng):
-    """Per-trial scaled errors sqrt(m) (Sigma_est - E Sigma_est), shape (trials, 3, 3)."""
+    """Per-trial scaled errors sqrt(m) (Sigma_est - E Sigma_est), shape (trials, 3, 3), one product at a time."""
     require(("m", MIN_ESTIMATION_SAMPLES <= m <= MAX_ESTIMATION_SAMPLES,
              f"must lie in [{MIN_ESTIMATION_SAMPLES}, {MAX_ESTIMATION_SAMPLES}]"))
     truth = model.fourth_moment_matrix()
-    draws = model.draw(trials * m, rng).reshape(trials, m, 2)
-    est = _fourth_moment_matrix(_fourth_moment_products(draws[..., 0], draws[..., 1]).mean(axis=-1))
-    return np.sqrt(m) * (est - truth)
+    draws = model.draw(trials * m, rng, out=block_array("draws", (trials * m, 2))).reshape(trials, m, 2)
+    x, y = draws[..., 0], draws[..., 1]
+    a, b, sums = block_array("a", x.shape), block_array("b", x.shape), np.empty((5, trials))
+    np.add.reduce(np.multiply(np.multiply(x, x, out=a), a, out=b), axis=-1, out=sums[0])
+    np.add.reduce(np.multiply(a, np.multiply(y, y, out=b), out=a), axis=-1, out=sums[2])
+    np.add.reduce(np.multiply(b, b, out=a), axis=-1, out=sums[1])
+    np.add.reduce(np.multiply(b, np.multiply(x, y, out=a), out=b), axis=-1, out=sums[4])
+    np.add.reduce(np.multiply(np.multiply(x, x, out=b), a, out=b), axis=-1, out=sums[3])
+    sums /= m  # the means, as ndarray.mean divides its sums
+    return np.sqrt(m) * (_fourth_moment_matrix(sums) - truth)
 
 
 def summarize_scaled_errors(errors, m):

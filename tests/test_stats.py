@@ -42,9 +42,9 @@ from cvsym.stats import (
     triple_moments,
     _equal_mass_edges,
     _inverse_sqrt,
+    _ks_block,
     _ks_pvalues,
     _ks_statistic_sorted,
-    _ks_steps,
 )
 
 
@@ -310,7 +310,7 @@ def test_sorted_ks_matches_kstest():
         for shift in (0.0, 0.02, 0.05, 0.08):
             values = rng.standard_normal(count) + shift
             ref = kstest(values, "norm")
-            stat = _ks_statistic_sorted(np.sort(values), _ks_steps(count))
+            stat = _ks_statistic_sorted(np.sort(values), _ks_block(count))
             pvalue = _ks_pvalues([stat], count)[0]
             assert abs(stat - ref.statistic) <= 1e-15
             if count < KS_ASYMPTOTIC_MIN_N:
@@ -332,7 +332,7 @@ def _ks_full(sorted_values):
        seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([0.0, 1e-3, 1.0, 7.0, 60.0]),
        shift=st.floats(-45.0, 45.0), decimals=st.sampled_from([None, 0, 1, 3]))
 def test_pruned_ks_equals_full_evaluation(count, block, seed, scale, shift, decimals):
-    # block None keeps _ks_steps' own length (no blocks below 5000 values);
+    # block None keeps _ks_block's own length (no blocks below 5000 values);
     # the others cover samples shorter than one block and not a multiple of
     # it.  Scale 0 gives constant samples, rounding gives ties, and shifts
     # past +-40 saturate Phi (D = 1) or come near it.
@@ -340,9 +340,7 @@ def test_pruned_ks_equals_full_evaluation(count, block, seed, scale, shift, deci
     if decimals is not None:
         values = np.round(values, decimals)
     values.sort()
-    after, before, own_block = _ks_steps(count)
-    steps = (after, before, own_block if block is None else block)
-    assert _ks_statistic_sorted(values, steps) == _ks_full(values)
+    assert _ks_statistic_sorted(values, _ks_block(count) if block is None else block) == _ks_full(values)
 
 
 @pytest.mark.parametrize("count, bins", [(1000, None), (2001, 3), (4000, 5)])
