@@ -156,8 +156,7 @@ def two_mode_symplectic_eigenvalues(va, vb, cc):
     """Symplectic spectrum of [[va I2, cc sigma_z], [cc sigma_z, vb I2]]."""
     delta = va * va + vb * vb - 2.0 * cc * cc
     det = va * vb - cc * cc
-    disc = max(delta * delta - 4.0 * det * det, 0.0)
-    root = np.sqrt(disc)
+    root = np.sqrt(max(delta * delta - 4.0 * det * det, 0.0))
     nu_plus = np.sqrt(max((delta + root) / 2.0, 0.0))
     nu_minus = np.sqrt(max((delta - root) / 2.0, 0.0))
     return float(nu_plus), float(nu_minus)
@@ -182,12 +181,9 @@ def gaussian_keyrate(estimate):
     :func:`entropy_g` on symplectic eigenvalues.  Negative rates are
     clamped to zero and flagged.
     """
-    t = estimate.transmittance
-    xi = estimate.excess_noise
-    v = estimate.v_variance
-    va = v
-    vb = t * (v - 1.0) + 1.0 + t * xi
-    cc = np.sqrt(t * (v * v - 1.0))
+    t, xi, va = estimate.transmittance, estimate.excess_noise, estimate.v_variance
+    vb = t * (va - 1.0) + 1.0 + t * xi
+    cc = np.sqrt(t * (va * va - 1.0))
 
     cond_b = vb - cc * cc / (va + 1.0)  # Bob's variance given Alice's heterodyne outcome
     mutual_information = float(np.log2((vb + 1.0) / (cond_b + 1.0)))

@@ -55,18 +55,15 @@ class GaussianMixture:
     excess_noises: tuple
 
     def __post_init__(self):
-        w = tuple(float(v) for v in self.weights)
-        t = tuple(float(v) for v in self.transmittances)
-        x = tuple(float(v) for v in self.excess_noises)
+        for name in ("weights", "transmittances", "excess_noises"):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+        w, t, x = self.weights, self.transmittances, self.excess_noises
         require(("weights", 0 < len(w) == len(t) == len(x),
                  "mixture components must have matching non-zero lengths"),
                 ("weights", all(v >= 0 for v in w) and abs(sum(w) - 1.0) <= 1e-9,
                  "must be nonnegative and sum to 1"),
                 ("transmittances", all(0.0 <= v <= 1.0 for v in t), "must lie in [0, 1]"),
                 ("excess_noises", all(v >= 0 for v in x), "must be >= 0"))
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "transmittances", t)
-        object.__setattr__(self, "excess_noises", x)
 
 
 @dataclass(frozen=True)
@@ -213,7 +210,8 @@ def channel_and_heterodyne(x, model, rng, out=None):
     Implements the package noise convention documented in the module
     docstring.  For stacked inputs all per-mode draws are vectorized;
     draw order is fixed, so results are reproducible for a given rng.
-    Outcomes of a stacked input go to ``out`` if given; sqrt(T) x is formed in block rows.
+    Outcomes of a stacked input go to ``out`` if given; sqrt(T) x, and phi with cos(phi) while it is
+    formed, take the block array "rows".
     """
     x = np.asarray(x, dtype=float)
     squeeze, x = x.ndim == 1, np.atleast_2d(x)
@@ -226,17 +224,18 @@ def channel_and_heterodyne(x, model, rng, out=None):
         comp = rng.choice(len(mix.weights), size=(trials, n), p=np.array(mix.weights))
         t = np.repeat(np.array(mix.transmittances)[comp], 2, axis=1)
         xi = np.repeat(np.array(mix.excess_noises)[comp], 2, axis=1)
-    signal = block_array("rows", x.shape)
+    signal, scratch = block_array("rows", (2, *x.shape))
     if isinstance(model.perturbation, PhaseDiffusion):
-        phi = rng.standard_normal((trials, n))
+        phi, cos = scratch.reshape(2, trials, n)
+        rng.standard_normal(out=phi)
         phi *= model.perturbation.sigma
-        cos, sin = np.cos(phi), np.sin(phi, out=phi)
+        cos, sin = np.cos(phi, out=cos), np.sin(phi, out=phi)
         # In place; IEEE + and * commute, so this equals cos x0 - sin x1 and
         # sin x0 + cos x1 bit for bit.
         np.multiply(cos, x[:, 0::2], out=signal[:, 0::2])
-        signal[:, 0::2] -= sin * x[:, 1::2]
         np.multiply(sin, x[:, 0::2], out=signal[:, 1::2])
-        signal[:, 1::2] += cos * x[:, 1::2]
+        signal[:, 0::2] -= np.multiply(sin, x[:, 1::2], out=sin)
+        signal[:, 1::2] += np.multiply(cos, x[:, 1::2], out=cos)
         signal *= np.sqrt(t)
     else:
         np.multiply(np.sqrt(t), x, out=signal)

@@ -18,14 +18,6 @@ from pathlib import Path
 from .config import ExperimentConfig
 
 
-def _fmt(value):
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
 @dataclass
 class ExperimentReport:
     config: ExperimentConfig
@@ -46,8 +38,7 @@ def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows([f"{v:.12g}" if isinstance(v, float) else str(v) for v in row] for row in rows)
     return path
 
 
@@ -90,15 +81,10 @@ def _keyrate_tables(report, tables_dir):
 
 
 def _estimation_tables(report, tables_dir):
-    m = report.metrics
-    rows = []
-    labels = ("XX", "XY", "XZ", "YX", "YY", "YZ", "ZX", "ZY", "ZZ")
-    for idx, label in enumerate(labels):
-        i, j = divmod(idx, 3)
-        rows.append((label, m["mean"][i][j], m["se_mean"][i][j], m["std"][i][j],
-                     m["skew"][i][j], m["excess_kurtosis"][i][j]))
-    return [_write_csv(tables_dir / "estimation_error.csv",
-                       ("entry", "mean", "se_mean", "std", "skew", "excess_kurtosis"), rows)]
+    cols = ("mean", "se_mean", "std", "skew", "excess_kurtosis")
+    rows = [(a + b, *(report.metrics[c][i][j] for c in cols))
+            for i, a in enumerate("XYZ") for j, b in enumerate("XYZ")]
+    return [_write_csv(tables_dir / "estimation_error.csv", ("entry", *cols), rows)]
 
 
 _TABLE_WRITERS = {

@@ -101,8 +101,11 @@ def _map_blocks(fn, seed, blocks, workers):
 
     def call(block):
         key, args = block
-        with block_store(stores.setdefault(threading.get_ident(), {})):
+        block_store.arrays = stores.setdefault(threading.get_ident(), {})
+        try:
             return fn(*args, _stream_rng(seed, *key))
+        finally:
+            block_store.arrays = None
 
     # Each thread holds a block; more threads than CPUs or blocks only add memory.
     blocks = iter(blocks)
@@ -210,12 +213,10 @@ def _sweep_block_size(n, exact):
 
 
 def _loglog_slope(ns, values):
-    points = [(np.log10(n), np.log10(v)) for n, v in zip(ns, values) if v > 0]
+    points = np.log10([(n, v) for n, v in zip(ns, values) if v > 0]).reshape(-1, 2)
     if len(points) < 2:
         return None, len(points)
-    xs = np.array([p[0] for p in points])
-    ys = np.array([p[1] for p in points])
-    return float(np.polyfit(xs, ys, 1)[0]), len(points)
+    return float(np.polyfit(points[:, 0], points[:, 1], 1)[0]), len(points)
 
 
 def _run_convergence_sweep(config, workers):
@@ -350,6 +351,7 @@ def _keyrate_blocks(config):
 
 def _keyrate_block(modes, picks, model, modulation, region, rng):
     """Kept-mode count, channel moments, and the triple and fourth-moment summaries of the first ``picks`` modes."""
+    block_array("rows", (max(6 * modes, 10 * picks),))  # sized once for the block's largest phase
     x = alice_modulate(modulation, rng, modes, out=block_array("x", (modes, 2)))
     y = channel_and_heterodyne(x, model, rng, out=block_array("y", x.shape))
     mask, _ = postselect(x.ravel(), y.ravel(), region)

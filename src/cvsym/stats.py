@@ -15,7 +15,6 @@ quantitative bound is computed separately.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import threading
 from dataclasses import dataclass
@@ -53,18 +52,8 @@ def sigma_g_centered(a, b, c):
     ])
 
 
-# The calling thread's block arrays by name while it runs a block (runner._map_blocks).
-_block_store = threading.local()
-
-
-@contextlib.contextmanager
-def block_store(arrays):
-    """Make the dict ``arrays`` the calling thread's block store for the body."""
-    saved, _block_store.arrays = getattr(_block_store, "arrays", None), arrays
-    try:
-        yield
-    finally:
-        _block_store.arrays = saved
+# The calling thread's block arrays by name while it runs a block of runner._map_blocks, else None.
+block_store = threading.local()
 
 
 def block_array(name, shape):
@@ -72,14 +61,14 @@ def block_array(name, shape):
 
     A buffer is a private anonymous mapping (POSIX), unseen by tracemalloc, so a dropped store gives its pages
     back to the kernel; a freed malloc chunk would stay in its thread's arena.  Linux maps it populated."""
-    arrays, size = getattr(_block_store, "arrays", None), math.prod(shape)
-    if arrays is None:
+    arrays, size = getattr(block_store, "arrays", None), math.prod(shape)
+    if arrays is None or not size:
         return np.empty(shape)
-    if len(arrays.get(name, ())) < max(size, 1):
+    if len(arrays.get(name, ())) < size:
         import mmap  # only fan-outs need it
         arrays.pop(name, None)  # unmapped before its successor is mapped
         flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)
-        arrays[name] = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1), flags=flags), dtype=float)
+        arrays[name] = np.frombuffer(mmap.mmap(-1, 8 * size, flags=flags), dtype=float)
     return arrays[name][:size].reshape(shape)
 
 

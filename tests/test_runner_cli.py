@@ -332,7 +332,7 @@ def test_keyrate_mode_limit_and_estimation_shares():
 
 def _store_bytes():
     """Bytes mapped by the calling thread's block store, which tracemalloc does not see."""
-    return sum(a.nbytes for a in stats._block_store.arrays.values())
+    return sum(a.nbytes for a in stats.block_store.arrays.values())
 
 
 def _recording_store_bytes(fn, held):
@@ -589,7 +589,7 @@ def test_block_stores_are_dropped_with_their_fan_out(monkeypatch):
 
     def kernel(*args):
         result = block(*args)
-        mappings.extend(weakref.ref(a.base.obj) for a in stats._block_store.arrays.values())
+        mappings.extend(weakref.ref(a.base.obj) for a in stats.block_store.arrays.values())
         return result
 
     monkeypatch.setattr(runner, "_keyrate_block", kernel)
