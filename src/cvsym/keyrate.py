@@ -15,6 +15,7 @@ the symplectic eigenvalues) follow from this single construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +24,13 @@ from .errors import DegenerateCovarianceError, PreconditionError, require
 from .stats import Moments, block_array
 
 MIN_ESTIMATION_COORDS = 2000  # 10^3 modes
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
 class ChannelEstimate:
-    """Estimated channel parameters plus the reconciliation efficiency."""
+    """Estimated channel parameters plus the reconciliation efficiency; ``variance_a`` = V - 1 keeps the digits
+    of a small modulation variance that V rounds away (``v_variance - 1`` unless given)."""
 
     transmittance: float
     excess_noise: float
@@ -35,12 +38,15 @@ class ChannelEstimate:
     beta: float
     se_transmittance: float = 0.0
     se_excess_noise: float = 0.0
+    variance_a: float | None = None
 
     def __post_init__(self):
         require(("transmittance", 0.0 <= self.transmittance <= 1.0, "must lie in [0, 1]"),
                 ("excess_noise", self.excess_noise >= 0, "must be >= 0"),
                 ("v_variance", self.v_variance >= 1.0, "must be >= 1"),
                 ("beta", 0.0 < self.beta <= 1.0, "must lie in (0, 1]"))
+        if self.variance_a is None:
+            object.__setattr__(self, "variance_a", self.v_variance - 1.0)
 
 
 @dataclass(frozen=True)
@@ -124,7 +130,7 @@ class ChannelMoments:
         return ChannelEstimate(
             transmittance=t_hat, excess_noise=max(xi_raw, 0.0),
             v_variance=float(modulation_variance) + 1.0, beta=float(beta),
-            se_transmittance=se_t, se_excess_noise=float(se_xi))
+            se_transmittance=se_t, se_excess_noise=float(se_xi), variance_a=float(modulation_variance))
 
 
 def estimate_channel(x, y, modulation_variance, beta=0.95):
@@ -141,25 +147,37 @@ def estimate_channel(x, y, modulation_variance, beta=0.95):
     return ChannelMoments.from_data(x, y).estimate(modulation_variance, beta)
 
 
+def _entropy_of_excess(excess):
+    """G(excess / 2) with G(x) = (x+1) log2(x+1) - x log2 x, summed from terms of one sign."""
+    x = excess / 2.0
+    if x <= 0.0:
+        return 0.0
+    if x < 1.0:
+        return ((x + 1.0) * math.log1p(x) - x * math.log(x)) / _LN2
+    return (x * math.log1p(1.0 / x) + math.log1p(x)) / _LN2
+
+
 def entropy_g(nu):
-    """Gaussian entropy of a symplectic eigenvalue: G((nu-1)/2) with G(x) = (x+1)log2(x+1) - x log2 x."""
-    nu = max(float(nu), 1.0)
-    xp = (nu + 1.0) / 2.0
-    xm = (nu - 1.0) / 2.0
-    out = xp * np.log2(xp)
-    if xm > 0.0:
-        out -= xm * np.log2(xm)
-    return float(out)
+    """Gaussian entropy of a symplectic eigenvalue: G((nu-1)/2), 0 at and below the vacuum nu = 1."""
+    return _entropy_of_excess(max(float(nu) - 1.0, 0.0))
 
 
-def two_mode_symplectic_eigenvalues(va, vb, cc):
-    """Symplectic spectrum of [[va I2, cc sigma_z], [cc sigma_z, vb I2]]."""
-    delta = va * va + vb * vb - 2.0 * cc * cc
-    det = va * vb - cc * cc
-    root = np.sqrt(max(delta * delta - 4.0 * det * det, 0.0))
-    nu_plus = np.sqrt(max((delta + root) / 2.0, 0.0))
-    nu_minus = np.sqrt(max((delta - root) / 2.0, 0.0))
-    return float(nu_plus), float(nu_minus)
+def _symplectic_excesses(variance_a, transmittance, excess_noise):
+    """nu - 1 of the symplectic eigenvalues (nu_+, nu_-) of gamma_AB and nu_c of Alice's mode given Bob's outcome.
+
+    Each is formed from variance_a = V - 1 as sums of nonnegative terms, so none cancels at any modulation.  With
+    u = 1 - T and w = T xi: (nu_+ - nu_-)^2 = (a u - w)^2, (nu_+ + nu_-)^2 = 4 + (a u + w)^2 + 4 (a (u + T w) + w),
+    det = nu_+ nu_- = V (u + w) + T, (nu_+ - 1)(nu_- - 1) = w (2u + w) a (a + 2) / (det + 1 + nu_+ + nu_-), and
+    nu_c = (V (2u + w) + T) / (B + 1), B = T a + 1 + w.
+    """
+    a, t = variance_a, transmittance
+    u, w = 1.0 - t, t * excess_noise
+    squares = (a * u + w) ** 2 + 4.0 * (a * (u + t * w) + w)  # (nu_+ + nu_-)^2 - 4
+    total = math.sqrt(4.0 + squares)
+    plus = (squares / (total + 2.0) + abs(a * u - w)) / 2.0
+    det = a * (u + w) + 1.0 + w
+    minus = w * (2.0 * u + w) * a * (a + 2.0) / (det + 1.0 + total) / plus if plus > 0.0 else 0.0
+    return plus, minus, a * (2.0 * u + w) / (t * a + 2.0 + w)
 
 
 @dataclass(frozen=True)
@@ -177,24 +195,18 @@ def gaussian_keyrate(estimate):
 
     I_AB is the two-quadrature Gaussian mutual information of the
     heterodyne data; chi_BE comes from the purification argument:
-    S(E) = S(AB) and S(E|y_B) = S(A|y_B), each evaluated through
-    :func:`entropy_g` on symplectic eigenvalues.  Negative rates are
-    clamped to zero and flagged.
+    S(E) = S(AB) and S(E|y_B) = S(A|y_B), each the Gaussian entropy of
+    symplectic eigenvalues, taken from their excesses nu - 1 so that a small
+    modulation keeps its digits.  Negative rates are clamped to zero and flagged.
     """
-    t, xi, va = estimate.transmittance, estimate.excess_noise, estimate.v_variance
-    vb = t * (va - 1.0) + 1.0 + t * xi
-    cc = np.sqrt(t * (va * va - 1.0))
-
-    cond_b = vb - cc * cc / (va + 1.0)  # Bob's variance given Alice's heterodyne outcome
-    mutual_information = float(np.log2((vb + 1.0) / (cond_b + 1.0)))
-
-    nu_plus, nu_minus = two_mode_symplectic_eigenvalues(va, vb, cc)
-    nu_cond = max(va - cc * cc / (vb + 1.0), 1.0)  # Alice's spectrum after Bob's heterodyne
-    holevo = entropy_g(nu_plus) + entropy_g(nu_minus) - entropy_g(nu_cond)
-    holevo = max(holevo, 0.0)
+    t, xi, a = estimate.transmittance, estimate.excess_noise, estimate.variance_a
+    # Bob's variance given Alice's heterodyne outcome is 1 + T xi, so I_AB = log2((B + 1) / (2 + T xi)).
+    mutual_information = math.log1p(t * a / (2.0 + t * xi)) / _LN2
+    plus, minus, cond = _symplectic_excesses(a, t, xi)
+    holevo = max(_entropy_of_excess(plus) + _entropy_of_excess(minus) - _entropy_of_excess(cond), 0.0)
 
     raw = estimate.beta * mutual_information - holevo
     return KeyRateResult(
         rate=max(raw, 0.0), mutual_information=mutual_information, holevo_bound=holevo,
-        symplectic_eigenvalues=(nu_plus, nu_minus), conditional_eigenvalue=float(nu_cond),
+        symplectic_eigenvalues=(1.0 + plus, 1.0 + minus), conditional_eigenvalue=1.0 + cond,
         no_key=raw < 0.0)

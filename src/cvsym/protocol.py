@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimensionError, require
-from .stats import MomentSummary, block_array, cholesky_2x2, covariance_spectrum, sigma_g, sigma_g_centered
+from .stats import BivariateMixture, MomentSummary, block_array, cholesky_2x2, covariance_spectrum, sigma_g_centered
 
 # Below the floor the triples' Berry-Esseen bound leaves the float range.  Their covariance's
 # condition number grows as variance_a ** 2, and from 3e7 some T = 1 key rates find it degenerate.
@@ -48,11 +48,15 @@ class ModulationParams:
 
 @dataclass(frozen=True)
 class GaussianMixture:
-    """Per-mode mixture of Gaussian channels; replaces the base (T, xi) when set."""
+    """The mixture channel: each mode draws one Gaussian channel (T_k, xi_k) for both its quadratures.
+
+    Its one-component case is the Gaussian channel.  A sweep runs the runner's kernel named ``sweep_kernel``.
+    """
 
     weights: tuple
     transmittances: tuple
     excess_noises: tuple
+    sweep_kernel = "wishart_triples"
 
     def __post_init__(self):
         for name in ("weights", "transmittances", "excess_noises"):
@@ -65,69 +69,33 @@ class GaussianMixture:
                 ("transmittances", all(0.0 <= v <= 1.0 for v in t), "must lie in [0, 1]"),
                 ("excess_noises", all(v >= 0 for v in x), "must be >= 0"))
 
+    def channel(self, core):
+        """As the perturbation of a Gaussian ``core``, the mixture replaces it."""
+        return self
 
-@dataclass(frozen=True)
-class PhaseDiffusion:
-    """Per-mode random phase rotation with standard deviation sigma (radians)."""
-
-    sigma: float
-
-    def __post_init__(self):
-        require(("sigma", self.sigma >= 0, "must be >= 0"))
-
-
-@dataclass(frozen=True)
-class ChannelModel:
-    """Gaussian loss/excess-noise core with an optional non-Gaussian perturbation."""
-
-    transmittance: float
-    excess_noise: float
-    perturbation: object = None
-
-    def __post_init__(self):
-        require(("transmittance", 0.0 <= self.transmittance <= 1.0, "must lie in [0, 1]"),
-                ("excess_noise", self.excess_noise >= 0, "must be >= 0"),
-                ("perturbation", self.perturbation is None
-                 or isinstance(self.perturbation, (GaussianMixture, PhaseDiffusion)),
-                 "must be None, GaussianMixture or PhaseDiffusion"))
-
-    def _gaussian_components(self, modulation):
+    def components(self, modulation):
+        """A coordinate pair's law: one bivariate normal, moments (a, b, c) = (<x^2>, <y^2>, <xy>), per component."""
         a = modulation.variance_a / 2.0
-        if isinstance(self.perturbation, GaussianMixture):
-            mix = self.perturbation
-            weights, channels = list(mix.weights), zip(mix.transmittances, mix.excess_noises)
-        else:
-            weights, channels = [1.0], [(self.transmittance, self.excess_noise)]
-        return weights, [(a, t * a + 1.0 + t * xi / 2.0, float(np.sqrt(t)) * a) for t, xi in channels]
-
-    def _phase_factors(self):
-        """(k1, k2) = (E cos phi, E cos^2 phi); both reach their limits (0, 1/2) by sigma = 40."""
-        var = min(self.perturbation.sigma, 40.0) ** 2
-        return np.exp(-var / 2.0), (1.0 + np.exp(-2.0 * var)) / 2.0
+        return BivariateMixture(self.weights, tuple((a, t * a + 1.0 + t * xi / 2.0, float(np.sqrt(t)) * a)
+                                                    for t, xi in zip(self.transmittances, self.excess_noises)))
 
     def mode_moments(self, modulation):
-        """Exact mean and covariance of one mode's triple (|x|^2, |y|^2, x.y).
-
-        A mixture mode is two i.i.d. coordinate triples given its component.
-        Phase diffusion with core moments (a, b, c) keeps the Gaussian form
-        except that phi scales every Z term by k1 = E cos phi, and
-        Var Z = 8 k2 c^2 - 4 k1^2 c^2 + 2 (a b - c^2) with k2 = E cos^2 phi.
-        """
-        weights, comps = self._gaussian_components(modulation)
-        if isinstance(self.perturbation, PhaseDiffusion):
-            (a, b, c), = comps
-            k1, k2 = self._phase_factors()
-            cov = 2.0 * sigma_g_centered(a, b, c)
-            cov[2, :2] *= k1
-            cov[:2, 2] *= k1
-            cov[2, 2] = 8.0 * k2 * c * c - 4.0 * k1 * k1 * c * c + 2.0 * (a * b - c * c)
-            return 2.0 * np.array([a, b, k1 * c]), cov
-        mus = 2.0 * np.array(comps)
-        mu = np.asarray(weights, dtype=float) @ mus
-        # The law of total covariance: within-component plus between-component terms.
+        """Exact mean and covariance of one mode's triple (|x|^2, |y|^2, x.y): two i.i.d. coordinate triples given
+        its component, so the law of total covariance adds within- and between-component terms."""
+        law = self.components(modulation)
+        mus = 2.0 * np.array(law.components)
+        mu = np.asarray(law.weights) @ mus
         cov = sum(w * (2.0 * sigma_g_centered(*comp) + np.outer(mu_k - mu, mu_k - mu))
-                  for w, comp, mu_k in zip(weights, comps, mus))
+                  for w, comp, mu_k in zip(law.weights, law.components, mus))
         return mu, cov
+
+    def fourth_moment_matrix(self, modulation):
+        """Exact <(x^2, y^2, xy)(x^2, y^2, xy)^T> of one coordinate pair."""
+        return self.components(modulation).fourth_moment_matrix()
+
+    def phase_axis(self, n_phi):
+        """The phi nodes and weights of :meth:`mode_summary`'s quadrature: no rotation."""
+        return np.zeros(1), np.ones(1)
 
     def mode_summary(self, modulation, n_psi=40, n_theta=32, n_phi=64):
         """Exact :class:`MomentSummary` of one mode's triple V; nothing is drawn.
@@ -138,8 +106,7 @@ class ChannelModel:
         and y = l21 |h| R(phi) e + l22 (g1 e + g2 e'): V is quadratic in the standard
         4-d Gaussian (h, g1, g2), so E|V|^3 = E(chi^2_4)^3 = 192 times the mean of
         |V|^3 on its unit sphere.  Gauss-Legendre in psi (|h| = cos psi, density
-        sin 2 psi), trapezoid in theta (g1 + i g2 = sin psi e^{i theta}) and in phi,
-        weighted by the wrapped normal's Fourier series (README, convergence sweeps).
+        sin 2 psi), trapezoid in theta (g1 + i g2 = sin psi e^{i theta}), phi on :meth:`phase_axis`.
         """
         mu, cov = self.mode_moments(modulation)
         spectrum = covariance_spectrum(cov)
@@ -148,15 +115,12 @@ class ChannelModel:
         psi = np.pi / 4.0 * (u + 1.0)
         w_psi = w_psi * (192.0 * np.pi / 4.0 * np.sin(2.0 * psi) / n_theta)
         theta = 2.0 * np.pi / n_theta * np.arange(n_theta)
-        phi, w_phi = np.zeros(1), np.ones(1)
-        if isinstance(self.perturbation, PhaseDiffusion):
-            phi, m = 2.0 * np.pi / n_phi * np.arange(n_phi), np.arange(1, n_phi // 2)
-            # E cos(m phi) = exp(-m^2 sigma^2 / 2) = k1^(m^2).
-            w_phi = (1.0 + 2.0 * self._phase_factors()[0] ** (m * m) @ np.cos(np.outer(m, phi))) / n_phi
+        phi, w_phi = self.phase_axis(n_phi)
         cos, sin, h = np.cos(phi), np.sin(phi), np.cos(psi)[:, None, None]  # axes (psi, theta, phi)
         g1, g2 = np.sin(psi)[:, None, None] * np.array([np.cos(theta), np.sin(theta)])[:, None, :, None]
         third = 0.0
-        for weight, (a, b, c) in zip(*self._gaussian_components(modulation)):
+        law = self.components(modulation)
+        for weight, (a, b, c) in zip(law.weights, law.components):
             l11, l21, l22 = cholesky_2x2(a, b, c)
             x, s = l11 * h, l21 * h  # |x| and the norm of y's signal part
             z = x * (s * cos + l22 * g1)
@@ -164,32 +128,108 @@ class ChannelModel:
             third += weight * np.einsum("i,ijk,k->", w_psi, (x ** 4 + y * y + z * z) ** 1.5, w_phi)
         return MomentSummary(mu, cov, float(third), lam)
 
-    def fourth_moment_matrix(self, modulation):
-        """Exact <(x^2, y^2, xy)(x^2, y^2, xy)^T> of one coordinate pair.
+    def sweep_law(self, modulation):
+        """The sweep kernel's args after (n, trials), and a trial's cost in a block's coordinates: exact totals."""
+        law = self.components(modulation)
+        return (law.weights, law.components), 1
 
-        The weighted sum of component ``sigma_g``; phase diffusion scales
-        <x^3 y> and <x y^3> by k1 and sets <x^2 y^2> = a b + 2 k2 c^2.
-        """
-        weights, comps = self._gaussian_components(modulation)
-        matrix = sum(w * sigma_g(*comp) for w, comp in zip(weights, comps))
-        if isinstance(self.perturbation, PhaseDiffusion):
-            (a, b, c), = comps
-            k1, k2 = self._phase_factors()
-            matrix[2, :2] *= k1
-            matrix[:2, 2] *= k1
-            matrix[0, 1] = matrix[1, 0] = matrix[2, 2] = a * b + 2.0 * k2 * c * c
+    def heterodyne(self, x, rng, out=None):
+        """Bob's outcomes for a (trials, 2n) stack x, in ``out`` if given: each mode's component, then the noise.
+        Block array "rows" holds sqrt(T) x and, gathered by component label, each mode's sqrt(T) and noise scale."""
+        t, xi = np.array(self.transmittances), np.array(self.excess_noises)
+        root_t, scale = np.sqrt(t), np.sqrt(1.0 + t * xi / 2.0)
+        signal, per_mode = block_array("rows", (2, *x.shape))
+        if len(t) > 1:  # the labels of rng.choice(k, (trials, n), p=weights), uniforms in the cumulative weights
+            per_mode, cdf = per_mode.reshape(2, len(x), -1), np.cumsum(self.weights)
+            labels = np.searchsorted(cdf / cdf[-1], rng.random(out=per_mode[0]), side="right")
+            root_t, scale = np.take(root_t, labels, out=per_mode[0]), np.take(scale, labels, out=per_mode[1])
+        np.multiply(x.reshape(len(x), -1, 2), root_t[..., None], out=signal.reshape(len(x), -1, 2))
+        y = rng.standard_normal(x.shape, out=out)
+        modes = y.reshape(len(y), -1, 2)  # a view: y is contiguous
+        modes *= scale[..., None]
+        y += signal
+        return y
+
+
+@dataclass(frozen=True)
+class PhaseDiffusionChannel(GaussianMixture):
+    """The phase-diffusion channel: a one-component core after a per-mode rotation phi ~ N(0, sigma^2)."""
+
+    sigma: float
+    sweep_kernel = "coordinate_triples"
+
+    def _phase_factors(self):
+        """(k1, k2) = (E cos phi, E cos^2 phi); both reach their limits (0, 1/2) by sigma = 40."""
+        var = min(self.sigma, 40.0) ** 2
+        return np.exp(-var / 2.0), (1.0 + np.exp(-2.0 * var)) / 2.0
+
+    def mode_moments(self, modulation):
+        """The core's, except that phi scales every Z term by k1 = E cos phi and, with the core's (a, b, c)
+        and k2 = E cos^2 phi, Var Z = 8 k2 c^2 - 4 k1^2 c^2 + 2 (a b - c^2)."""
+        (a, b, c), = self.components(modulation).components
+        (k1, k2), (mu, cov) = self._phase_factors(), super().mode_moments(modulation)
+        mu[2] *= k1
+        cov[2, :2] *= k1
+        cov[:2, 2] *= k1
+        cov[2, 2] = 8.0 * k2 * c * c - 4.0 * k1 * k1 * c * c + 2.0 * (a * b - c * c)
+        return mu, cov
+
+    def fourth_moment_matrix(self, modulation):
+        """The core's, with <x^3 y> and <x y^3> scaled by k1 and <x^2 y^2> = a b + 2 k2 c^2."""
+        (a, b, c), = self.components(modulation).components
+        (k1, k2), matrix = self._phase_factors(), super().fourth_moment_matrix(modulation)
+        matrix[2, :2] *= k1
+        matrix[:2, 2] *= k1
+        matrix[0, 1] = matrix[1, 0] = matrix[2, 2] = a * b + 2.0 * k2 * c * c
         return matrix
 
-    def mixture_components(self, modulation):
-        """Per-mode Gaussian components as (weights, [(a, b, c), ...]), or None.
+    def phase_axis(self, n_phi):
+        """A trapezoid weighted by the wrapped normal's Fourier series, E cos(m phi) = k1^(m^2)."""
+        phi, m = 2.0 * np.pi / n_phi * np.arange(n_phi), np.arange(1, n_phi // 2)
+        return phi, (1.0 + 2.0 * self._phase_factors()[0] ** (m * m) @ np.cos(np.outer(m, phi))) / n_phi
 
-        Conditioned on its component every mode's coordinate pair is exactly
-        bivariate normal; phase diffusion has no such finite decomposition,
-        so it returns None.
-        """
-        if isinstance(self.perturbation, PhaseDiffusion):
-            return None
-        return self._gaussian_components(modulation)
+    def sweep_law(self, modulation):
+        """The sweep kernel's args after (n, trials), and a trial's cost in a block's coordinates: its 2n."""
+        return (self, modulation), 2 * modulation.n
+
+    def heterodyne(self, x, rng, out=None):
+        """Each mode's phi, then the core's heterodyne of x rotated by it; "rows" holds phi, cos phi and the rotation."""
+        signal, per_mode = block_array("rows", (2, *x.shape))
+        phi, cos = per_mode.reshape(2, len(x), -1)
+        rng.standard_normal(out=phi)
+        phi *= self.sigma
+        cos, sin = np.cos(phi, out=cos), np.sin(phi, out=phi)
+        # In place; IEEE + and * commute, so this equals cos x0 - sin x1 and
+        # sin x0 + cos x1 bit for bit.
+        np.multiply(cos, x[:, 0::2], out=signal[:, 0::2])
+        np.multiply(sin, x[:, 0::2], out=signal[:, 1::2])
+        signal[:, 0::2] -= np.multiply(sin, x[:, 1::2], out=sin)
+        signal[:, 1::2] += np.multiply(cos, x[:, 1::2], out=cos)
+        return super().heterodyne(signal, rng, out)
+
+
+@dataclass(frozen=True)
+class PhaseDiffusion:
+    """Per-mode random phase rotation with standard deviation sigma (radians)."""
+
+    sigma: float
+
+    def __post_init__(self):
+        require(("sigma", self.sigma >= 0, "must be >= 0"))
+
+    def channel(self, core):
+        """The :class:`PhaseDiffusionChannel` of the Gaussian ``core``."""
+        return PhaseDiffusionChannel(core.weights, core.transmittances, core.excess_noises, self.sigma)
+
+
+def ChannelModel(transmittance, excess_noise, perturbation=None):
+    """The channel of a Gaussian core (T, xi) and an optional perturbation: the one place its kind is chosen."""
+    require(("transmittance", 0.0 <= transmittance <= 1.0, "must lie in [0, 1]"),
+            ("excess_noise", excess_noise >= 0, "must be >= 0"),
+            ("perturbation", perturbation is None or hasattr(perturbation, "channel"),
+             "must be None, GaussianMixture or PhaseDiffusion"))
+    core = GaussianMixture((1.0,), (transmittance,), (excess_noise,))
+    return core if perturbation is None else perturbation.channel(core)
 
 
 def alice_modulate(params, rng, trials=None, out=None):
@@ -205,44 +245,13 @@ def alice_modulate(params, rng, trials=None, out=None):
 
 
 def channel_and_heterodyne(x, model, rng, out=None):
-    """Bob's heterodyne outcomes for input x; supports stacked inputs (..., 2n).
-
-    Implements the package noise convention documented in the module
-    docstring.  For stacked inputs all per-mode draws are vectorized;
-    draw order is fixed, so results are reproducible for a given rng.
-    Outcomes of a stacked input go to ``out`` if given; sqrt(T) x, and phi with cos(phi) while it is
-    formed, take the block array "rows".
-    """
+    """Bob's heterodyne outcomes for x, a 2n-vector or a (trials, 2n) stack, by ``model.heterodyne``: the noise
+    convention of the module docstring, in a fixed draw order, so results are reproducible for a given rng."""
     x = np.asarray(x, dtype=float)
-    squeeze, x = x.ndim == 1, np.atleast_2d(x)
     if x.shape[-1] % 2:
         raise InvalidDimensionError("interleaved vectors must have even length")
-    trials, n = x.shape[0], x.shape[1] // 2
-    t, xi = model.transmittance, model.excess_noise
-    if isinstance(model.perturbation, GaussianMixture):
-        mix = model.perturbation
-        comp = rng.choice(len(mix.weights), size=(trials, n), p=np.array(mix.weights))
-        t = np.repeat(np.array(mix.transmittances)[comp], 2, axis=1)
-        xi = np.repeat(np.array(mix.excess_noises)[comp], 2, axis=1)
-    signal, scratch = block_array("rows", (2, *x.shape))
-    if isinstance(model.perturbation, PhaseDiffusion):
-        phi, cos = scratch.reshape(2, trials, n)
-        rng.standard_normal(out=phi)
-        phi *= model.perturbation.sigma
-        cos, sin = np.cos(phi, out=cos), np.sin(phi, out=phi)
-        # In place; IEEE + and * commute, so this equals cos x0 - sin x1 and
-        # sin x0 + cos x1 bit for bit.
-        np.multiply(cos, x[:, 0::2], out=signal[:, 0::2])
-        np.multiply(sin, x[:, 0::2], out=signal[:, 1::2])
-        signal[:, 0::2] -= np.multiply(sin, x[:, 1::2], out=sin)
-        signal[:, 1::2] += np.multiply(cos, x[:, 1::2], out=cos)
-        signal *= np.sqrt(t)
-    else:
-        np.multiply(np.sqrt(t), x, out=signal)
-    y = rng.standard_normal(x.shape, out=out)
-    y *= np.sqrt(1.0 + t * xi / 2.0)
-    y += signal
-    return y[0] if squeeze else y
+    y = model.heterodyne(np.atleast_2d(x), rng, out)
+    return y[0] if x.ndim == 1 else y
 
 
 @dataclass(frozen=True)

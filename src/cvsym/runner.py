@@ -46,7 +46,6 @@ from .report import ExperimentReport
 from .samples import InvariantTriple, SampleBatch, mode_triples
 # sigma_est stays bound here as well: cvbench/spans.py wraps it as a runner-level name.
 from .stats import (  # noqa: F401
-    BivariateMixture,
     Moments,
     MomentSummary,
     SigmaEstimate,
@@ -183,8 +182,8 @@ def coordinate_triples(n, trials, model, modulation, rng):
 
     Only r^2 is a (trials, n) array; cos(phi) comes in row chunks.
     """
-    t = model.transmittance
-    noise_var = 1.0 + t * model.excess_noise / 2.0
+    (t,), (xi,) = model.transmittances, model.excess_noises
+    noise_var = 1.0 + t * xi / 2.0
     r2 = rng.standard_exponential(out=block_array("r2", (trials, n)))
     r2 *= modulation.variance_a
     # cos(phi) in row chunks of about BLOCK_MODES values, drawn in order as one draw; only a one-trial block
@@ -193,7 +192,7 @@ def coordinate_triples(n, trials, model, modulation, rng):
     cuts = [*range(0, max(trials - 1, 1), chunk), trials]
     for lo, hi in zip(cuts, cuts[1:]):
         cos_phi = rng.standard_normal(out=block_array("cos_phi", (hi - lo, n)))
-        cos_phi *= model.perturbation.sigma
+        cos_phi *= model.sigma
         np.einsum("ij,ij->i", r2[lo:hi], np.cos(cos_phi, out=cos_phi), out=c[lo:hi])
     x_tot = r2.sum(axis=1)
     p1, p2 = np.sqrt(noise_var) * rng.standard_normal((2, trials))
@@ -208,10 +207,6 @@ def coordinate_triples(n, trials, model, modulation, rng):
     return np.column_stack([x_tot, y_tot, z_tot])
 
 
-def _sweep_block_size(n, exact):
-    return 1 << 18 if exact else max(1, BLOCK_COORDS // (2 * n))
-
-
 def _loglog_slope(ns, values):
     points = np.log10([(n, v) for n, v in zip(ns, values) if v > 0]).reshape(-1, 2)
     if len(points) < 2:
@@ -222,29 +217,27 @@ def _loglog_slope(ns, values):
 def _run_convergence_sweep(config, workers):
     model = config.channel()
     # Per-mode moments do not depend on n: one exact summary serves every grid point.
-    single_mode = ModulationParams(1, config.modulation_variance)
-    mode_summary = model.mode_summary(single_mode)
-    exact = model.mixture_components(single_mode) is not None
-    kernel = wishart_triples if exact else coordinate_triples
+    mode_summary = model.mode_summary(ModulationParams(1, config.modulation_variance))
+    kernel = globals()[model.sweep_kernel]  # the channel names its block kernel
 
     # One pool for every grid point's blocks, so grid points overlap; the run
     # holds one point's totals, three floats per trial, at a time.
     grid = list(zip(config.n_grid, config.trials_for_grid()))
-    blocks = []
+    blocks, sizes = [], []
     for grid_index, (n, trials) in enumerate(grid):
-        modulation = ModulationParams(n, config.modulation_variance)
-        law = model.mixture_components(modulation) if exact else (model, modulation)
-        blocks += [((_S_SWEEP, grid_index, bi), (n, bt, *law))
-                   for bi, bt in _blocks(trials, _sweep_block_size(n, exact))]
+        args, weight = model.sweep_law(ModulationParams(n, config.modulation_variance))
+        sizes.append(max(1, BLOCK_COORDS // weight))
+        blocks += [((_S_SWEEP, grid_index, bi), (n, bt, *args)) for bi, bt in _blocks(trials, sizes[-1])]
     parts = _map_blocks(kernel, config.seed, blocks, workers)
 
     grid_rows = []
-    for grid_index, (n, trials) in enumerate(grid):
-        size = _sweep_block_size(n, exact)
+    for grid_index, ((n, trials), size) in enumerate(zip(grid, sizes)):
         # A lone block is the totals; more are written into place as they arrive.
         totals = next(parts) if trials <= size else np.empty((trials, 3))
         for start in range(0, trials, size) if trials > size else ():
             totals[start:start + size] = next(parts)
+        if grid_index == len(grid) - 1:
+            parts.close()  # the pool's threads and block stores end with the last block
 
         diag = empirical_tv_3d(totals, n * mode_summary.mean, n * mode_summary.covariance,
                                _stream_rng(config.seed, _S_DIAG, grid_index))
@@ -411,11 +404,10 @@ def _run_keyrate_report(config, workers):
 
 
 def _run_estimation_error(config, workers):
-    model = config.channel()
-    # Conditioned on its channel component every coordinate pair is
-    # bivariate normal; the fourth-moment truth is the weighted component sum.
-    weights, comps = model.mixture_components(ModulationParams(config.n, config.modulation_variance))
-    law = BivariateMixture(tuple(weights), tuple(comps))
+    # The study's law: every coordinate pair draws its own channel component and is bivariate normal given it,
+    # while the channel itself shares one component across a mode's two quadratures.  The fourth-moment truth
+    # is the same under both; the spread of the estimator is not, so a per-mode draw would change the results.
+    law = config.channel().components(ModulationParams(config.n, config.modulation_variance))
     m = config.est_m
     blocks = [((_S_ESTIMATION, bi), (law, m, bt)) for bi, bt in _blocks(config.trials, max(1, BLOCK_MODES // m))]
     errors = np.concatenate(list(_map_blocks(scaled_estimation_errors, config.seed, blocks, workers)), axis=0)

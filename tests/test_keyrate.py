@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,7 +9,6 @@ from cvsym.keyrate import (
     entropy_g,
     estimate_channel,
     gaussian_keyrate,
-    two_mode_symplectic_eigenvalues,
 )
 from cvsym.protocol import (
     ChannelModel,
@@ -200,16 +200,48 @@ def test_positive_rate_against_independent_coding():
 def test_closed_form_eigenvalues_match_numeric():
     rng = np.random.default_rng(4)
     for _ in range(20):
-        va = 1.0 + 5.0 * rng.random()
-        vb = 1.0 + 5.0 * rng.random()
-        cmax = np.sqrt((va * va - 1.0) * (vb * vb - 1.0)) ** 0.5
-        cc = rng.uniform(-1.0, 1.0) * min(np.sqrt(va * vb) - 1.0, cmax)
+        variance_a, t, xi = 5.0 * rng.random(), rng.random(), 0.5 * rng.random()
+        va, vb = variance_a + 1.0, t * variance_a + 1.0 + t * xi
+        cc = np.sqrt(t * (va * va - 1.0))
         sz = np.diag([1.0, -1.0])
         gamma = np.block([[va * np.eye(2), cc * sz], [cc * sz, vb * np.eye(2)]])
         omega = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
         numeric = np.sort(np.abs(np.linalg.eigvals(1j * omega @ gamma)))[::2]
-        closed = sorted(two_mode_symplectic_eigenvalues(va, vb, cc))
+        closed = sorted(gaussian_keyrate(ChannelEstimate(t, xi, va, 0.95, variance_a=variance_a)).symplectic_eigenvalues)
         np.testing.assert_allclose(sorted(numeric), closed, atol=1e-9)
+
+
+def _reference_keyrate(variance_a, t, xi, beta):
+    """(I_AB, chi, raw rate) from the general covariance formulas at 50 digits."""
+    with mpmath.workdps(50):
+        a, t, xi, beta = (mpmath.mpf(v) for v in (variance_a, t, xi, beta))
+        va, vb = a + 1, t * a + 1 + t * xi
+        c2 = t * (va * va - 1)
+        delta, det = va * va + vb * vb - 2 * c2, va * vb - c2
+        nu_plus = mpmath.sqrt((delta + mpmath.sqrt(delta * delta - 4 * det * det)) / 2)
+
+        def g(nu):
+            xp, xm = (nu + 1) / 2, (nu - 1) / 2
+            return xp * mpmath.log(xp, 2) - (xm * mpmath.log(xm, 2) if xm > 0 else 0)
+
+        info = mpmath.log((vb + 1) / (vb - c2 / (va + 1) + 1), 2)
+        chi = g(nu_plus) + g(det / nu_plus) - g(va - c2 / (vb + 1))
+        return info, chi, beta * info - chi
+
+
+# The three finding points of the precision audit, then a grid over the config range.
+_PRECISION_POINTS = [(1e6, 0.01, 0.01), (1e6, 0.9, 0.001), (1e-6, 0.7, 0.0)] + [
+    (variance_a, t, xi) for variance_a in (1e-6, 1e-3, 0.1, 1.0, 4.0, 20.0, 1e3, 1e6)
+    for t in (0.0, 0.01, 0.3, 0.7, 0.9, 0.999, 1.0) for xi in (0.0, 0.001, 0.01, 0.1, 1.0, 10.0)]
+
+
+@pytest.mark.parametrize("variance_a, t, xi", _PRECISION_POINTS)
+def test_keyrate_matches_50_digit_reference(variance_a, t, xi):
+    result = gaussian_keyrate(ChannelEstimate(t, xi, variance_a + 1.0, 0.95, variance_a=variance_a))
+    got = (result.mutual_information, result.holevo_bound, 0.95 * result.mutual_information - result.holevo_bound)
+    for name, value, reference in zip(("I_AB", "chi", "raw"), got, _reference_keyrate(variance_a, t, xi, 0.95)):
+        error = abs(value - reference)
+        assert error <= 1e-12 * abs(reference) or (abs(reference) < 1e-3 and error <= 1e-15), (name, value, reference)
 
 
 def test_entropy_g_limits():

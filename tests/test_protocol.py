@@ -12,7 +12,7 @@ from cvsym.protocol import (
     channel_and_heterodyne,
     postselect,
 )
-from cvsym.runner import coordinate_triples, wishart_triples
+from cvsym import runner
 from cvsym.samples import mode_triples
 from cvsym.stats import berry_esseen_bound
 
@@ -161,11 +161,8 @@ def test_mode_summary_third_moment_matches_monte_carlo(seed, case):
     model, variance = case
     mod, modes = ModulationParams(1, variance), 1_000_000
     rng = np.random.default_rng(seed)
-    comps = model.mixture_components(mod)
-    if comps is not None:
-        triples = wishart_triples(1, modes, comps[0], comps[1], rng)
-    else:
-        triples = coordinate_triples(1, modes, model, mod, rng)
+    args, _ = model.sweep_law(mod)
+    triples = getattr(runner, model.sweep_kernel)(1, modes, *args, rng)
     norm_cubed = np.sum(triples * triples, axis=1) ** 1.5
     se = norm_cubed.std() / np.sqrt(modes)
     summary = model.mode_summary(mod)

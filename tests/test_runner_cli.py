@@ -111,6 +111,11 @@ _SPLIT_CONFIGS = [
     ExperimentConfig(kind="keyrate-report", seed=5, n=runner.BLOCK_MODES + 1),
     ExperimentConfig(kind="estimation-error", seed=5, n=10, trials=runner.BLOCK_MODES // 1000 + 1,
                      est_m=1000, **_MIXTURE),
+    # Every channel class on every kind that runs it.
+    ExperimentConfig(kind="keyrate-report", seed=5, n=runner.BLOCK_MODES + 1, **_MIXTURE),
+    ExperimentConfig(kind="keyrate-report", seed=5, n=runner.BLOCK_MODES + 1, perturbation="phase-diffusion",
+                     phase_sigma=0.3, postselection_rule="amplitude-threshold", postselection_threshold=1.5),
+    ExperimentConfig(kind="convergence-sweep", seed=5, n_grid=[50], trials=[(1 << 18) + 1], **_MIXTURE),
 ]
 
 
@@ -744,6 +749,23 @@ def test_phase_diffusion_sweep_is_centred_on_exact_mean(monkeypatch):
                            modulation_variance=4.0, transmittance=0.7, excess_noise=0.02)
     run(cfg)
     assert np.all(np.abs(column_means[0]) < 5.0 / np.sqrt(trials))
+
+
+def test_sweep_pool_ends_with_its_last_block(monkeypatch):
+    # The pool's threads and their block stores end once the last grid
+    # point's last block is read, before that point's diagnostics run.
+    threads = []
+    real = runner.empirical_tv_3d
+
+    def spy(samples, mean, cov, rng):
+        threads.append(threading.active_count())
+        return real(samples, mean, cov, rng)
+
+    monkeypatch.setattr(runner, "empirical_tv_3d", spy)
+    cfg = ExperimentConfig(kind="convergence-sweep", seed=8, n_grid=[300, 3000], trials=[1500, 1500],
+                           perturbation="phase-diffusion", phase_sigma=0.3)
+    run(cfg, workers=2)
+    assert threads[-1] == 1, threads
 
 
 def test_phase_diffusion_sweep_whitens_on_exact_mode_moments(monkeypatch):

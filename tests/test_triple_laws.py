@@ -69,9 +69,9 @@ def test_phase_diffusion_law_matches_coordinate_simulation(case, n):
 @pytest.mark.parametrize("name", sorted(GAUSSIAN_MODELS))
 def test_wishart_triples_match_coordinate_simulation(name, n):
     model, variance = GAUSSIAN_MODELS[name]
-    weights, comps = model.mixture_components(ModulationParams(n, variance))
+    mixture = model.components(ModulationParams(n, variance))
     rng = np.random.default_rng([len(name), n])
-    law = wishart_triples(n, TRIALS, weights, comps, rng)
+    law = wishart_triples(n, TRIALS, mixture.weights, mixture.components, rng)
     reference = _simulated_totals(n, model, variance, rng)
     assert min(_ks_pvalues(law, reference)) > ALPHA
 
