@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .keyrate import MIN_ESTIMATION_COORDS, ChannelEstimate
-from .protocol import ChannelModel, GaussianMixture, ModulationParams, PhaseDiffusion, PostselectionRegion
+from .protocol import ChannelModel, GaussianMixture, ModulationParams, PostselectionRegion
 from .stats import MIN_TV_SAMPLES, GaussianBivariate, scaled_estimation_errors
 from .symmetrize import batch_with_invariants, require_design
 
@@ -62,7 +62,6 @@ _FIELD_OF = {
     "weights": "mixture_weights",
     "transmittances": "mixture_transmittances",
     "excess_noises": "mixture_excess_noises",
-    "sigma": "phase_sigma",
     "rule": "postselection_rule",
     "threshold": "postselection_threshold",
     "norm_x_sq": "audit_norm_x_sq",
@@ -117,16 +116,13 @@ class ExperimentConfig:
             return [self.trials] * len(self.n_grid)
         return list(self.trials)
 
-    def _perturbation(self):
+    def channel(self):
+        """The run's channel: the one place its class is chosen, from ``perturbation``."""
         if self.perturbation == "gaussian-mixture":
             return GaussianMixture(tuple(self.mixture_weights), tuple(self.mixture_transmittances),
                                    tuple(self.mixture_excess_noises))
-        if self.perturbation == "phase-diffusion":
-            return PhaseDiffusion(self.phase_sigma)
-        return None
-
-    def channel(self):
-        return ChannelModel(self.transmittance, self.excess_noise, self._perturbation())
+        return ChannelModel(self.transmittance, self.excess_noise,
+                            self.phase_sigma if self.perturbation == "phase-diffusion" else None)
 
     def region(self):
         return PostselectionRegion(self.postselection_rule, self.postselection_threshold)
@@ -198,10 +194,9 @@ class ExperimentConfig:
 
         constructors = [
             lambda: ModulationParams(1, self.modulation_variance),
-            self._perturbation,
-            lambda: ChannelModel(self.transmittance, self.excess_noise),
+            self.channel,
             self.region,
-            # The key rate's estimate holds the rule for beta.
+            # The key rate's estimate holds the rule for beta, and states T's and xi's for a mixture too.
             lambda: ChannelEstimate(self.transmittance, self.excess_noise,
                                     self.modulation_variance + 1.0, self.reconciliation_efficiency),
         ]

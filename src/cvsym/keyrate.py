@@ -157,11 +157,6 @@ def _entropy_of_excess(excess):
     return (x * math.log1p(1.0 / x) + math.log1p(x)) / _LN2
 
 
-def entropy_g(nu):
-    """Gaussian entropy of a symplectic eigenvalue: G((nu-1)/2), 0 at and below the vacuum nu = 1."""
-    return _entropy_of_excess(max(float(nu) - 1.0, 0.0))
-
-
 def _symplectic_excesses(variance_a, transmittance, excess_noise):
     """nu - 1 of the symplectic eigenvalues (nu_+, nu_-) of gamma_AB and nu_c of Alice's mode given Bob's outcome.
 

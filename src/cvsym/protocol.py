@@ -29,6 +29,9 @@ from .stats import BivariateMixture, MomentSummary, block_array, cholesky_2x2, c
 # Below the floor the triples' Berry-Esseen bound leaves the float range.  Their covariance's
 # condition number grows as variance_a ** 2, and from 3e7 some T = 1 key rates find it degenerate.
 MIN_MODULATION_VARIANCE, MAX_MODULATION_VARIANCE = 1e-100, 1e6
+# At the modulation floor a key rate's Berry-Esseen bound leaves the float range for xi = 1000, not for 100.
+# phi = sigma * g overflows for |g| > 1.8 at sigma = 1e308; 1e300 leaves every drawn phi finite.
+MAX_EXCESS_NOISE, MAX_PHASE_SIGMA = 100.0, 1e300
 # Gauss-Legendre nodes and weights, computed once per count; the arrays are shared, so never written.
 _gauss_legendre = functools.cache(np.polynomial.legendre.leggauss)
 
@@ -67,11 +70,13 @@ class GaussianMixture:
                 ("weights", all(v >= 0 for v in w) and abs(sum(w) - 1.0) <= 1e-9,
                  "must be nonnegative and sum to 1"),
                 ("transmittances", all(0.0 <= v <= 1.0 for v in t), "must lie in [0, 1]"),
-                ("excess_noises", all(v >= 0 for v in x), "must be >= 0"))
-
-    def channel(self, core):
-        """As the perturbation of a Gaussian ``core``, the mixture replaces it."""
-        return self
+                ("excess_noises", all(0.0 <= v <= MAX_EXCESS_NOISE for v in x),
+                 f"must lie in [0, {MAX_EXCESS_NOISE:g}]"))
+        # heterodyne's constants: not fields, so ==, hash and repr see only the law; shared, so never written.
+        t, cdf = np.array(t), np.cumsum(w)
+        for name, value in (("_root_t", np.sqrt(t)), ("_scale", np.sqrt(1.0 + t * np.array(x) / 2.0)),
+                            ("_cdf", cdf / cdf[-1])):
+            object.__setattr__(self, name, value)
 
     def components(self, modulation):
         """A coordinate pair's law: one bivariate normal, moments (a, b, c) = (<x^2>, <y^2>, <xy>), per component."""
@@ -136,12 +141,11 @@ class GaussianMixture:
     def heterodyne(self, x, rng, out=None):
         """Bob's outcomes for a (trials, 2n) stack x, in ``out`` if given: each mode's component, then the noise.
         Block array "rows" holds sqrt(T) x and, gathered by component label, each mode's sqrt(T) and noise scale."""
-        t, xi = np.array(self.transmittances), np.array(self.excess_noises)
-        root_t, scale = np.sqrt(t), np.sqrt(1.0 + t * xi / 2.0)
+        root_t, scale = self._root_t, self._scale
         signal, per_mode = block_array("rows", (2, *x.shape))
-        if len(t) > 1:  # the labels of rng.choice(k, (trials, n), p=weights), uniforms in the cumulative weights
-            per_mode, cdf = per_mode.reshape(2, len(x), -1), np.cumsum(self.weights)
-            labels = np.searchsorted(cdf / cdf[-1], rng.random(out=per_mode[0]), side="right")
+        if len(root_t) > 1:  # the labels of rng.choice(k, (trials, n), p=weights), uniforms in the cumulative weights
+            per_mode = per_mode.reshape(2, len(x), -1)
+            labels = np.searchsorted(self._cdf, rng.random(out=per_mode[0]), side="right")
             root_t, scale = np.take(root_t, labels, out=per_mode[0]), np.take(scale, labels, out=per_mode[1])
         np.multiply(x.reshape(len(x), -1, 2), root_t[..., None], out=signal.reshape(len(x), -1, 2))
         y = rng.standard_normal(x.shape, out=out)
@@ -208,28 +212,14 @@ class PhaseDiffusionChannel(GaussianMixture):
         return super().heterodyne(signal, rng, out)
 
 
-@dataclass(frozen=True)
-class PhaseDiffusion:
-    """Per-mode random phase rotation with standard deviation sigma (radians)."""
-
-    sigma: float
-
-    def __post_init__(self):
-        require(("sigma", self.sigma >= 0, "must be >= 0"))
-
-    def channel(self, core):
-        """The :class:`PhaseDiffusionChannel` of the Gaussian ``core``."""
-        return PhaseDiffusionChannel(core.weights, core.transmittances, core.excess_noises, self.sigma)
-
-
-def ChannelModel(transmittance, excess_noise, perturbation=None):
-    """The channel of a Gaussian core (T, xi) and an optional perturbation: the one place its kind is chosen."""
+def ChannelModel(transmittance, excess_noise, phase_sigma=None):
+    """The Gaussian channel (T, xi) or, given ``phase_sigma``, its phase-diffusion channel; one check for all three."""
     require(("transmittance", 0.0 <= transmittance <= 1.0, "must lie in [0, 1]"),
-            ("excess_noise", excess_noise >= 0, "must be >= 0"),
-            ("perturbation", perturbation is None or hasattr(perturbation, "channel"),
-             "must be None, GaussianMixture or PhaseDiffusion"))
-    core = GaussianMixture((1.0,), (transmittance,), (excess_noise,))
-    return core if perturbation is None else perturbation.channel(core)
+            ("excess_noise", 0.0 <= excess_noise <= MAX_EXCESS_NOISE, f"must lie in [0, {MAX_EXCESS_NOISE:g}]"),
+            ("phase_sigma", phase_sigma is None or 0.0 <= phase_sigma <= MAX_PHASE_SIGMA,
+             f"must lie in [0, {MAX_PHASE_SIGMA:g}]"))
+    core = (1.0,), (transmittance,), (excess_noise,)
+    return GaussianMixture(*core) if phase_sigma is None else PhaseDiffusionChannel(*core, phase_sigma)
 
 
 def alice_modulate(params, rng, trials=None, out=None):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from cvsym.config import EXPERIMENT_KINDS, ExperimentConfig
 from cvsym.errors import ConfigError
-from cvsym.protocol import MIN_MODULATION_VARIANCE
+from cvsym.protocol import MAX_EXCESS_NOISE, MAX_MODULATION_VARIANCE, MAX_PHASE_SIGMA, MIN_MODULATION_VARIANCE
 from cvsym.runner import run
 
 # Integers of any size, those beyond the float range included.
@@ -65,6 +65,7 @@ def test_config_boundary_raises_only_config_error(data):
 
 # Configs at tiny sizes with every float drawn from its documented range.
 _UNIT = st.floats(0.0, 1.0)
+_EXCESS_NOISE = st.floats(0.0, MAX_EXCESS_NOISE)
 _POSITIVE_UNIT = st.floats(0.0, 1.0, exclude_min=True)
 
 
@@ -75,11 +76,11 @@ def _mixture(draw):
     return {"perturbation": "gaussian-mixture",
             "mixture_weights": [w / sum(raw) for w in raw],
             "mixture_transmittances": draw(st.lists(_UNIT, min_size=k, max_size=k)),
-            "mixture_excess_noises": draw(st.lists(st.floats(0.0, 10.0), min_size=k, max_size=k))}
+            "mixture_excess_noises": draw(st.lists(_EXCESS_NOISE, min_size=k, max_size=k))}
 
 
 _PHASE = st.fixed_dictionaries({"perturbation": st.just("phase-diffusion"),
-                                "phase_sigma": st.floats(0.0, 3.0)})
+                                "phase_sigma": st.floats(0.0, 3.0) | st.floats(0.0, MAX_PHASE_SIGMA)})
 _GAUSSIAN = st.just({"perturbation": "none"})
 _REGION = st.fixed_dictionaries({
     "postselection_rule": st.sampled_from(("none", "amplitude-threshold", "product-threshold")),
@@ -113,7 +114,7 @@ _KIND_FIELDS = {
 def _tiny_config(draw, kind):
     config = {"kind": kind, "seed": draw(st.integers(0, 2 ** 32)),
               "modulation_variance": draw(st.floats(-100.0, 6.0).map(lambda exponent: 10.0 ** exponent)),
-              "transmittance": draw(_UNIT), "excess_noise": draw(st.floats(0.0, 10.0)),
+              "transmittance": draw(_UNIT), "excess_noise": draw(_EXCESS_NOISE),
               "be_constant": draw(st.floats(0.0, 10.0)),
               "reconciliation_efficiency": draw(_POSITIVE_UNIT),
               "estimation_fraction": draw(_POSITIVE_UNIT)}
@@ -152,6 +153,25 @@ def _numbers(value):
           "modulation_variance": MIN_MODULATION_VARIANCE, "perturbation": "phase-diffusion", "phase_sigma": 0.3})
 @example({"kind": "estimation-error", "seed": 0, "n": 6, "trials": 1000, "est_m": 50,
           "modulation_variance": MIN_MODULATION_VARIANCE})
+# The channel bounds at the corners of the modulation and transmittance ranges.
+@example({"kind": "keyrate-report", "seed": 0, "n": 1000, "modulation_variance": MIN_MODULATION_VARIANCE,
+          "transmittance": 1.0, "excess_noise": MAX_EXCESS_NOISE})
+@example({"kind": "keyrate-report", "seed": 0, "n": 1000, "modulation_variance": MAX_MODULATION_VARIANCE,
+          "transmittance": 0.0, "excess_noise": MAX_EXCESS_NOISE, "perturbation": "gaussian-mixture",
+          "mixture_weights": [0.5, 0.5], "mixture_transmittances": [1.0, 0.0],
+          "mixture_excess_noises": [0.0, MAX_EXCESS_NOISE]})
+@example({"kind": "keyrate-report", "seed": 0, "n": 1000, "modulation_variance": MIN_MODULATION_VARIANCE,
+          "transmittance": 1.0, "excess_noise": MAX_EXCESS_NOISE, "perturbation": "phase-diffusion",
+          "phase_sigma": MAX_PHASE_SIGMA, "postselection_rule": "amplitude-threshold", "postselection_threshold": 1.0})
+@example({"kind": "convergence-sweep", "seed": 0, "n_grid": [2, 6], "trials": 1000,
+          "modulation_variance": MIN_MODULATION_VARIANCE, "transmittance": 0.0, "excess_noise": MAX_EXCESS_NOISE})
+@example({"kind": "convergence-sweep", "seed": 0, "n_grid": [2, 6], "trials": 1000,
+          "modulation_variance": MAX_MODULATION_VARIANCE, "transmittance": 1.0, "excess_noise": MAX_EXCESS_NOISE,
+          "perturbation": "phase-diffusion", "phase_sigma": MAX_PHASE_SIGMA})
+@example({"kind": "design-compare", "seed": 0, "n": 1, "design_samples": 4, "transmittance": 1.0,
+          "excess_noise": MAX_EXCESS_NOISE, "perturbation": "phase-diffusion", "phase_sigma": MAX_PHASE_SIGMA})
+@example({"kind": "estimation-error", "seed": 0, "n": 2, "trials": 1000, "est_m": 10,
+          "modulation_variance": MIN_MODULATION_VARIANCE, "transmittance": 1.0, "excess_noise": MAX_EXCESS_NOISE})
 def test_validated_config_runs_to_finite_metrics(data):
     config = ExperimentConfig.from_dict(data)
     try:

@@ -6,7 +6,7 @@ from cvsym.errors import DegenerateCovarianceError, PreconditionError
 from cvsym.keyrate import (
     ChannelEstimate,
     ChannelMoments,
-    entropy_g,
+    _entropy_of_excess,
     estimate_channel,
     gaussian_keyrate,
 )
@@ -64,7 +64,7 @@ def test_estimate_standard_errors_cover_a_mixture_channel():
     # xi_hat errors are correlated: standard errors that treated coordinates
     # as independent and dropped the correlation read sd(xi_hat) / SE = 1.20 here.
     rng = np.random.default_rng(2024)
-    model = ChannelModel(0.7, 0.02, GaussianMixture((0.85, 0.15), (0.9, 0.15), (0.01, 3.0)))
+    model = GaussianMixture((0.85, 0.15), (0.9, 0.15), (0.01, 3.0))
     modulation = ModulationParams(4000, 20.0)
     estimates = []
     for _ in range(1000):
@@ -245,9 +245,10 @@ def test_keyrate_matches_50_digit_reference(variance_a, t, xi):
 
 
 def test_entropy_g_limits():
-    assert entropy_g(1.0) == 0.0
-    assert entropy_g(1.0 - 1e-12) == 0.0  # clamped at the vacuum
-    assert entropy_g(3.0) > 0.0
+    # G of a symplectic eigenvalue nu, taken from its excess nu - 1.
+    assert _entropy_of_excess(0.0) == 0.0
+    assert _entropy_of_excess(-1e-12) == 0.0  # clamped at the vacuum
+    assert _entropy_of_excess(2.0) > 0.0
 
 
 def test_estimate_validation():

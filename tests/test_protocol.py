@@ -6,7 +6,7 @@ from cvsym.protocol import (
     ChannelModel,
     GaussianMixture,
     ModulationParams,
-    PhaseDiffusion,
+    PhaseDiffusionChannel,
     PostselectionRegion,
     alice_modulate,
     channel_and_heterodyne,
@@ -86,8 +86,7 @@ def test_gaussian_core_moment_identities():
 
 def test_mixture_channel_moments():
     rng = np.random.default_rng(5)
-    mix = GaussianMixture((0.7, 0.3), (0.9, 0.2), (0.05, 1.5))
-    model = ChannelModel(0.5, 0.0, mix)
+    model = GaussianMixture((0.7, 0.3), (0.9, 0.2), (0.05, 1.5))
     mod = ModulationParams(200_000, 4.0)
     x = alice_modulate(mod, rng)
     y = channel_and_heterodyne(x, model, rng)
@@ -100,7 +99,7 @@ def test_mixture_channel_moments():
 def test_phase_diffusion_damps_correlation():
     rng = np.random.default_rng(6)
     sigma = 0.6
-    model = ChannelModel(0.8, 0.0, PhaseDiffusion(sigma))
+    model = ChannelModel(0.8, 0.0, sigma)
     mod = ModulationParams(200_000, 4.0)
     x = alice_modulate(mod, rng)
     y = channel_and_heterodyne(x, model, rng)
@@ -116,7 +115,7 @@ def test_phase_diffusion_damps_correlation():
 def test_phase_diffusion_moments_match_simulation(seed, sigma, t, xi):
     # 10^6 simulated modes.  Both coordinates of a mode share phi, so every
     # standard error is taken over per-mode values.
-    model = ChannelModel(t, xi, PhaseDiffusion(sigma))
+    model = ChannelModel(t, xi, sigma)
     mod = ModulationParams(1_000_000, 4.0)
     rng = np.random.default_rng(seed)
     x = alice_modulate(mod, rng)
@@ -148,8 +147,8 @@ def test_phase_diffusion_moments_match_simulation(seed, sigma, t, xi):
 MIXTURE = GaussianMixture((0.85, 0.15), (0.9, 0.15), (0.01, 3.0))
 QUADRATURE_CASES = [
     (ChannelModel(0.7, 0.02), 4.0), (ChannelModel(0.0, 0.1), 4.0), (ChannelModel(1.0, 0.0), 4.0),
-    (ChannelModel(0.7, 0.02, MIXTURE), 20.0),
-] + [(ChannelModel(0.7, 0.02, PhaseDiffusion(sigma)), 4.0) for sigma in (0.01, 0.3, 1.5, 30.0)]
+    (MIXTURE, 20.0),
+] + [(ChannelModel(0.7, 0.02, sigma), 4.0) for sigma in (0.01, 0.3, 1.5, 30.0)]
 
 
 @pytest.mark.parametrize("seed, case", list(enumerate(QUADRATURE_CASES, start=40)), ids=[
@@ -173,7 +172,7 @@ def test_mode_summary_third_moment_matches_monte_carlo(seed, case):
 
 
 @pytest.mark.parametrize("model, variance", QUADRATURE_CASES + [
-    (ChannelModel(1.0, 0.0, PhaseDiffusion(sigma)), variance)
+    (ChannelModel(1.0, 0.0, sigma), variance)
     for sigma in (0.0, 0.01, 1.0, 1e300) for variance in (1e-100, 4.0, 1e6)])
 def test_mode_summary_quadrature_is_converged(model, variance):
     mod = ModulationParams(1, variance)
@@ -185,7 +184,7 @@ def test_mode_summary_quadrature_is_converged(model, variance):
 def test_mode_summary_repeats_bit_for_bit():
     # The Gauss-Legendre table is computed once and shared by every call; a
     # call that scaled its weights in place would move every later summary.
-    model, mod = ChannelModel(0.7, 0.02, PhaseDiffusion(0.3)), ModulationParams(1, 4.0)
+    model, mod = ChannelModel(0.7, 0.02, 0.3), ModulationParams(1, 4.0)
     first = model.mode_summary(mod)
     model.mode_summary(ModulationParams(1, 9.0))
     second = model.mode_summary(mod)
@@ -193,41 +192,48 @@ def test_mode_summary_repeats_bit_for_bit():
     assert np.array_equal(first.covariance, second.covariance)
 
 
-@pytest.mark.parametrize("perturbation", [None, MIXTURE, PhaseDiffusion(0.3)])
+@pytest.mark.parametrize("perturbation", [None, MIXTURE, ChannelModel(0.7, 0.02, 0.3)])
 def test_mode_summary_bound_is_finite_at_smallest_modulation(perturbation):
     # The covariance is graded: Var X = variance_a^2 = 1e-200 next to O(1)
     # entries.  Its smallest eigenvalue tends to Var X, which the smallest
     # eigenvalue of cov itself loses to rounding.
-    summary = ChannelModel(0.7, 0.02, perturbation).mode_summary(ModulationParams(1, 1e-100))
+    model = ChannelModel(0.7, 0.02) if perturbation is None else perturbation
+    summary = model.mode_summary(ModulationParams(1, 1e-100))
     assert summary.lambda_min == pytest.approx(1e-200, rel=1e-9, abs=0.0)
     assert np.isfinite(berry_esseen_bound(summary, 1))
 
 
-@pytest.mark.parametrize("perturbation", [
-    None, PhaseDiffusion(0.3), GaussianMixture((0.85, 0.15), (0.9, 0.15), (0.01, 3.0))])
-def test_channel_follows_documented_draw_order(perturbation):
+@pytest.mark.parametrize("model", [ChannelModel(0.7, 0.02), ChannelModel(0.7, 0.02, 0.3), MIXTURE])
+def test_channel_follows_documented_draw_order(model):
     # The fixed draw order: the per-mode perturbation (phi, or the mixture
     # component), then the noise g; y = sqrt(T) * signal + sd * g exactly,
     # and the input is left untouched.
-    model = ChannelModel(0.7, 0.02, perturbation)
     x = np.random.default_rng(3).standard_normal((6, 10))
     x_before = x.copy()
     y = channel_and_heterodyne(x, model, np.random.default_rng(4))
 
     rng = np.random.default_rng(4)
     t, xi, signal = 0.7, 0.02, x
-    if isinstance(perturbation, PhaseDiffusion):
+    if isinstance(model, PhaseDiffusionChannel):
         phi = rng.normal(0.0, 0.3, size=(6, 5))
         signal = np.empty_like(x)
         signal[:, 0::2] = np.cos(phi) * x[:, 0::2] - np.sin(phi) * x[:, 1::2]
         signal[:, 1::2] = np.sin(phi) * x[:, 0::2] + np.cos(phi) * x[:, 1::2]
-    elif perturbation is not None:
-        comp = rng.choice(2, size=(6, 5), p=np.array(perturbation.weights))
-        t = np.repeat(np.array(perturbation.transmittances)[comp], 2, axis=1)
-        xi = np.repeat(np.array(perturbation.excess_noises)[comp], 2, axis=1)
+    elif len(model.weights) > 1:
+        comp = rng.choice(2, size=(6, 5), p=np.array(model.weights))
+        t = np.repeat(np.array(model.transmittances)[comp], 2, axis=1)
+        xi = np.repeat(np.array(model.excess_noises)[comp], 2, axis=1)
     g = rng.standard_normal(x.shape)
     assert np.array_equal(y, np.sqrt(t) * signal + np.sqrt(1.0 + t * xi / 2.0) * g)
     assert np.array_equal(x, x_before)
+
+
+def test_channel_compares_and_hashes_by_its_law():
+    # heterodyne's cached arrays are not fields, so ==, hash and repr see only the law.
+    assert ChannelModel(0.7, 0.02, 0.3) == ChannelModel(0.7, 0.02, 0.3) != ChannelModel(0.7, 0.02)
+    assert hash(MIXTURE) == hash(GaussianMixture((0.85, 0.15), (0.9, 0.15), (0.01, 3.0)))
+    assert repr(ChannelModel(0.7, 0.02)) == ("GaussianMixture(weights=(1.0,), transmittances=(0.7,), "
+                                             "excess_noises=(0.02,))")
 
 
 def test_mixture_validation():

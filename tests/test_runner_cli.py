@@ -73,6 +73,21 @@ def test_config_validation_names_every_object_rule():
         "postselection_threshold"])
 
 
+@pytest.mark.parametrize("extra, names", [
+    # One rule states T, xi and sigma, so a bad T does not hide a bad sigma.
+    (dict(perturbation="phase-diffusion", excess_noise=-0.1, phase_sigma=-1.0),
+     ["transmittance", "excess_noise", "phase_sigma"]),
+    # A mixture's channel never reads the top-level T, which is still checked.
+    (dict(perturbation="gaussian-mixture", mixture_weights=[1.0], mixture_transmittances=[0.9],
+          mixture_excess_noises=[0.01]), ["transmittance"]),
+])
+def test_config_validation_names_every_channel_rule(extra, names):
+    cfg = ExperimentConfig(kind="keyrate-report", seed=1, n=2000, transmittance=1.5, **extra)
+    with pytest.raises(ConfigError) as err:
+        cfg.validate()
+    assert sorted(err.value.fields) == sorted(names)
+
+
 def test_config_roundtrip(tmp_path):
     cfg = _small_sweep()
     path = _write_config(cfg, tmp_path / "config.json")
@@ -980,6 +995,19 @@ def test_cli_rejects_mistyped_field(tmp_path, capsys, field_name, value):
     ({"kind": "convergence-sweep", "n_grid": [100, 1000], "modulation_variance": 1e7}, "modulation_variance"),
     # Past the float range, the one upper limit on a key rate's n.
     ({"kind": "keyrate-report", "n": 10 ** 309}, "n"),
+    # Past the channel bounds: key rates and sweeps overflowed (exit 1), the other kinds wrote null metrics.
+    ({"kind": "keyrate-report", "n": 2000, "excess_noise": 1e200}, "excess_noise"),
+    ({"kind": "convergence-sweep", "n_grid": [10, 100], "trials": 2000, "excess_noise": 1e150}, "excess_noise"),
+    ({"kind": "estimation-error", "n": 1, "trials": 20, "est_m": 10, "excess_noise": 1e200}, "excess_noise"),
+    ({"kind": "design-compare", "n": 1, "excess_noise": 1e200}, "excess_noise"),
+    ({"kind": "keyrate-report", "n": 2000, "modulation_variance": 1e-100, "excess_noise": 1000}, "excess_noise"),
+    ({"kind": "keyrate-report", "n": 2000, **_MIXTURE, "mixture_excess_noises": [0.01, 1e200]},
+     "mixture_excess_noises"),
+    # phi = sigma * g overflows; the key rate's error named transmittance.
+    ({"kind": "keyrate-report", "n": 2000, "perturbation": "phase-diffusion", "phase_sigma": 1e308}, "phase_sigma"),
+    ({"kind": "convergence-sweep", "n_grid": [10, 100], "trials": 2000, "perturbation": "phase-diffusion",
+      "phase_sigma": 1e308}, "phase_sigma"),
+    ({"kind": "design-compare", "n": 1, "perturbation": "phase-diffusion", "phase_sigma": 1e308}, "phase_sigma"),
 ])
 def test_cli_rejects_config_that_cannot_run(tmp_path, capsys, config, field_name):
     path = tmp_path / "config.json"

@@ -12,7 +12,6 @@ from cvsym.protocol import (
     ChannelModel,
     GaussianMixture,
     ModulationParams,
-    PhaseDiffusion,
     alice_modulate,
     channel_and_heterodyne,
 )
@@ -200,8 +199,8 @@ def test_berry_esseen_bound_past_float_range_is_degenerate(lambda_min):
 # The sweep's reference covariances: Gaussian channels, phase diffusion and the benchmark mixture.
 _WHITENING_CHANNELS = {
     "T0.7": ChannelModel(0.7, 0.02), "T1": ChannelModel(1.0, 0.0),
-    "phase0.3": ChannelModel(0.7, 0.02, PhaseDiffusion(0.3)),
-    "mixture": ChannelModel(0.7, 0.02, GaussianMixture((0.85, 0.15), (0.9, 0.15), (0.01, 3.0))),
+    "phase0.3": ChannelModel(0.7, 0.02, 0.3),
+    "mixture": GaussianMixture((0.85, 0.15), (0.9, 0.15), (0.01, 3.0)),
 }
 
 
@@ -551,7 +550,7 @@ def test_mode_triple_moments_match_monte_carlo():
     # Mode moments of a mixture channel against its coordinate simulation:
     # both coordinates of a mode share the component.
     rng = np.random.default_rng(15)
-    model = ChannelModel(0.5, 0.0, GaussianMixture((0.6, 0.4), (0.9, 0.2), (0.05, 1.5)))
+    model = GaussianMixture((0.6, 0.4), (0.9, 0.2), (0.05, 1.5))
     mod = ModulationParams(200_000, 4.0)
     mu, cov = model.mode_moments(mod)
     x = alice_modulate(mod, rng)

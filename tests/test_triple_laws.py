@@ -16,7 +16,6 @@ from cvsym.protocol import (
     ChannelModel,
     GaussianMixture,
     ModulationParams,
-    PhaseDiffusion,
     alice_modulate,
     channel_and_heterodyne,
 )
@@ -35,7 +34,7 @@ ALPHA = 1e-4
 PHASE_CASES = [(0.3, 0.7, 0.02), (1.5, 0.2, 0.5), (0.0, 0.7, 0.02), (0.3, 0.0, 0.1), (0.3, 1.0, 0.0)]
 GAUSSIAN_MODELS = {
     "gaussian": (ChannelModel(0.7, 0.02), MODULATION_VARIANCE),
-    "mixture": (ChannelModel(0.7, 0.02, GaussianMixture((0.85, 0.15), (0.9, 0.15), (0.01, 3.0))), 20.0),
+    "mixture": (GaussianMixture((0.85, 0.15), (0.9, 0.15), (0.01, 3.0)), 20.0),
 }
 
 
@@ -57,7 +56,7 @@ def _ks_pvalues(law, reference):
 @pytest.mark.parametrize("case", range(len(PHASE_CASES)))
 def test_phase_diffusion_law_matches_coordinate_simulation(case, n):
     sigma, t, xi = PHASE_CASES[case]
-    model = ChannelModel(t, xi, PhaseDiffusion(sigma))
+    model = ChannelModel(t, xi, sigma)
     rng = np.random.default_rng([case, n])
     law = coordinate_triples(n, TRIALS, model, ModulationParams(n, MODULATION_VARIANCE), rng)
     reference = _simulated_totals(n, model, MODULATION_VARIANCE, rng)
@@ -78,7 +77,7 @@ def test_wishart_triples_match_coordinate_simulation(name, n):
 
 def test_phase_diffusion_law_at_modulation_floor():
     # Near X = 0 only the noise is left: Z vanishes with sqrt(X), Y is |G|^2.
-    model = ChannelModel(0.7, 0.02, PhaseDiffusion(0.3))
+    model = ChannelModel(0.7, 0.02, 0.3)
     totals = coordinate_triples(3, 50, model, ModulationParams(3, 1e-100), np.random.default_rng(0))
     assert np.all(np.isfinite(totals))
     assert np.all(np.abs(totals[:, 2]) < 1e-40) and np.all(totals[:, 1] > 0)
