@@ -69,6 +69,7 @@ _FIELD_OF = {
     "dot_xy": "audit_dot_xy",
     "design": "design_size",
     "degree": "design_degree",
+    "samples": "design_samples",
     "m": "est_m",
 }
 
@@ -178,6 +179,8 @@ class ExperimentConfig:
                 bad("n", "must be a positive integer in the float range")
             if not isinstance(self.trials, int) or self.trials < 1:
                 bad("trials", "must be a positive integer")
+            elif self.kind == "estimation-error" and self.trials < 2:
+                bad("trials", "must be >= 2: one replicate has no standard error")
 
         if self.kind == "keyrate-report" and 2 * self.n < MIN_ESTIMATION_COORDS:
             bad("n", f"must be >= {MIN_ESTIMATION_COORDS // 2}: the channel estimate needs "
@@ -187,8 +190,6 @@ class ExperimentConfig:
                 bad("design_kind", "must be roots-of-unity or haar-sample")
             if self.design_kind == "roots-of-unity" and self.n != 1:
                 bad("n", "roots-of-unity designs are single-mode (n must be 1)")
-            if self.design_samples < 1:
-                bad("design_samples", "must be >= 1")
         if self.kind == "estimation-error" and self.perturbation == "phase-diffusion":
             bad("perturbation", "estimation-error supports none and gaussian-mixture only")
 
@@ -205,7 +206,7 @@ class ExperimentConfig:
             # without allocating 2n coordinates.
             constructors.append(lambda: batch_with_invariants(min(self.n, 2), *self.audit_invariants()))
         if self.kind == "design-compare":
-            constructors.append(lambda: require_design(self.design_size, self.design_degree))
+            constructors.append(lambda: require_design(self.design_size, self.design_degree, self.design_samples))
         if self.kind == "estimation-error":
             # Zero trials of the estimator keep the call cheap.
             constructors.append(lambda: scaled_estimation_errors(

@@ -24,7 +24,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from itertools import chain, islice
+from itertools import chain, count, islice
 
 import numpy as np
 
@@ -75,8 +75,8 @@ from .symmetrize import (
 _S_SWEEP, _S_DIAG, _S_AUDIT, _S_DESIGN = 0, 2, 3, 4
 _S_KEYRATE, _S_ESTIMATION, _S_SELFCHECK = 5, 7, 8
 
-# Float64 values a block keeps alive, 2 MiB (a per-core L2).  A phase-diffusion sweep block holds its (trials, n)
-# r^2 and a chunk of cos(phi); key-rate and estimation blocks hold up to ten values per mode or coordinate pair,
+# Float64 values a block keeps alive, 2 MiB (a per-core L2).  A phase-diffusion sweep block holds its two (trials, n)
+# arrays, r^2 and cos(phi); key-rate and estimation blocks hold up to ten values per mode or coordinate pair,
 # so they take BLOCK_MODES.  Blocks are fixed before scheduling: results depend on them, never on the workers.
 BLOCK_COORDS = 1 << 18
 BLOCK_MODES = BLOCK_COORDS // 8
@@ -180,20 +180,15 @@ def coordinate_triples(n, trials, model, modulation, rng):
         Y = T X + 2 sqrt(T) (C / sqrt(X) p1 + sqrt(X - C^2 / X) p2)
             + p1^2 + p2^2 + Q.
 
-    Only r^2 is a (trials, n) array; cos(phi) comes in row chunks.
+    r^2 and cos(phi) are the block's two (trials, n) arrays.
     """
     (t,), (xi,) = model.transmittances, model.excess_noises
     noise_var = 1.0 + t * xi / 2.0
     r2 = rng.standard_exponential(out=block_array("r2", (trials, n)))
     r2 *= modulation.variance_a
-    # cos(phi) in row chunks of about BLOCK_MODES values, drawn in order as one draw; only a one-trial block
-    # has a one-row chunk, since einsum sums a lone row of over 8192 values in another order.
-    chunk, c = max(2, BLOCK_MODES // n), np.empty(trials)
-    cuts = [*range(0, max(trials - 1, 1), chunk), trials]
-    for lo, hi in zip(cuts, cuts[1:]):
-        cos_phi = rng.standard_normal(out=block_array("cos_phi", (hi - lo, n)))
-        cos_phi *= model.sigma
-        np.einsum("ij,ij->i", r2[lo:hi], np.cos(cos_phi, out=cos_phi), out=c[lo:hi])
+    cos_phi = rng.standard_normal(out=block_array("cos_phi", (trials, n)))
+    cos_phi *= model.sigma
+    c = np.einsum("ij,ij->i", r2, np.cos(cos_phi, out=cos_phi))
     x_tot = r2.sum(axis=1)
     p1, p2 = np.sqrt(noise_var) * rng.standard_normal((2, trials))
     q = 2.0 * noise_var * rng.standard_gamma(n - 1.0, size=trials)
@@ -220,24 +215,17 @@ def _run_convergence_sweep(config, workers):
     mode_summary = model.mode_summary(ModulationParams(1, config.modulation_variance))
     kernel = globals()[model.sweep_kernel]  # the channel names its block kernel
 
-    # One pool for every grid point's blocks, so grid points overlap; the run
-    # holds one point's totals, three floats per trial, at a time.
-    grid = list(zip(config.n_grid, config.trials_for_grid()))
-    blocks, sizes = [], []
-    for grid_index, (n, trials) in enumerate(grid):
-        args, weight = model.sweep_law(ModulationParams(n, config.modulation_variance))
-        sizes.append(max(1, BLOCK_COORDS // weight))
-        blocks += [((_S_SWEEP, grid_index, bi), (n, bt, *args)) for bi, bt in _blocks(trials, sizes[-1])]
-    parts = _map_blocks(kernel, config.seed, blocks, workers)
-
     grid_rows = []
-    for grid_index, ((n, trials), size) in enumerate(zip(grid, sizes)):
-        # A lone block is the totals; more are written into place as they arrive.
+    for grid_index, (n, trials) in enumerate(zip(config.n_grid, config.trials_for_grid())):
+        args, weight = model.sweep_law(ModulationParams(n, config.modulation_variance))
+        size = max(1, BLOCK_COORDS // weight)
+        blocks = (((_S_SWEEP, grid_index, bi), (n, bt, *args)) for bi, bt in _blocks(trials, size))
+        # A lone block is the totals; more are written into place as they arrive.  Each grid point is its own
+        # fan-out, read to its end, so its threads and block stores end before its diagnostics.
+        parts = _map_blocks(kernel, config.seed, blocks, workers)
         totals = next(parts) if trials <= size else np.empty((trials, 3))
-        for start in range(0, trials, size) if trials > size else ():
-            totals[start:start + size] = next(parts)
-        if grid_index == len(grid) - 1:
-            parts.close()  # the pool's threads and block stores end with the last block
+        for start, part in zip(count(0, size), parts):
+            totals[start:start + size] = part
 
         diag = empirical_tv_3d(totals, n * mode_summary.mean, n * mode_summary.covariance,
                                _stream_rng(config.seed, _S_DIAG, grid_index))

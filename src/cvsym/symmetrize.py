@@ -28,9 +28,6 @@ WITNESS_TOL = 1e-8
 
 def apply_symmetrization(batch, transform):
     """Rotate both halves of a batch by the same element of O(2n,R) ∩ Sp(2n,R)."""
-    if transform.n * 2 != batch.x.size:
-        raise InvalidDimensionError(
-            f"transform acts on 2n={2 * transform.n} but batch has length {batch.x.size}")
     return SampleBatch(transform.apply(batch.x), transform.apply(batch.y))
 
 
@@ -213,10 +210,12 @@ def _monomial_exponents(degree):
             for p in range(total + 1) for q in [total - p]]
 
 
-def require_design(size, degree):
-    """The rules of :func:`finite_design_average` on a design's element count and the degree."""
+def require_design(size, degree, samples):
+    """The rules of :func:`finite_design_average` on a design's element count, the degree and the sample count."""
     require(("design", size >= 1, "must have at least one element"),
-            ("degree", 1 <= degree <= MAX_DESIGN_DEGREE, f"must lie in [1, {MAX_DESIGN_DEGREE}]"))
+            ("degree", 1 <= degree <= MAX_DESIGN_DEGREE, f"must lie in [1, {MAX_DESIGN_DEGREE}]"),
+            # The standard error needs two matched Haar draws, samples x size of them.
+            ("samples", samples >= (2 if size == 1 else 1), "must be >= 1, and >= 2 for a one-element design"))
 
 
 def haar_rotated_pairs(pairs, replicates, rng):
@@ -246,7 +245,7 @@ def finite_design_average(sampler, design, degree, rng, samples=200):
     total degree is reported.
     """
     design = np.asarray(design, dtype=complex)
-    require_design(len(design), degree)
+    require_design(len(design), degree, samples)
     n = design.shape[-1]
     batches = [sampler(rng) for _ in range(samples)]
     if any(batch.n != n for batch in batches):

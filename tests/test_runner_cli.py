@@ -374,7 +374,7 @@ def _recording_store_bytes(fn, held):
 ], ids=["phase-sweep-300", "phase-sweep-3000", "keyrate", "estimation-2000"])
 def test_one_pooled_block_peaks_within_the_block_budget(monkeypatch, cfg):
     # One full-size block of each pooled fan-out, as the run lays it out,
-    # holds 1.2 to 2.7 MiB: its block store plus what tracemalloc sees.
+    # holds 1.7 to 2.7 MiB: its block store plus what tracemalloc sees.
     # Key-rate and estimation blocks of 2^17 modes or coordinate pairs
     # peaked at 10.5 and 9.9 MiB.
     import tracemalloc
@@ -627,7 +627,7 @@ def test_block_stores_are_dropped_with_their_fan_out(monkeypatch):
         assert held < 64 * 2**10, (workers, held)
 
 
-def test_sweep_starts_one_pool_for_every_grid_point(monkeypatch):
+def test_sweep_starts_one_fan_out_per_grid_point(monkeypatch):
     calls = []
     real = runner._map_blocks
 
@@ -641,7 +641,7 @@ def test_sweep_starts_one_pool_for_every_grid_point(monkeypatch):
                            perturbation="phase-diffusion", phase_sigma=0.3)
     run(cfg)
     # 1000 trials of n = 50 fit one block; of n = 2000, 65 trials fit one.
-    assert calls == [1 + 16]
+    assert calls == [1, 16]
 
 
 def test_report_roundtrip(tmp_path):
@@ -767,8 +767,8 @@ def test_phase_diffusion_sweep_is_centred_on_exact_mean(monkeypatch):
 
 
 def test_sweep_pool_ends_with_its_last_block(monkeypatch):
-    # The pool's threads and their block stores end once the last grid
-    # point's last block is read, before that point's diagnostics run.
+    # Each grid point's pool threads and their block stores end once its
+    # last block is read, before that point's diagnostics run.
     threads = []
     real = runner.empirical_tv_3d
 
@@ -777,10 +777,11 @@ def test_sweep_pool_ends_with_its_last_block(monkeypatch):
         return real(samples, mean, cov, rng)
 
     monkeypatch.setattr(runner, "empirical_tv_3d", spy)
-    cfg = ExperimentConfig(kind="convergence-sweep", seed=8, n_grid=[300, 3000], trials=[1500, 1500],
+    # A one-block grid point, then two of 4 and 35 blocks.
+    cfg = ExperimentConfig(kind="convergence-sweep", seed=8, n_grid=[50, 300, 3000], trials=[1000, 1500, 1500],
                            perturbation="phase-diffusion", phase_sigma=0.3)
     run(cfg, workers=2)
-    assert threads[-1] == 1, threads
+    assert threads == [1, 1, 1], threads
 
 
 def test_phase_diffusion_sweep_whitens_on_exact_mode_moments(monkeypatch):
@@ -1008,6 +1009,10 @@ def test_cli_rejects_mistyped_field(tmp_path, capsys, field_name, value):
     ({"kind": "convergence-sweep", "n_grid": [10, 100], "trials": 2000, "perturbation": "phase-diffusion",
       "phase_sigma": 1e308}, "phase_sigma"),
     ({"kind": "design-compare", "n": 1, "perturbation": "phase-diffusion", "phase_sigma": 1e308}, "phase_sigma"),
+    # One replicate: every standard error read 0.
+    ({"kind": "estimation-error", "n": 1, "trials": 1, "est_m": 10}, "trials"),
+    ({"kind": "design-compare", "n": 1, "design_kind": "haar-sample", "design_size": 1, "design_samples": 1},
+     "design_samples"),
 ])
 def test_cli_rejects_config_that_cannot_run(tmp_path, capsys, config, field_name):
     path = tmp_path / "config.json"

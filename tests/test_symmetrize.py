@@ -576,6 +576,12 @@ def test_design_validation():
         with pytest.raises(ConfigError) as exc:
             finite_design_average(lambda rng: batch, roots_of_unity_design(2), degree, np.random.default_rng(0))
         assert exc.value.fields == ["degree"]
+    # and for the sample count: the standard error needs two matched Haar draws.
+    for size, samples in ((2, 0), (1, 1)):
+        with pytest.raises(ConfigError) as exc:
+            finite_design_average(lambda rng: batch, roots_of_unity_design(size), 1, np.random.default_rng(0),
+                                  samples=samples)
+        assert exc.value.fields == ["samples"]
 
 
 def test_invariant_triple_relative_scales():

@@ -83,6 +83,25 @@ def test_phase_diffusion_law_at_modulation_floor():
     assert np.all(np.abs(totals[:, 2]) < 1e-40) and np.all(totals[:, 1] > 0)
 
 
+@pytest.mark.parametrize("n, trials", [(300, 436), (20_000, 6), (131_073, 1)])
+def test_phase_diffusion_law_follows_documented_draw_order(n, trials):
+    # Bit for bit: r^2 and phi as one (trials, n) draw each, then p1 and p2, then Q.
+    sigma, t, xi = PHASE_CASES[0]
+    got = coordinate_triples(n, trials, ChannelModel(t, xi, sigma), ModulationParams(n, MODULATION_VARIANCE),
+                             np.random.default_rng(n))
+    rng = np.random.default_rng(n)
+    r2 = MODULATION_VARIANCE * rng.standard_exponential((trials, n))
+    c = np.einsum("ij,ij->i", r2, np.cos(sigma * rng.standard_normal((trials, n))))
+    s2 = 1.0 + t * xi / 2.0
+    p1, p2 = np.sqrt(s2) * rng.standard_normal((2, trials))
+    q = 2.0 * s2 * rng.standard_gamma(n - 1.0, size=trials)
+    x = r2.sum(axis=1)
+    along = c / np.sqrt(x)
+    across = np.sqrt(np.maximum(x - along * along, 0.0))
+    y = t * x + 2.0 * np.sqrt(t) * (along * p1 + across * p2) + p1 * p1 + p2 * p2 + q
+    np.testing.assert_array_equal(got, np.column_stack([x, y, np.sqrt(t) * c + np.sqrt(x) * p1]))
+
+
 @pytest.mark.parametrize("n", [1, 2, 1000])
 def test_single_component_wishart_draws_as_a_constant_count_array(n):
     # The scalar count n must draw the stream that a (trials,) array of n draws.
